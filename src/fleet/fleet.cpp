@@ -101,14 +101,6 @@ struct FleetMetrics
         "Wall-clock duration per fleet epoch",
         "seconds",
         {0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0});
-    Gauge &batch_lanes = telemetry::registry().gauge(
-        "ulpdp_batch_lanes",
-        "URNG lanes stepped in lockstep by the batch sampling bank",
-        "lanes");
-    Gauge &batch_prefetch = telemetry::registry().gauge(
-        "ulpdp_batch_prefetch_batch_size",
-        "Table slots prefetched ahead per batched trial row",
-        "slots");
     Counter &batch_fallbacks = telemetry::registry().counter(
         "ulpdp_batch_scalar_fallbacks_total",
         "Blocks redone on the scalar path after a batch-sampler bail",
@@ -196,6 +188,21 @@ publishCohort(const CohortResult &res)
                       labels)
             .observe(res.agg->decode_seconds);
     }
+}
+
+/** Deterministic per-node true reading (clipped Gaussian via
+ *  Box-Muller on the node's data substream). */
+double
+synthValue(uint64_t data_seed, double mu, double sigma, double lo,
+           double hi)
+{
+    uint64_t a = FleetSeeder::mix64(data_seed + kNodeKey);
+    uint64_t b = FleetSeeder::mix64(data_seed + 2 * kNodeKey);
+    double u1 = unitFromWord(a);
+    double u2 = unitFromWord(b);
+    double z = std::sqrt(-2.0 * std::log(u1)) *
+               std::cos(2.0 * 3.14159265358979323846 * u2);
+    return std::clamp(mu + sigma * z, lo, hi);
 }
 
 } // anonymous namespace
@@ -308,6 +315,7 @@ struct FleetRunner::CohortPlan
         hi_index = static_cast<int64_t>(
             std::llround(cfg.params.range.hi / delta));
         mid_value = 0.5 * (cfg.params.range.lo + cfg.params.range.hi);
+        mid_index = static_cast<int64_t>(std::llround(mid_value / delta));
         lambda = mech.params.lambda();
 
         // Every registered mechanism guarantees the loss_multiple *
@@ -360,17 +368,17 @@ struct FleetRunner::CohortPlan
             table = proto.sharedTable();
         batch_ok = table != nullptr && fresh_per_node > 0;
 
+        // The exact output model feeds both the loss analysis and the
+        // agg decoder; build it once, and only if either asks for it.
+        // Ideal cohorts have no output grid.
+        std::unique_ptr<DiscreteOutputModel> model;
+        if (!mech.ideal && (cfg.analyze_loss || cfg.agg.enabled))
+            model = outputModel();
+
         worst_loss = cfg.params.epsilon;
         ldp = true;
-        if (cfg.analyze_loss && !mech.ideal) {
-            LossReport rep;
-            if (mech.naive) {
-                ThresholdCalculator calc(cfg.params);
-                NaiveOutputModel model(calc.pmf(), calc.span());
-                rep = PrivacyLossAnalyzer::analyze(model);
-            } else {
-                rep = PrivacyLossAnalyzer::analyze(*outputModel());
-            }
+        if (cfg.analyze_loss && model) {
+            LossReport rep = PrivacyLossAnalyzer::analyze(*model);
             worst_loss = rep.bounded
                 ? rep.worst_case_loss
                 : std::numeric_limits<double>::infinity();
@@ -384,17 +392,8 @@ struct FleetRunner::CohortPlan
 
         // Streaming aggregation: resolve the sketch window from the
         // mechanism's exact output model and precompute the unbiased
-        // channel-inversion decoder, once, on the main thread. Ideal
-        // cohorts have no output grid and skip the layer.
-        if (cfg.agg.enabled && !mech.ideal) {
-            std::unique_ptr<DiscreteOutputModel> model;
-            if (mech.naive) {
-                ThresholdCalculator calc(cfg.params);
-                model = std::make_unique<NaiveOutputModel>(
-                    calc.pmf(), calc.span());
-            } else {
-                model = outputModel();
-            }
+        // channel-inversion decoder, once, on the main thread.
+        if (cfg.agg.enabled && model) {
             decoder =
                 std::make_shared<agg::FrequencyDecoder>(*model);
             agg_out_lo = lo_index + model->outputLo();
@@ -409,20 +408,59 @@ struct FleetRunner::CohortPlan
     }
 
     /**
-     * The exact conditional output model of a registry-selected
-     * mechanism, built from the registered factory (never called for
-     * Ideal/Naive). Passing the already-resolved threshold back
+     * The exact conditional output model (never called for Ideal):
+     * the registered factory's, or the Naive baseline's, which has no
+     * registry entry. Passing the already-resolved threshold back
      * through the spec skips a second exact-index search.
      */
     std::unique_ptr<DiscreteOutputModel>
     outputModel() const
     {
+        if (mech.naive) {
+            ThresholdCalculator calc(cfg.params);
+            return std::make_unique<NaiveOutputModel>(calc.pmf(),
+                                                      calc.span());
+        }
         MechanismSpec spec;
         spec.params = cfg.params;
         spec.loss_multiple = cfg.loss_multiple;
         spec.threshold_index = threshold;
         return MechanismRegistry::instance()
             .at(mech.registry_name).model(spec);
+    }
+
+    /** One node's stream seed, true reading (synthetic or from the
+     *  dataset) and input grid index clamped into the range. */
+    struct NodeInput
+    {
+        uint64_t seed;
+        double x;
+        int64_t xi;
+    };
+
+    NodeInput
+    nodeInput(const FleetSeeder &seeder, uint64_t node) const
+    {
+        NodeInput in;
+        in.seed = seeder.nodeSeed(index, node);
+        in.x = cfg.values.empty()
+            ? synthValue(FleetSeeder::subSeed(in.seed, kDataSalt),
+                         data_mean, data_std, cfg.params.range.lo,
+                         cfg.params.range.hi)
+            : cfg.values[node];
+        in.xi = std::clamp(
+            static_cast<int64_t>(std::llround(in.x / delta)), lo_index,
+            hi_index);
+        return in;
+    }
+
+    /** Output grid index of input xi plus one unconfined noise draw,
+     *  clamped into the window when the lowering says so. */
+    int64_t
+    noisyIndex(int64_t xi, int64_t noise) const
+    {
+        int64_t yi = xi + noise;
+        return mech.clamp ? std::clamp(yi, win_lo, win_hi) : yi;
     }
 
     uint64_t
@@ -449,6 +487,8 @@ struct FleetRunner::CohortPlan
     int64_t win_lo = 0;
     int64_t win_hi = 0;
     double mid_value = 0.0;
+    /** Grid slot of mid_value (a midpoint replay's agg slot). */
+    int64_t mid_index = 0;
     double lambda = 1.0;
     double data_mean = 0.0;
     double data_std = 1.0;
@@ -550,6 +590,10 @@ FleetRunner::CohortPlan::resolveMechanism(const CohortConfig &c)
     return m;
 }
 
+namespace {
+struct WorkItem;
+} // anonymous namespace
+
 /**
  * Worker-slot scratch that persists across blocks and epochs: the
  * steady-state hot loop allocates nothing and clones nothing.
@@ -586,10 +630,23 @@ struct alignas(64) FleetRunner::WorkerScratch
         uint64_t dropped = 0;
     };
 
+    /** Run one block, start to finish, into its private slab. Which
+     *  worker runs it (and when) is irrelevant: the result depends
+     *  only on (master seed, cohort, node id). */
+    void processBlock(const CohortPlan &plan, const FleetSeeder &seeder,
+                      const WorkItem &item);
+
+    /** The 16-lane path; false when a draw bailed. */
+    bool batchBlock(const CohortPlan &plan, const FleetSeeder &seeder,
+                    const WorkItem &item, ReportSink &sink);
+
+    /** The per-draw path: Ideal cohorts, fresh == 0 cohorts,
+     *  tableless configurations, and batch-bail redos. */
+    void scalarBlock(const CohortPlan &plan, const FleetSeeder &seeder,
+                     const WorkItem &item, ReportSink &sink);
+
     std::vector<int64_t> noise;  // scalar path, one node's batch
     std::vector<int64_t> rect;   // batch path, trial-major noise
-    std::vector<BatchSampler::Window> windows =
-        std::vector<BatchSampler::Window>(TausBank::kMaxLanes);
     std::optional<FxpLaplaceRng> rng;
     uint32_t rng_cohort = 0;
     std::optional<BatchSampler> sampler;
@@ -633,13 +690,16 @@ struct alignas(64) BlockAccum
     uint64_t checksum = 0;
 };
 
-/** One claimable unit of work: a block of consecutive nodes. */
+/** One claimable unit of work: a block of consecutive nodes, its
+ *  private slab, and the cohort's report matrix (null unless
+ *  materialized; each block writes disjoint columns). */
 struct WorkItem
 {
     uint32_t cohort;
     uint64_t node_lo;
     uint64_t node_hi;
     BlockAccum *accum;
+    double *matrix;
 };
 
 /**
@@ -664,21 +724,6 @@ struct alignas(64) WorkQueue
         return next.load(std::memory_order_relaxed) >= end;
     }
 };
-
-/** Deterministic per-node true reading (clipped Gaussian via
- *  Box-Muller on the node's data substream). */
-double
-synthValue(uint64_t data_seed, double mu, double sigma, double lo,
-           double hi)
-{
-    uint64_t a = FleetSeeder::mix64(data_seed + kNodeKey);
-    uint64_t b = FleetSeeder::mix64(data_seed + 2 * kNodeKey);
-    double u1 = unitFromWord(a);
-    double u2 = unitFromWord(b);
-    double z = std::sqrt(-2.0 * std::log(u1)) *
-               std::cos(2.0 * 3.14159265358979323846 * u2);
-    return std::clamp(mu + sigma * z, lo, hi);
-}
 
 } // anonymous namespace
 
@@ -780,6 +825,272 @@ FleetRunner::forceScalarBlocks(bool on)
     g_force_scalar_blocks.store(on, std::memory_order_relaxed);
 }
 
+/**
+ * The one place a released report is accounted. Both execution paths
+ * feed it the same stream -- per node, in node order: begin(), one
+ * freshAt()/fresh() per fresh draw in trial order, then finish() --
+ * which is the (node, trial) order the Welford updates depend on. It
+ * owns the fresh/replay rule and every per-report statistic; the
+ * paths only supply draws. The per-report methods are forced inline:
+ * they sit on the hot loop, and with a call site per path and draw
+ * kind the -O2 inliner would otherwise keep out-of-line copies.
+ */
+struct FleetRunner::ReportSink
+{
+    /** Opens the block: zeroes the worker's agg delta and remembers
+     *  its drop count for discard(). */
+    ReportSink(const CohortPlan &p, const WorkItem &item,
+               WorkerScratch::AggSlab *agg_slab)
+        : plan(p), acc(*item.accum), matrix(item.matrix),
+          slab(agg_slab), agg_stride(p.agg_rows > 1 ? p.agg_span : 0),
+          dropped_before(agg_slab != nullptr ? agg_slab->dropped : 0)
+    {
+        zeroAggDelta();
+    }
+
+    /** Open a node. Its replay value is the range midpoint (and that
+     *  value's grid slot) until a fresh report replaces it. */
+    [[gnu::always_inline]] void begin(uint64_t node_id, double true_value)
+    {
+        node = node_id;
+        x = true_value;
+        t = 0;
+        last = plan.mid_value;
+        last_yi = plan.mid_index;
+        acc.true_vals.add(x);
+        if (plan.fresh_per_node < plan.cfg.reports_per_node)
+            ++acc.exhausted;
+    }
+
+    /** A fresh report at output grid index yi. */
+    [[gnu::always_inline]] void freshAt(int64_t yi)
+    {
+        last_yi = yi;
+        fresh(static_cast<double>(yi) * plan.delta);
+    }
+
+    /** A fresh report off the grid (Ideal cohorts). */
+    [[gnu::always_inline]] void fresh(double released)
+    {
+        last = released;
+        ++acc.fresh;
+        emit(released);
+    }
+
+    /** Close the node: its budget is exhausted, so the remaining
+     *  trials replay the last report (a function of already-released
+     *  data; zero additional loss). */
+    [[gnu::always_inline]] void finish()
+    {
+        while (t < plan.cfg.reports_per_node) {
+            ++acc.replays;
+            emit(last);
+        }
+    }
+
+    /** Fold the completed block's agg delta into the worker sketch. */
+    void commit()
+    {
+        if (slab != nullptr)
+            slab->sketch.ingestDelta(slab->delta.data());
+    }
+
+    /** Throw the whole block away (batch bail): a fresh slab, a zeroed
+     *  agg delta and the drop count the block started from. */
+    void discard()
+    {
+        acc = BlockAccum(plan.hist_lo, plan.hist_hi,
+                         plan.cfg.histogram_bins,
+                         plan.cfg.reports_per_node);
+        zeroAggDelta();
+        if (slab != nullptr)
+            slab->dropped = dropped_before;
+    }
+
+  private:
+    [[gnu::always_inline]] void emit(double released)
+    {
+        if (slab != nullptr) {
+            size_t s = static_cast<size_t>(last_yi - plan.agg_out_lo);
+            if (s < plan.agg_span) [[likely]]
+                ++slab->delta[static_cast<size_t>(t) * agg_stride + s];
+            else
+                ++slab->dropped;
+        }
+        acc.hist.add(released);
+        acc.released.add(released);
+        acc.error.add(released - x);
+        acc.trial_sum[t] += released;
+        acc.checksum += reportDigest(node, t, released);
+        if (matrix != nullptr)
+            matrix[static_cast<uint64_t>(t) * plan.nodes + node] =
+                released;
+        ++t;
+    }
+
+    void zeroAggDelta()
+    {
+        if (slab != nullptr)
+            std::fill(slab->delta.begin(), slab->delta.end(),
+                      uint64_t(0));
+    }
+
+    const CohortPlan &plan;
+    BlockAccum &acc;
+    double *const matrix;
+    WorkerScratch::AggSlab *const slab;
+    const size_t agg_stride;
+    const uint64_t dropped_before;
+
+    // The open node.
+    uint64_t node = 0;
+    double x = 0.0;
+    uint32_t t = 0;
+    double last = 0.0;
+    int64_t last_yi = 0;
+};
+
+void
+FleetRunner::WorkerScratch::processBlock(const CohortPlan &plan,
+                                         const FleetSeeder &seeder,
+                                         const WorkItem &item)
+{
+    ReportSink sink(plan, item,
+                    plan.agg_on ? agg[item.cohort].get() : nullptr);
+    if (plan.batch_ok &&
+        !g_force_scalar_blocks.load(std::memory_order_relaxed)) {
+        if (batchBlock(plan, seeder, item, sink)) {
+            sink.commit();
+            return;
+        }
+        // A comparator tripped, or a window holds no URNG state:
+        // discard the whole block (agg delta included) and redo it
+        // scalar. Every node restarts from its seed, so the redo is
+        // bit-identical to never having batched, and the scalar
+        // integrity path quarantines (or clamps) with the exact
+        // per-draw semantics.
+        sink.discard();
+        ++fallbacks;
+    }
+    scalarBlock(plan, seeder, item, sink);
+    sink.commit();
+}
+
+bool
+FleetRunner::WorkerScratch::batchBlock(const CohortPlan &plan,
+                                       const FleetSeeder &seeder,
+                                       const WorkItem &item,
+                                       ReportSink &sink)
+{
+    constexpr size_t W = TausBank::kMaxLanes;
+    // Cohort-cached sampler: constructing one per block copied the
+    // table's shared_ptr, and the refcount RMW on that shared
+    // control-block line was cross-core traffic on every block claim.
+    // The cached instance keeps a stable reference; the loop below
+    // only ever reads the table through a plain pointer.
+    if (!sampler || sampler_cohort != item.cohort) {
+        sampler.emplace(plan.table, plan.proto.config().uniform_bits,
+                        plan.proto.quantizer().maxIndex(),
+                        plan.proto.config().integrity_checks);
+        sampler_cohort = item.cohort;
+    }
+    // Registry-lowered execution shape: the loop never sees the
+    // mechanism's name, only the truncated/clamp booleans.
+    const bool truncated = plan.mech.truncated;
+    const uint32_t fresh = plan.fresh_per_node;
+    rect.resize(W * static_cast<size_t>(fresh));
+    CohortPlan::NodeInput in[W];
+    uint64_t seeds[W];
+    BatchSampler::Window windows[W];
+
+    // Fill the bank with consecutive nodes and draw every fresh report
+    // of the group in one rect. Lane l is bit-identical to the scalar
+    // stream of node lo + l, so the sink sees the scalar path's draws.
+    for (uint64_t lo = item.node_lo; lo < item.node_hi; lo += W) {
+        size_t lanes = static_cast<size_t>(
+            std::min<uint64_t>(W, item.node_hi - lo));
+        for (size_t l = 0; l < lanes; ++l) {
+            in[l] = plan.nodeInput(seeder, lo + l);
+            seeds[l] = in[l].seed;
+            if (truncated)
+                windows[l] = {plan.win_lo - in[l].xi,
+                              plan.win_hi - in[l].xi};
+        }
+        sampler->seedLanes(seeds, lanes);
+        bool ok = truncated
+            ? sampler->sampleTruncatedRect(windows, rect.data(), fresh)
+            : sampler->sampleRect(rect.data(), fresh);
+        if (!ok)
+            return false;
+        for (size_t l = 0; l < lanes; ++l) {
+            sink.begin(lo + l, in[l].x);
+            for (uint32_t t = 0; t < fresh; ++t)
+                sink.freshAt(plan.noisyIndex(
+                    in[l].xi, rect[static_cast<size_t>(t) * lanes + l]));
+            sink.finish();
+        }
+        item.accum->samples += lanes * fresh;
+    }
+    return true;
+}
+
+void
+FleetRunner::WorkerScratch::scalarBlock(const CohortPlan &plan,
+                                        const FleetSeeder &seeder,
+                                        const WorkItem &item,
+                                        ReportSink &sink)
+{
+    BlockAccum &acc = *item.accum;
+    const uint32_t fresh = plan.fresh_per_node;
+    const bool fxp = !plan.mech.ideal;
+    // Unconfined lowerings draw a node's whole batch up front;
+    // truncated ones confine draw by draw.
+    const bool batched = plan.mech.naive || plan.mech.clamp;
+    if (fxp && (!rng || rng_cohort != item.cohort ||
+                rng->integrityFault())) {
+        rng.emplace(plan.proto);
+        rng_cohort = item.cohort;
+        ++clones;
+    }
+    const uint64_t drawn_before = fxp ? rng->samplesDrawn() : 0;
+    const uint64_t integ_before = fxp ? rng->integrityDetections() : 0;
+    noise.resize(fresh);
+
+    for (uint64_t node = item.node_lo; node < item.node_hi; ++node) {
+        const CohortPlan::NodeInput in = plan.nodeInput(seeder, node);
+        sink.begin(node, in.x);
+        if (!fxp) {
+            IdealLaplace ideal(plan.lambda, in.seed);
+            for (uint32_t t = 0; t < fresh; ++t)
+                sink.fresh(in.x + ideal.sample());
+            acc.samples += fresh;
+        } else if (batched) {
+            rng->urng() = Tausworthe(in.seed);
+            if (fresh > 0)
+                rng->sampleBatch(noise.data(), fresh);
+            for (uint32_t t = 0; t < fresh; ++t)
+                sink.freshAt(plan.noisyIndex(in.xi, noise[t]));
+        } else {
+            rng->urng() = Tausworthe(in.seed);
+            for (uint32_t t = 0; t < fresh; ++t) {
+                // drawConfinedOutput's samples out-param is
+                // per-request (it assigns); the block total comes
+                // from samplesDrawn() below.
+                uint64_t scratch = 0;
+                sink.freshAt(drawConfinedOutput(
+                    *rng, RangeControl::Resampling, in.xi, plan.win_lo,
+                    plan.win_hi, uint64_t{1} << 20, scratch,
+                    acc.overflows, "FleetRunner"));
+            }
+        }
+        sink.finish();
+    }
+    if (fxp) {
+        acc.samples += rng->samplesDrawn() - drawn_before;
+        acc.integrity += rng->integrityDetections() - integ_before;
+    }
+}
+
 FleetReport
 FleetRunner::run(unsigned num_threads)
 {
@@ -787,8 +1098,7 @@ FleetRunner::run(unsigned num_threads)
         num_threads = hardwareThreads();
 
     // Per-cohort block slabs, pre-sized so workers never allocate
-    // shared state; materialized matrices likewise (each block writes
-    // disjoint columns).
+    // shared state; materialized matrices likewise.
     std::vector<std::vector<BlockAccum>> accums(plans_.size());
     std::vector<std::vector<double>> matrices(plans_.size());
     std::vector<WorkItem> items;
@@ -807,308 +1117,11 @@ FleetRunner::run(unsigned num_threads)
             uint64_t lo = b * config_.block_nodes;
             uint64_t hi = std::min(plan.nodes,
                                    lo + config_.block_nodes);
-            items.push_back(WorkItem{static_cast<uint32_t>(c), lo, hi,
-                                     &accums[c].back()});
+            items.push_back(WorkItem{
+                static_cast<uint32_t>(c), lo, hi, &accums[c].back(),
+                plan.cfg.materialize ? matrices[c].data() : nullptr});
         }
     }
-
-    // One block, start to finish, into its private slab. Which worker
-    // runs it (and when) is irrelevant to the result -- everything
-    // below depends only on (master seed, cohort, node id) and the
-    // static block -> slab mapping.
-    auto processBlock = [&](const WorkItem &item, WorkerScratch &ws) {
-        constexpr size_t W = TausBank::kMaxLanes;
-        std::vector<int64_t> &noise = ws.noise;
-        std::vector<int64_t> &rect = ws.rect;
-        std::vector<BatchSampler::Window> &windows = ws.windows;
-        std::optional<FxpLaplaceRng> &rng = ws.rng;
-        uint32_t &rng_cohort = ws.rng_cohort;
-
-        {
-            const CohortPlan &plan = plans_[item.cohort];
-            const CohortConfig &cfg = plan.cfg;
-            BlockAccum &acc = *item.accum;
-            double *matrix = cfg.materialize
-                ? matrices[item.cohort].data()
-                : nullptr;
-
-            const uint32_t R = cfg.reports_per_node;
-            const uint32_t fresh = plan.fresh_per_node;
-            const bool fxp = !plan.mech.ideal;
-
-            // Streaming aggregation: bump per-block slot deltas in
-            // the worker's private buffer and fold them into its
-            // sketch only when the block completes (so the batch
-            // bail-and-redo protocol cannot double-count). One
-            // predictable branch + one counter bump per report when
-            // enabled; a never-taken branch when not.
-            WorkerScratch::AggSlab *slab = plan.agg_on
-                ? ws.agg[item.cohort].get()
-                : nullptr;
-            uint64_t *agg_delta = nullptr;
-            const uint64_t agg_dropped_before =
-                slab != nullptr ? slab->dropped : 0;
-            if (slab != nullptr) {
-                std::fill(slab->delta.begin(), slab->delta.end(),
-                          uint64_t(0));
-                agg_delta = slab->delta.data();
-            }
-            const int64_t agg_lo = plan.agg_out_lo;
-            const size_t agg_span = plan.agg_span;
-            const size_t agg_stride =
-                plan.agg_rows > 1 ? agg_span : 0;
-            auto aggRecord = [&](uint32_t t, int64_t yi) {
-                size_t s = static_cast<size_t>(yi - agg_lo);
-                if (s < agg_span) [[likely]] {
-                    ++agg_delta[static_cast<size_t>(t) * agg_stride +
-                                s];
-                } else {
-                    ++slab->dropped;
-                }
-            };
-            // Registry-lowered execution shape: the loop never sees
-            // the mechanism's name, only these two booleans.
-            const bool truncated = plan.mech.truncated;
-            const bool clamp = plan.mech.clamp;
-
-            // -- Batch path: fill the 16-lane bank with consecutive
-            // nodes and draw every fresh report of the group in one
-            // rect. Lane l is bit-identical to the scalar stream of
-            // node lo + l, so the accumulation below (still strictly
-            // in (node, trial) order) produces the exact scalar
-            // numbers.
-            if (plan.batch_ok &&
-                !g_force_scalar_blocks.load(
-                    std::memory_order_relaxed)) {
-                // Cohort-cached sampler: constructing one per block
-                // copied the table's shared_ptr, and the refcount RMW
-                // on that shared control-block line was cross-core
-                // traffic on every block claim. The cached instance
-                // keeps a stable reference; the hot loop below only
-                // ever reads the table through a plain pointer.
-                if (!ws.sampler ||
-                    ws.sampler_cohort != item.cohort) {
-                    ws.sampler.emplace(
-                        plan.table,
-                        plan.proto.config().uniform_bits,
-                        plan.proto.quantizer().maxIndex(),
-                        plan.proto.config().integrity_checks);
-                    ws.sampler_cohort = item.cohort;
-                }
-                BatchSampler &bs = *ws.sampler;
-                rect.resize(W * static_cast<size_t>(fresh));
-                uint64_t seeds[W];
-                double xs[W];
-                int64_t xis[W];
-                bool ok = true;
-                for (uint64_t lo = item.node_lo; lo < item.node_hi;
-                     lo += W) {
-                    size_t lanes = static_cast<size_t>(
-                        std::min<uint64_t>(W, item.node_hi - lo));
-                    for (size_t l = 0; l < lanes; ++l) {
-                        uint64_t node = lo + l;
-                        seeds[l] =
-                            seeder_.nodeSeed(plan.index, node);
-                        xs[l] = cfg.values.empty()
-                            ? synthValue(
-                                  FleetSeeder::subSeed(seeds[l],
-                                                       kDataSalt),
-                                  plan.data_mean, plan.data_std,
-                                  cfg.params.range.lo,
-                                  cfg.params.range.hi)
-                            : cfg.values[node];
-                        int64_t xi = static_cast<int64_t>(
-                            std::llround(xs[l] / plan.delta));
-                        xis[l] = std::clamp(xi, plan.lo_index,
-                                            plan.hi_index);
-                        if (truncated)
-                            windows[l] = {plan.win_lo - xis[l],
-                                          plan.win_hi - xis[l]};
-                    }
-                    bs.seedLanes(seeds, lanes);
-                    ok = truncated
-                        ? bs.sampleTruncatedRect(windows.data(),
-                                                 rect.data(), fresh)
-                        : bs.sampleRect(rect.data(), fresh);
-                    if (!ok)
-                        break;
-                    for (size_t l = 0; l < lanes; ++l) {
-                        uint64_t node = lo + l;
-                        acc.true_vals.add(xs[l]);
-                        if (fresh < R)
-                            ++acc.exhausted;
-                        double last = 0.0;
-                        int64_t last_yi = 0;
-                        for (uint32_t t = 0; t < R; ++t) {
-                            double released;
-                            if (t < fresh) {
-                                int64_t yi =
-                                    xis[l] +
-                                    rect[static_cast<size_t>(t) *
-                                             lanes + l];
-                                if (clamp)
-                                    yi = std::clamp(yi, plan.win_lo,
-                                                    plan.win_hi);
-                                released =
-                                    static_cast<double>(yi) *
-                                    plan.delta;
-                                last = released;
-                                last_yi = yi;
-                                ++acc.fresh;
-                            } else {
-                                // Budget exhausted: replay the last
-                                // fresh report (fresh >= 1 on this
-                                // path, so one always exists).
-                                released = last;
-                                ++acc.replays;
-                            }
-                            if (agg_delta != nullptr)
-                                aggRecord(t, last_yi);
-                            acc.hist.add(released);
-                            acc.released.add(released);
-                            acc.error.add(released - xs[l]);
-                            acc.trial_sum[t] += released;
-                            acc.checksum +=
-                                reportDigest(node, t, released);
-                            if (matrix != nullptr)
-                                matrix[static_cast<uint64_t>(t) *
-                                           plan.nodes + node] =
-                                    released;
-                        }
-                    }
-                    acc.samples += lanes * fresh;
-                }
-                if (ok) {
-                    if (agg_delta != nullptr)
-                        slab->sketch.ingestDelta(agg_delta);
-                    return;
-                }
-                // A comparator tripped, or a window holds no URNG
-                // state: discard the whole block and redo it scalar.
-                // Every node restarts from its seed, so the redo is
-                // bit-identical to never having batched, and the
-                // scalar integrity path quarantines (or clamps) with
-                // the exact per-draw semantics. The agg delta is
-                // discarded with the slab for the same reason.
-                acc = BlockAccum(plan.hist_lo, plan.hist_hi,
-                                 cfg.histogram_bins, R);
-                ++ws.fallbacks;
-                if (agg_delta != nullptr) {
-                    std::fill(slab->delta.begin(), slab->delta.end(),
-                              uint64_t(0));
-                    slab->dropped = agg_dropped_before;
-                }
-            }
-
-            // -- Scalar path: Ideal cohorts, fresh == 0 cohorts,
-            // tableless configurations, and batch-fallback redos.
-            const bool batched = plan.mech.naive || clamp;
-            if (fxp && (!rng || rng_cohort != item.cohort ||
-                        rng->integrityFault())) {
-                rng.emplace(plan.proto);
-                rng_cohort = item.cohort;
-                ++ws.clones;
-            }
-            uint64_t drawn_before = 0;
-            uint64_t integ_before = 0;
-            if (fxp) {
-                drawn_before = rng->samplesDrawn();
-                integ_before = rng->integrityDetections();
-                noise.resize(batched ? fresh : 0);
-            }
-
-            for (uint64_t node = item.node_lo; node < item.node_hi;
-                 ++node) {
-                uint64_t seed = seeder_.nodeSeed(plan.index, node);
-                double x = cfg.values.empty()
-                    ? synthValue(FleetSeeder::subSeed(seed, kDataSalt),
-                                 plan.data_mean, plan.data_std,
-                                 cfg.params.range.lo,
-                                 cfg.params.range.hi)
-                    : cfg.values[node];
-                acc.true_vals.add(x);
-                if (fresh < R)
-                    ++acc.exhausted;
-
-                int64_t xi = 0;
-                if (fxp) {
-                    xi = static_cast<int64_t>(
-                        std::llround(x / plan.delta));
-                    xi = std::clamp(xi, plan.lo_index, plan.hi_index);
-                    rng->urng() = Tausworthe(seed);
-                    if (batched && fresh > 0)
-                        rng->sampleBatch(noise.data(), fresh);
-                }
-                std::optional<IdealLaplace> ideal;
-                if (!fxp)
-                    ideal.emplace(plan.lambda, seed);
-
-                std::optional<double> cached;
-                // Output index mirror of `cached` for the agg slot
-                // stream; the midpoint fallback uses the nearest grid
-                // slot of the released midpoint value.
-                int64_t cached_yi = static_cast<int64_t>(
-                    std::llround(plan.mid_value / plan.delta));
-                for (uint32_t t = 0; t < R; ++t) {
-                    double released;
-                    if (t < fresh) {
-                        if (batched) {
-                            int64_t yi = xi + noise[t];
-                            if (clamp)
-                                yi = std::clamp(yi, plan.win_lo,
-                                                plan.win_hi);
-                            released = static_cast<double>(yi) *
-                                       plan.delta;
-                            cached_yi = yi;
-                        } else if (fxp) {
-                            // drawConfinedOutput's samples out-param
-                            // is per-request (it assigns); the block
-                            // total comes from samplesDrawn() below.
-                            uint64_t scratch = 0;
-                            int64_t yi = drawConfinedOutput(
-                                *rng, RangeControl::Resampling, xi,
-                                plan.win_lo, plan.win_hi,
-                                uint64_t{1} << 20, scratch,
-                                acc.overflows, "FleetRunner");
-                            released = static_cast<double>(yi) *
-                                       plan.delta;
-                            cached_yi = yi;
-                        } else {
-                            released = x + ideal->sample();
-                            ++acc.samples;
-                        }
-                        cached = released;
-                        ++acc.fresh;
-                    } else {
-                        // Budget exhausted: replay the cached report
-                        // (a function of already-released data; zero
-                        // additional loss), or the range midpoint
-                        // when nothing was ever released.
-                        released =
-                            cached ? *cached : plan.mid_value;
-                        ++acc.replays;
-                    }
-                    if (agg_delta != nullptr)
-                        aggRecord(t, cached_yi);
-                    acc.hist.add(released);
-                    acc.released.add(released);
-                    acc.error.add(released - x);
-                    acc.trial_sum[t] += released;
-                    acc.checksum += reportDigest(node, t, released);
-                    if (matrix != nullptr)
-                        matrix[static_cast<uint64_t>(t) * plan.nodes +
-                               node] = released;
-                }
-            }
-            if (fxp) {
-                acc.samples += rng->samplesDrawn() - drawn_before;
-                acc.integrity +=
-                    rng->integrityDetections() - integ_before;
-            }
-            if (agg_delta != nullptr)
-                slab->sketch.ingestDelta(agg_delta);
-        }
-    };
 
     unsigned spawn = static_cast<unsigned>(
         std::min<size_t>(num_threads, items.size()));
@@ -1141,7 +1154,8 @@ FleetRunner::run(unsigned num_threads)
                 break;
             uint64_t hi = std::min(i + own.chunk, own.end);
             for (; i < hi; ++i)
-                processBlock(items[i], ws);
+                ws.processBlock(plans_[items[i].cohort], seeder_,
+                                items[i]);
         }
         // Own queue dry: steal single blocks until a full sweep of
         // the other queues finds nothing. Stealing only moves blocks
@@ -1156,7 +1170,8 @@ FleetRunner::run(unsigned num_threads)
                     q.next.fetch_add(1, std::memory_order_relaxed);
                 if (i >= q.end)
                     continue;
-                processBlock(items[i], ws);
+                ws.processBlock(plans_[items[i].cohort], seeder_,
+                                items[i]);
                 stole = true;
             }
         }
@@ -1326,13 +1341,9 @@ FleetRunner::run(unsigned num_threads)
         m.threads.set(static_cast<double>(report.threads));
         m.throughput.set(report.reportsPerSecond());
         m.seconds.observe(report.seconds);
-        // Batch-layer observability. None of these feed the
-        // FleetReport or its fingerprint: the determinism contract is
-        // about the merged result, not about which path produced it.
-        m.batch_lanes.set(
-            static_cast<double>(TausBank::kMaxLanes));
-        m.batch_prefetch.set(
-            static_cast<double>(TausBank::kMaxLanes));
+        // Batch-layer observability. Neither feeds the FleetReport or
+        // its fingerprint: the determinism contract is about the
+        // merged result, not about which path produced it.
         m.batch_fallbacks.inc(batch_fallbacks);
         m.rng_clones.inc(rng_clones);
     }

@@ -449,6 +449,7 @@ class FleetRunner
   private:
     struct CohortPlan;
     struct WorkerScratch;
+    struct ReportSink;
 
     FleetConfig config_;
     FleetSeeder seeder_;

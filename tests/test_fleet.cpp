@@ -559,7 +559,19 @@ raggedFleet()
         makeCohort("res", CohortMechanism::Resampling, 2503, 2),
         makeCohort("tiny", CohortMechanism::Thresholding, 7, 5),
         makeCohort("ideal", CohortMechanism::Ideal, 61, 1),
+        makeCohort("blap", CohortMechanism::Thresholding, 389, 3),
+        makeCohort("dlap", CohortMechanism::Thresholding, 211, 2),
+        makeCohort("naive", CohortMechanism::Naive, 131, 2),
+        makeCohort("broke", CohortMechanism::Thresholding, 53, 4),
     };
+    // Registry-lowered truncated cohorts, selected by name: forced
+    // scalar mode sends them down the per-draw confined path.
+    fc.cohorts[4].mechanism_name = "bounded-laplace";
+    fc.cohorts[5].mechanism_name = "discrete-laplace";
+    // A budget below one report's charge: no fresh report at all, so
+    // every report replays the range midpoint.
+    fc.cohorts[7].budget_per_node = 0.1;
+    fc.cohorts[7].materialize = true;
     return fc;
 }
 
@@ -641,6 +653,14 @@ TEST(FleetStress, BudgetedRaggedCohortsReplayDeterministically)
     EXPECT_EQ(one.cohorts[0].cache_replays, 997u);
     EXPECT_EQ(one.cohorts[1].nodes_exhausted, 2503u);
     EXPECT_EQ(one.cohorts[1].cache_replays, 2503u);
+
+    const CohortResult &broke = one.cohorts[7];
+    EXPECT_EQ(broke.fresh_reports, 0u);
+    EXPECT_EQ(broke.cache_replays, 53u * 4u);
+    EXPECT_EQ(broke.samples_drawn, 0u);
+    ASSERT_EQ(broke.matrix.size(), 53u * 4u);
+    for (double v : broke.matrix)
+        EXPECT_EQ(v, 5.0);
 }
 
 // ---------------------------------------------------------------------
