@@ -131,7 +131,9 @@ class FrequencyDecoder
     size_t inputs_ = 0;
     size_t outputs_ = 0;
     int64_t output_lo_ = 0;
-    /** Pseudo-inverse (M^T M)^{-1} M^T, inputs_ x outputs_ row-major. */
+    /** Pseudo-inverse (M^T M)^{-1} M^T, stored output-major
+     *  (pinv_[j * inputs_ + a]) so decode() reads each nonzero slot's
+     *  coefficients contiguously. */
     std::vector<double> pinv_;
     /** Forward channel M, outputs_ x inputs_ row-major (boundary-mass
      *  expectation and test round trips). */

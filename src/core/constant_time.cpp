@@ -72,9 +72,7 @@ ConstantTimeOutputModel::ConstantTimeOutputModel(
 
     accept_.resize(static_cast<size_t>(span_) + 1);
     for (int64_t i = 0; i <= span_; ++i) {
-        double z = 0.0;
-        for (int64_t j = outputLo(); j <= outputHi(); ++j)
-            z += pmf_->pmf(j - i);
+        double z = windowMass(*pmf_, outputLo() - i, outputHi() - i);
         if (z <= 0.0)
             fatal("ConstantTimeOutputModel: input %lld has zero "
                   "acceptance probability",

@@ -10,7 +10,8 @@ namespace ulpdp {
 
 FxpMechanismParams
 DiscreteLaplaceMechanism::resolveParams(const FxpMechanismParams &base,
-                                        double loss_multiple)
+                                        double loss_multiple,
+                                        int64_t *threshold_index)
 {
     if (!(loss_multiple >= 1.0))
         fatal("DiscreteLaplaceMechanism: loss multiple must be >= 1, "
@@ -38,9 +39,13 @@ DiscreteLaplaceMechanism::resolveParams(const FxpMechanismParams &base,
     // until the exact window search actually finds a threshold.
     for (int iter = 0; iter < 220; ++iter) {
         ThresholdCalculator calc(p);
-        if (calc.exactIndex(RangeControl::Resampling, loss_multiple) >=
-            0)
+        int64_t t =
+            calc.exactIndex(RangeControl::Resampling, loss_multiple);
+        if (t >= 0) {
+            if (threshold_index != nullptr)
+                *threshold_index = t;
             return p;
+        }
         p.lambda_scale *= 1.01;
     }
     fatal("DiscreteLaplaceMechanism: no scale within ~8x of the "

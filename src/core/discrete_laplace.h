@@ -76,9 +76,15 @@ class DiscreteLaplaceMechanism : public ResamplingMechanism
      * doubled zero atom costs a scale-invariant ln 2 of loss, so the
      * geometric term d / lambda must shrink to make room). Fatal when
      * the target itself is at or below ln 2.
+     *
+     * @param threshold_index When non-null, receives the window the
+     *        final (successful) exact search found -- the resampling
+     *        threshold of the returned block, so callers need not
+     *        search again.
      */
     static FxpMechanismParams
-    resolveParams(const FxpMechanismParams &base, double loss_multiple);
+    resolveParams(const FxpMechanismParams &base, double loss_multiple,
+                  int64_t *threshold_index = nullptr);
 };
 
 } // namespace ulpdp

@@ -82,6 +82,61 @@ resolveThreshold(const MechanismSpec &spec,
     return t;
 }
 
+// --- resolvers -------------------------------------------------------------
+
+/** Resampling window over the spec's own block (truncated draws).
+ *  Constant-time resampling runs the same window, so it shares this
+ *  resolver rather than repeating the search. */
+MechanismLowering
+resolveResampling(const MechanismSpec &spec)
+{
+    MechanismLowering low;
+    low.params = spec.params;
+    low.threshold_index =
+        resolveThreshold(spec, spec.params, RangeControl::Resampling);
+    low.truncated = true;
+    return low;
+}
+
+/** Thresholding window over the spec's own block (clamped draws). */
+MechanismLowering
+resolveThresholding(const MechanismSpec &spec)
+{
+    MechanismLowering low;
+    low.params = spec.params;
+    low.threshold_index =
+        resolveThreshold(spec, spec.params, RangeControl::Thresholding);
+    low.clamp = true;
+    return low;
+}
+
+/** Holohan scale, verified exactly; the window is the range (T = 0). */
+MechanismLowering
+resolveBoundedLaplace(const MechanismSpec &spec)
+{
+    MechanismLowering low;
+    low.params = BoundedLaplaceMechanism::resolveParams(
+        spec.params, spec.loss_multiple);
+    low.threshold_index = 0;
+    low.truncated = true;
+    return low;
+}
+
+/** Floor rounding plus the widened scale; the widening loop's final
+ *  search already found the window, so it is not searched again. */
+MechanismLowering
+resolveDiscreteLaplace(const MechanismSpec &spec)
+{
+    MechanismLowering low;
+    int64_t found = -1;
+    low.params = DiscreteLaplaceMechanism::resolveParams(
+        spec.params, spec.loss_multiple, &found);
+    low.threshold_index =
+        spec.threshold_index >= 0 ? spec.threshold_index : found;
+    low.truncated = true;
+    return low;
+}
+
 } // namespace
 
 std::shared_ptr<const FxpLaplacePmf>
@@ -106,10 +161,10 @@ MechanismRegistry::add(Entry entry)
     if (entry.name.empty())
         fatal("MechanismRegistry: refusing to register an unnamed "
               "mechanism");
-    if (!entry.make || !entry.model)
-        fatal("MechanismRegistry: mechanism '%s' must provide both a "
-              "factory and an output model (the model is what "
-              "certification enumerates)", entry.name.c_str());
+    if (entry.resolve == nullptr || !entry.build || !entry.buildModel)
+        fatal("MechanismRegistry: mechanism '%s' must provide a "
+              "resolver, a factory and an output model (the model is "
+              "what certification enumerates)", entry.name.c_str());
     for (const Entry &e : entries_) {
         if (e.name == entry.name)
             fatal("MechanismRegistry: duplicate mechanism name '%s' "
@@ -117,21 +172,26 @@ MechanismRegistry::add(Entry entry)
                   entry.name.c_str());
     }
 
-    // Decorate the factories with the selection counters so every
-    // registrant -- built-in or external -- is observable without
-    // writing its own telemetry.
-    auto make = std::move(entry.make);
-    entry.make = [make](const MechanismSpec &spec) {
+    // Derive the spec-level factories, decorated with the selection
+    // counters so every registrant -- built-in or external -- is
+    // observable without writing its own telemetry.
+    Resolver resolve = entry.resolve;
+    entry.make = [resolve, build = entry.build](
+                         const MechanismSpec &spec) {
         if (telemetry::enabled())
             metrics().instantiations.inc();
-        return make(spec);
+        return build(spec, resolve(spec));
     };
-    if (entry.lower) {
-        auto lower = std::move(entry.lower);
-        entry.lower = [lower](const MechanismSpec &spec) {
+    entry.model = [resolve, build = entry.buildModel](
+                          const MechanismSpec &spec) {
+        return build(spec, resolve(spec));
+    };
+    entry.lower = nullptr;
+    if (entry.hasCaps(mechcap::kBatch)) {
+        entry.lower = [resolve](const MechanismSpec &spec) {
             if (telemetry::enabled())
                 metrics().lowerings.inc();
-            return lower(spec);
+            return resolve(spec);
         };
     }
     entries_.push_back(std::move(entry));
@@ -201,27 +261,18 @@ MechanismRegistry::MechanismRegistry()
         e.caps = kBatch | kSegmentLoss;
         e.summary = "redraw until the output lands in the "
                     "[m - T*Delta, M + T*Delta] window";
-        e.lower = [](const MechanismSpec &spec) {
-            MechanismLowering low;
-            low.params = spec.params;
-            low.threshold_index = resolveThreshold(
-                    spec, spec.params, RangeControl::Resampling);
-            low.truncated = true;
-            return low;
-        };
-        e.make = [](const MechanismSpec &spec)
+        e.resolve = resolveResampling;
+        e.build = [](const MechanismSpec &, const MechanismLowering &r)
                 -> std::unique_ptr<Mechanism> {
-            int64_t t = resolveThreshold(spec, spec.params,
-                                         RangeControl::Resampling);
-            return std::make_unique<ResamplingMechanism>(spec.params,
-                                                         t);
+            return std::make_unique<ResamplingMechanism>(
+                    r.params, r.threshold_index);
         };
-        e.model = [](const MechanismSpec &spec)
+        e.buildModel = [](const MechanismSpec &spec,
+                          const MechanismLowering &r)
                 -> std::unique_ptr<DiscreteOutputModel> {
-            int64_t t = resolveThreshold(spec, spec.params,
-                                         RangeControl::Resampling);
             return std::make_unique<ResamplingOutputModel>(
-                    spec.makePmf(), spec.params.rangeIndexSpan(), t);
+                    pmfFor(r.params, spec), r.params.rangeIndexSpan(),
+                    r.threshold_index);
         };
         add(std::move(e));
     }
@@ -233,55 +284,46 @@ MechanismRegistry::MechanismRegistry()
         e.caps = kBatch | kConstantTime | kSegmentLoss;
         e.summary = "one draw, clamped into the window (boundary "
                     "atoms absorb the tail)";
-        e.lower = [](const MechanismSpec &spec) {
-            MechanismLowering low;
-            low.params = spec.params;
-            low.threshold_index = resolveThreshold(
-                    spec, spec.params, RangeControl::Thresholding);
-            low.clamp = true;
-            return low;
-        };
-        e.make = [](const MechanismSpec &spec)
+        e.resolve = resolveThresholding;
+        e.build = [](const MechanismSpec &, const MechanismLowering &r)
                 -> std::unique_ptr<Mechanism> {
-            int64_t t = resolveThreshold(spec, spec.params,
-                                         RangeControl::Thresholding);
-            return std::make_unique<ThresholdingMechanism>(spec.params,
-                                                           t);
+            return std::make_unique<ThresholdingMechanism>(
+                    r.params, r.threshold_index);
         };
-        e.model = [](const MechanismSpec &spec)
+        e.buildModel = [](const MechanismSpec &spec,
+                          const MechanismLowering &r)
                 -> std::unique_ptr<DiscreteOutputModel> {
-            int64_t t = resolveThreshold(spec, spec.params,
-                                         RangeControl::Thresholding);
             return std::make_unique<ThresholdingOutputModel>(
-                    spec.makePmf(), spec.params.rangeIndexSpan(), t);
+                    pmfFor(r.params, spec), r.params.rangeIndexSpan(),
+                    r.threshold_index);
         };
         add(std::move(e));
     }
 
     // --- constant-time resampling (Section IV-C) -----------------
-    // No fleet lowering: the K-batch draw is a per-device latency
-    // mitigation the fleet's truncated rank draw already subsumes
-    // (one lookup is constant-time by construction).
+    // No fleet lowering (no kBatch): the K-batch draw is a per-device
+    // latency mitigation the fleet's truncated rank draw already
+    // subsumes (one lookup is constant-time by construction). It runs
+    // the resampling window, so it shares that resolver.
     {
         Entry e;
         e.name = "constant-time-resampling";
         e.caps = kConstantTime | kSegmentLoss;
         e.summary = "fixed K-draw batch per report; clamp when all "
                     "K miss";
-        e.make = [](const MechanismSpec &spec)
+        e.resolve = resolveResampling;
+        e.build = [](const MechanismSpec &spec,
+                     const MechanismLowering &r)
                 -> std::unique_ptr<Mechanism> {
-            int64_t t = resolveThreshold(spec, spec.params,
-                                         RangeControl::Resampling);
             return std::make_unique<ConstantTimeResamplingMechanism>(
-                    spec.params, t, spec.batch_size);
+                    r.params, r.threshold_index, spec.batch_size);
         };
-        e.model = [](const MechanismSpec &spec)
+        e.buildModel = [](const MechanismSpec &spec,
+                          const MechanismLowering &r)
                 -> std::unique_ptr<DiscreteOutputModel> {
-            int64_t t = resolveThreshold(spec, spec.params,
-                                         RangeControl::Resampling);
             return std::make_unique<ConstantTimeOutputModel>(
-                    spec.makePmf(), spec.params.rangeIndexSpan(), t,
-                    spec.batch_size);
+                    pmfFor(r.params, spec), r.params.rangeIndexSpan(),
+                    r.threshold_index, spec.batch_size);
         };
         add(std::move(e));
     }
@@ -293,27 +335,17 @@ MechanismRegistry::MechanismRegistry()
         e.caps = kBatch | kConstantTime | kBoundedOutput;
         e.summary = "variance-corrected scale, outputs confined to "
                     "the sensor range (T = 0)";
-        e.lower = [](const MechanismSpec &spec) {
-            MechanismLowering low;
-            low.params = BoundedLaplaceMechanism::resolveParams(
-                    spec.params, spec.loss_multiple);
-            low.threshold_index = 0;
-            low.truncated = true;
-            return low;
-        };
-        e.make = [](const MechanismSpec &spec)
+        e.resolve = resolveBoundedLaplace;
+        e.build = [](const MechanismSpec &, const MechanismLowering &r)
                 -> std::unique_ptr<Mechanism> {
-            return std::make_unique<BoundedLaplaceMechanism>(
-                    BoundedLaplaceMechanism::resolveParams(
-                            spec.params, spec.loss_multiple));
+            return std::make_unique<BoundedLaplaceMechanism>(r.params);
         };
-        e.model = [](const MechanismSpec &spec)
+        e.buildModel = [](const MechanismSpec &spec,
+                          const MechanismLowering &r)
                 -> std::unique_ptr<DiscreteOutputModel> {
-            FxpMechanismParams p =
-                    BoundedLaplaceMechanism::resolveParams(
-                            spec.params, spec.loss_multiple);
             return std::make_unique<ResamplingOutputModel>(
-                    pmfFor(p, spec), p.rangeIndexSpan(), 0);
+                    pmfFor(r.params, spec), r.params.rangeIndexSpan(),
+                    0);
         };
         add(std::move(e));
     }
@@ -326,33 +358,18 @@ MechanismRegistry::MechanismRegistry()
         e.summary = "two-sided geometric from the truncating "
                     "quantizer; scale pays the ln 2 zero-atom "
                     "penalty, resampling window control";
-        e.lower = [](const MechanismSpec &spec) {
-            MechanismLowering low;
-            low.params = DiscreteLaplaceMechanism::resolveParams(
-                    spec.params, spec.loss_multiple);
-            low.threshold_index = resolveThreshold(
-                    spec, low.params, RangeControl::Resampling);
-            low.truncated = true;
-            return low;
-        };
-        e.make = [](const MechanismSpec &spec)
+        e.resolve = resolveDiscreteLaplace;
+        e.build = [](const MechanismSpec &, const MechanismLowering &r)
                 -> std::unique_ptr<Mechanism> {
-            FxpMechanismParams p =
-                    DiscreteLaplaceMechanism::resolveParams(
-                            spec.params, spec.loss_multiple);
-            int64_t t = resolveThreshold(spec, p,
-                                         RangeControl::Resampling);
-            return std::make_unique<DiscreteLaplaceMechanism>(p, t);
+            return std::make_unique<DiscreteLaplaceMechanism>(
+                    r.params, r.threshold_index);
         };
-        e.model = [](const MechanismSpec &spec)
+        e.buildModel = [](const MechanismSpec &spec,
+                          const MechanismLowering &r)
                 -> std::unique_ptr<DiscreteOutputModel> {
-            FxpMechanismParams p =
-                    DiscreteLaplaceMechanism::resolveParams(
-                            spec.params, spec.loss_multiple);
-            int64_t t = resolveThreshold(spec, p,
-                                         RangeControl::Resampling);
             return std::make_unique<ResamplingOutputModel>(
-                    pmfFor(p, spec), p.rangeIndexSpan(), t);
+                    pmfFor(r.params, spec), r.params.rangeIndexSpan(),
+                    r.threshold_index);
         };
         add(std::move(e));
     }

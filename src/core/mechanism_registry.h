@@ -14,15 +14,18 @@
  *    per-report latency input-independent? does it admit the Fig. 8
  *    loss-per-segment model? are its outputs confined to the sensor
  *    range?),
- *  - a *lowering* describing how the fleet hot loop executes it
- *    (resolved parameter block, window extension, truncated-draw vs
- *    clamp), so cohorts mix mechanisms while the hot loop itself
- *    stays mechanism-agnostic -- it only ever sees the lowered
- *    booleans it already had, and the bit-identical FleetReport
- *    fingerprint survives untouched,
- *  - a factory for the standalone mechanism object, and
- *  - a factory for the exact conditional output model, which is what
- *    the PMF certifier enumerates to machine-check Eq. (4).
+ *  - a *resolver* that turns a spec into the mechanism's resolved
+ *    parameter block and window extension (every exact search runs
+ *    there, once), plus the *lowering* booleans describing how the
+ *    fleet hot loop executes it (truncated draw vs clamp), so
+ *    cohorts mix mechanisms while the hot loop itself stays
+ *    mechanism-agnostic -- it only ever sees the lowered booleans it
+ *    already had, and the bit-identical FleetReport fingerprint
+ *    survives untouched,
+ *  - a builder for the standalone mechanism object, and
+ *  - a builder for the exact conditional output model, which is what
+ *    the PMF certifier enumerates to machine-check Eq. (4). Both
+ *    builders take the resolution, so nothing searches twice.
  *
  * Registration implies certifiability: the CI certify job enumerates
  * every registered mechanism's output distribution at small Bu and
@@ -114,8 +117,8 @@ struct MechanismSpec
 };
 
 /**
- * How the fleet hot loop executes a mechanism: a resolved parameter
- * block plus the two booleans the loop already branches on. Any
+ * A resolved spec: the parameter block and window a mechanism runs,
+ * plus the two booleans the fleet hot loop already branches on. Any
  * mechanism expressible this way runs on the existing batch path
  * without the loop learning its name.
  */
@@ -138,6 +141,14 @@ struct MechanismLowering
 class MechanismRegistry
 {
   public:
+    /** Resolves a spec: every exact search a mechanism needs. */
+    using Resolver = MechanismLowering (*)(const MechanismSpec &);
+
+    /** Builds from a spec and its resolution (no further search). */
+    template <typename T>
+    using Builder = std::function<std::unique_ptr<T>(
+            const MechanismSpec &, const MechanismLowering &)>;
+
     /** One registered mechanism. */
     struct Entry
     {
@@ -151,18 +162,34 @@ class MechanismRegistry
         std::string summary;
 
         /**
-         * Lower the spec for the fleet batch path, or an empty
-         * function when the mechanism has no batch-path execution
-         * (the fleet rejects such cohorts at plan time).
+         * Resolve a spec to the parameter block and window the
+         * mechanism runs. Every exact search happens here, once per
+         * call; the builders below only consume its result. A plain
+         * function pointer, so entries that run the same search share
+         * it visibly: certifyAll() resolves each distinct resolver
+         * once per profile.
          */
-        std::function<MechanismLowering(const MechanismSpec &)> lower;
+        Resolver resolve = nullptr;
 
-        /** Build the standalone mechanism object. */
-        std::function<std::unique_ptr<Mechanism>(const MechanismSpec &)>
-            make;
+        /** Build the standalone mechanism. */
+        Builder<Mechanism> build;
 
         /** Build the exact conditional output model (what the
          *  certifier and the loss analyses enumerate). */
+        Builder<DiscreteOutputModel> buildModel;
+
+        // Filled in by add() from the three above.
+
+        /** resolve(), for entries advertising mechcap::kBatch; an
+         *  empty function otherwise (the fleet rejects such cohorts
+         *  at plan time). */
+        std::function<MechanismLowering(const MechanismSpec &)> lower;
+
+        /** build(spec, resolve(spec)). */
+        std::function<std::unique_ptr<Mechanism>(const MechanismSpec &)>
+            make;
+
+        /** buildModel(spec, resolve(spec)). */
         std::function<std::unique_ptr<DiscreteOutputModel>(
                 const MechanismSpec &)>
             model;
@@ -178,8 +205,10 @@ class MechanismRegistry
     static MechanismRegistry &instance();
 
     /**
-     * Register a mechanism. Duplicate names are a fatal user error
-     * (silent shadowing would un-certify a certified name).
+     * Register a mechanism: resolve, build and buildModel are
+     * required; lower, make and model are derived from them.
+     * Duplicate names are a fatal user error (silent shadowing would
+     * un-certify a certified name).
      */
     void add(Entry entry);
 

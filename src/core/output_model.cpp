@@ -18,6 +18,17 @@ checkArgs(const std::shared_ptr<const NoisePmf> &pmf, int64_t span)
 
 } // anonymous namespace
 
+double
+windowMass(const NoisePmf &pmf, int64_t lo, int64_t hi)
+{
+    // Pr[lo <= n <= hi] = Pr[n >= lo] - Pr[n >= hi + 1]. Every mass
+    // is a state count over 2^(Bu+1) < 2^53, so both tails and their
+    // difference are exact doubles -- bit-identical to summing pmf()
+    // over the window, whose partial sums are exact for the same
+    // reason.
+    return pmf.upperMass(lo) - pmf.upperMass(hi + 1);
+}
+
 // --- NaiveOutputModel ----------------------------------------------------
 
 NaiveOutputModel::NaiveOutputModel(
@@ -59,9 +70,7 @@ ResamplingOutputModel::ResamplingOutputModel(
 
     accept_.resize(static_cast<size_t>(span_) + 1);
     for (int64_t i = 0; i <= span_; ++i) {
-        double z = 0.0;
-        for (int64_t j = outputLo(); j <= outputHi(); ++j)
-            z += pmf_->pmf(j - i);
+        double z = windowMass(*pmf_, outputLo() - i, outputHi() - i);
         accept_[static_cast<size_t>(i)] = z;
         if (z <= 0.0)
             fatal("ResamplingOutputModel: input %lld has zero "

@@ -32,6 +32,14 @@
 namespace ulpdp {
 
 /**
+ * Pr[lo <= n <= hi] for noise index n, from two upperMass() queries
+ * instead of a walk over the window. Exact: the result equals the
+ * sequential sum of pmf() over [lo, hi] bit for bit (see
+ * DESIGN.md §16, "Exact window search").
+ */
+double windowMass(const NoisePmf &pmf, int64_t lo, int64_t hi);
+
+/**
  * Conditional distribution of a mechanism's output index given the
  * input index, over the Delta grid. Input indices are relative to the
  * range: 0 means the range lower limit m, span() means M.

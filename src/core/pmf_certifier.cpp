@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/parallel_for.h"
 #include "core/privacy_loss.h"
+#include "telemetry/telemetry.h"
 
 namespace ulpdp {
 
@@ -30,6 +31,46 @@ capNames(uint32_t caps)
     if (caps & mechcap::kBoundedOutput)
         append("bounded-output");
     return out;
+}
+
+/** Certifier stage split (docs/METRICS.md "Certification"). */
+struct StageMetrics
+{
+    LatencyHistogram &threshold_search = stage("threshold_search");
+    LatencyHistogram &pmf_build = stage("pmf_build");
+    LatencyHistogram &model_build = stage("model_build");
+    LatencyHistogram &loss_sup = stage("loss_sup");
+
+    static LatencyHistogram &
+    stage(const char *name)
+    {
+        return telemetry::registry().histogram(
+                "ulpdp_certify_stage_seconds",
+                "Wall-clock seconds per certifier stage",
+                "seconds",
+                {1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0},
+                std::string("stage=\"") + name + "\"");
+    }
+};
+
+StageMetrics &
+stageMetrics()
+{
+    static StageMetrics m;
+    return m;
+}
+
+double
+secondsBetween(std::chrono::steady_clock::time_point a,
+               std::chrono::steady_clock::time_point b)
+{
+    return std::chrono::duration<double>(b - a).count();
+}
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return secondsBetween(t0, std::chrono::steady_clock::now());
 }
 
 } // namespace
@@ -64,19 +105,37 @@ PmfCertifier::setLegacyEnumeration(bool legacy)
     legacy_ = legacy;
 }
 
-MechanismCertificate
-PmfCertifier::certify(const std::string &name) const
+MechanismSpec
+PmfCertifier::spec() const
 {
-    auto t0 = std::chrono::steady_clock::now();
-
-    const MechanismRegistry::Entry &entry =
-            MechanismRegistry::instance().at(name);
-
     MechanismSpec spec;
     spec.params = profile_;
     spec.loss_multiple = loss_multiple_;
     spec.enumerate_pmf = true;
     spec.legacy_enumerate = legacy_;
+    return spec;
+}
+
+MechanismLowering
+PmfCertifier::resolve(const MechanismRegistry::Entry &entry,
+                      double &seconds) const
+{
+    auto t0 = std::chrono::steady_clock::now();
+    MechanismLowering res = entry.resolve(spec());
+    seconds = secondsSince(t0);
+    if (telemetry::enabled())
+        stageMetrics().threshold_search.observe(seconds);
+    return res;
+}
+
+MechanismCertificate
+PmfCertifier::certifyResolved(const MechanismRegistry::Entry &entry,
+                              const MechanismLowering &res,
+                              double resolve_seconds) const
+{
+    auto t0 = std::chrono::steady_clock::now();
+    MechanismSpec resolved = spec();
+    resolved.params = res.params;
 
     MechanismCertificate cert;
     cert.mechanism = entry.name;
@@ -85,21 +144,27 @@ PmfCertifier::certify(const std::string &name) const
     cert.epsilon = profile_.epsilon;
     cert.loss_multiple = loss_multiple_;
     cert.bound = loss_multiple_ * profile_.epsilon;
+    cert.threshold_index = res.threshold_index;
     cert.states = uint64_t{1} << profile_.uniform_bits;
-    if (entry.lower) {
-        cert.threshold_index = entry.lower(spec).threshold_index;
-        // Hand the resolved extension back through the spec override
-        // so the output-model factory reuses it instead of repeating
-        // the exact search.
-        spec.threshold_index = cert.threshold_index;
-    }
 
     // The registered output model over the *enumerated* PMF: every
     // probability in Pr[y | x] traces back to a count of URNG states
     // the real pipeline produces, so the analyzer's sup is the
-    // implementation's worst case, not the closed form's.
-    std::unique_ptr<DiscreteOutputModel> model = entry.model(spec);
+    // implementation's worst case, not the closed form's. The model
+    // is built from the resolution, so nothing is searched twice.
+    resolved.makePmf();
+    auto t1 = std::chrono::steady_clock::now();
+    std::unique_ptr<DiscreteOutputModel> model =
+            entry.buildModel(resolved, res);
+    auto t2 = std::chrono::steady_clock::now();
     LossReport report = PrivacyLossAnalyzer::analyze(*model, jobs_);
+    auto t3 = std::chrono::steady_clock::now();
+    if (telemetry::enabled()) {
+        StageMetrics &m = stageMetrics();
+        m.pmf_build.observe(secondsBetween(t0, t1));
+        m.model_build.observe(secondsBetween(t1, t2));
+        m.loss_sup.observe(secondsBetween(t2, t3));
+    }
 
     cert.worst_case_loss = report.worst_case_loss;
     cert.worst_output = report.worst_output;
@@ -111,9 +176,7 @@ PmfCertifier::certify(const std::string &name) const
     cert.certified =
             report.bounded && report.worst_case_loss <= cert.bound;
 
-    auto t1 = std::chrono::steady_clock::now();
-    cert.elapsed_seconds =
-            std::chrono::duration<double>(t1 - t0).count();
+    cert.elapsed_seconds = resolve_seconds + secondsBetween(t0, t3);
     cert.states_per_second =
             cert.elapsed_seconds > 0.0
                     ? static_cast<double>(cert.states) /
@@ -122,39 +185,72 @@ PmfCertifier::certify(const std::string &name) const
     return cert;
 }
 
+MechanismCertificate
+PmfCertifier::certify(const std::string &name) const
+{
+    const MechanismRegistry::Entry &entry =
+            MechanismRegistry::instance().at(name);
+    double seconds = 0.0;
+    MechanismLowering res = resolve(entry, seconds);
+    return certifyResolved(entry, res, seconds);
+}
+
 std::vector<MechanismCertificate>
 PmfCertifier::certifyAll() const
 {
-    std::vector<std::string> names =
-            MechanismRegistry::instance().names();
-    std::vector<MechanismCertificate> out(names.size());
-    if (jobs_ <= 1) {
-        for (size_t i = 0; i < names.size(); ++i)
-            out[i] = certify(names[i]);
-        return out;
+    const MechanismRegistry &reg = MechanismRegistry::instance();
+    std::vector<const MechanismRegistry::Entry *> entries;
+    for (const std::string &name : reg.names())
+        entries.push_back(&reg.at(name));
+
+    // One resolution per distinct resolver: entries that run the same
+    // search (resampling and constant-time resampling share the
+    // resampling window) certify from one result.
+    std::vector<size_t> owner; // first entry of each distinct resolver
+    std::vector<size_t> slot(entries.size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+        size_t k = 0;
+        while (k < owner.size() &&
+               entries[owner[k]]->resolve != entries[i]->resolve)
+            ++k;
+        if (k == owner.size())
+            owner.push_back(i);
+        slot[i] = k;
     }
-    // Parallel across mechanisms; each certificate's inner loss sup
-    // then runs serially (jobs = 1) to avoid oversubscription. The
-    // output slot is fixed by registration order, so the result is
-    // independent of scheduling. Warm the PMF cache first so the
-    // workers hit the memoized base PMF instead of racing to build
-    // the same table (they would still agree -- the cache returns one
-    // object per configuration -- this just keeps the timing honest).
-    {
-        MechanismSpec warm;
-        warm.params = profile_;
-        warm.loss_multiple = loss_multiple_;
-        warm.enumerate_pmf = true;
-        warm.legacy_enumerate = legacy_;
-        warm.makePmf();
-    }
+    std::vector<MechanismLowering> res(owner.size());
+    std::vector<double> res_s(owner.size(), 0.0);
+    std::vector<MechanismCertificate> out(entries.size());
+
+    // Parallel across resolutions, then across mechanisms; each
+    // certificate's inner loss sup runs serially (jobs = 1) to avoid
+    // oversubscription. Output slots are fixed by registration order,
+    // so the result is independent of scheduling. With jobs > 1 the
+    // base PMF is warmed first so the workers hit the memoized table
+    // instead of queueing behind one builder (they would still agree
+    // -- the cache returns one object per configuration -- this just
+    // keeps the stage timing honest).
     PmfCertifier inner(*this);
-    inner.jobs_ = 1;
-    parallelFor(0, static_cast<int64_t>(names.size()), jobs_, 1,
+    if (jobs_ > 1) {
+        inner.jobs_ = 1;
+        spec().makePmf();
+    }
+    parallelFor(0, static_cast<int64_t>(owner.size()), jobs_, 1,
                 [&](int64_t lo, int64_t hi) {
-                    for (int64_t i = lo; i < hi; ++i)
-                        out[static_cast<size_t>(i)] = inner.certify(
-                                names[static_cast<size_t>(i)]);
+                    for (int64_t r = lo; r < hi; ++r) {
+                        size_t k = static_cast<size_t>(r);
+                        res[k] = inner.resolve(*entries[owner[k]],
+                                               res_s[k]);
+                    }
+                });
+    parallelFor(0, static_cast<int64_t>(entries.size()), jobs_, 1,
+                [&](int64_t lo, int64_t hi) {
+                    for (int64_t i = lo; i < hi; ++i) {
+                        size_t k = slot[static_cast<size_t>(i)];
+                        out[static_cast<size_t>(i)] =
+                                inner.certifyResolved(
+                                        *entries[static_cast<size_t>(i)],
+                                        res[k], res_s[k]);
+                    }
                 });
     return out;
 }

@@ -74,8 +74,7 @@ struct MechanismCertificate
     /** The absolute per-query bound loss_multiple * eps. */
     double bound = 0.0;
 
-    /** Resolved window half-extension, or -1 when the mechanism has
-     *  no fleet lowering to report one through. */
+    /** Resolved window half-extension (0 for bounded Laplace). */
     int64_t threshold_index = -1;
 
     /** URNG states accounted for (2^Bu). */
@@ -163,6 +162,21 @@ class PmfCertifier
               const std::string &path, bool include_timing = true);
 
   private:
+    /** The certification spec: the profile over the enumerated PMF. */
+    MechanismSpec spec() const;
+
+    /** Run @p entry's resolver on the profile (the threshold-search
+     *  stage); @p seconds receives its wall time. */
+    MechanismLowering resolve(const MechanismRegistry::Entry &entry,
+                              double &seconds) const;
+
+    /** PMF build, model build and loss sup of one mechanism from its
+     *  resolution @p res (which took @p resolve_seconds). */
+    MechanismCertificate
+    certifyResolved(const MechanismRegistry::Entry &entry,
+                    const MechanismLowering &res,
+                    double resolve_seconds) const;
+
     FxpMechanismParams profile_;
     double loss_multiple_;
     int jobs_ = 1;

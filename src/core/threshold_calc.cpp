@@ -10,7 +10,7 @@ namespace ulpdp {
 
 ThresholdCalculator::ThresholdCalculator(const FxpMechanismParams &params)
     : params_(params),
-      pmf_(std::make_shared<FxpLaplacePmf>(params.rngConfig())),
+      pmf_(FxpLaplacePmf::shared(params.rngConfig())),
       span_(params.rangeIndexSpan())
 {
     if (span_ <= 0)
@@ -79,25 +79,44 @@ ThresholdCalculator::exactIndex(RangeControl kind, double n) const
         return exactLossAt(kind, t) <= bound;
     };
 
+    // The loss is non-decreasing in the window extension (enlarging
+    // the window only adds more extreme outputs), so ok() holds on a
+    // prefix [0, T*] and the answer is its last index. T = 0 is the
+    // cheapest model and settles "no window works" in one analysis
+    // (the discrete-Laplace scale widening hits that case often).
     if (!ok(0))
         return -1;
 
-    // Grow the window until the bound breaks (the loss is
-    // non-decreasing in the window extension: enlarging the window
-    // only adds more extreme outputs), then binary search the edge.
-    int64_t cap = pmf_->maxIndex();
+    // The closed form lands within a few bins of T* whenever the
+    // window has no interior gaps, so bracket from it: gallop away
+    // from the guess until ok() flips, then bisect the bracket.
+    const int64_t cap = pmf_->maxIndex();
+    const int64_t guess = std::min(closedFormIndex(kind, n), cap);
     int64_t lo = 0;
-    int64_t hi = 1;
-    while (hi <= cap && ok(hi)) {
-        lo = hi;
-        hi *= 2;
-    }
-    if (hi > cap) {
-        if (ok(cap))
+    int64_t hi = cap + 1; // invariant: ok(lo), !ok(hi) (cap + 1 unseen)
+    if (guess == 0 || ok(guess)) {
+        lo = guess;
+        for (int64_t step = 1; lo < cap; step *= 2) {
+            int64_t probe = std::min(guess + step, cap);
+            if (!ok(probe)) {
+                hi = probe;
+                break;
+            }
+            lo = probe;
+        }
+        if (lo == cap)
             return cap;
-        hi = cap;
+    } else {
+        hi = guess;
+        for (int64_t step = 1; guess - step > 0; step *= 2) {
+            int64_t probe = guess - step;
+            if (ok(probe)) {
+                lo = probe;
+                break;
+            }
+            hi = probe;
+        }
     }
-    // Invariant: ok(lo), !ok(hi).
     while (hi - lo > 1) {
         int64_t mid = lo + (hi - lo) / 2;
         if (ok(mid))

@@ -34,14 +34,21 @@ diurnal(size_t n, const SensorRange &range, double base,
 {
     if (period == 0)
         fatal("diurnal: period must be positive");
+    if (!(jitter >= 0.0))
+        fatal("diurnal: jitter must be non-negative, got %g", jitter);
+    // normal_distribution requires a positive stddev, so a noise-free
+    // series skips the draw (it would only have added +0.0).
     std::mt19937_64 rng(seed);
-    std::normal_distribution<double> gauss(0.0, jitter);
+    std::normal_distribution<double> gauss(0.0,
+                                           jitter > 0.0 ? jitter : 1.0);
     std::vector<double> out(n);
     for (size_t t = 0; t < n; ++t) {
         double phase = 2.0 * M_PI * static_cast<double>(t) /
                        static_cast<double>(period);
-        out[t] = range.clamp(base + amplitude * std::sin(phase) +
-                             gauss(rng));
+        double v = base + amplitude * std::sin(phase);
+        if (jitter > 0.0)
+            v += gauss(rng);
+        out[t] = range.clamp(v);
     }
     return out;
 }

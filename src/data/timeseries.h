@@ -35,7 +35,8 @@ std::vector<double> meanRevertingWalk(size_t n,
 
 /**
  * Diurnal pattern: base + amplitude * sin(2 pi t / period) plus
- * Gaussian jitter, clipped to the range.
+ * Gaussian jitter of stddev @p jitter (>= 0; 0 draws no noise),
+ * clipped to the range.
  */
 std::vector<double> diurnal(size_t n, const SensorRange &range,
                             double base, double amplitude,

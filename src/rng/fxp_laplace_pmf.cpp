@@ -16,42 +16,51 @@ FxpLaplacePmf::FxpLaplacePmf(const FxpLaplaceConfig &config, Mode mode)
     Quantizer quant(config.delta, config.output_bits);
     sat_index_ = quant.maxIndex();
 
-    if (mode_ == Mode::Enumerated) {
+    if (mode_ == Mode::Analytic) {
+        buildAnalyticCounts();
+    } else if (mode_ == Mode::Enumerated) {
         if (config.uniform_bits > kMaxEnumeratedBits)
             fatal("FxpLaplacePmf: Enumerated mode needs "
                   "uniform_bits <= %d, got %d", kMaxEnumeratedBits,
                   config.uniform_bits);
         buildSegmentCounts();
-        buildTailCounts();
-    } else if (mode_ == Mode::EnumeratedLegacy) {
+    } else {
         if (config.uniform_bits > kMaxLegacyEnumeratedBits)
             fatal("FxpLaplacePmf: EnumeratedLegacy mode needs "
                   "uniform_bits <= %d, got %d (2^Bu pipeline "
                   "evaluations)", kMaxLegacyEnumeratedBits,
                   config.uniform_bits);
         buildLegacyCounts();
-        buildTailCounts();
     }
+    buildTailCounts();
 
-    // Locate the top of the support. Enumerated modes scan their own
-    // counts (sized to the reachable support -- for the segment
-    // engine that is k_top + 1, not the full saturation span).
+    // Locate the top of the support. counts_ is sized to the
+    // reachable support (k_top + 1), not the full saturation span.
     max_index_ = 0;
-    if (mode_ != Mode::Analytic) {
-        for (size_t k = counts_.size(); k-- > 0;) {
-            if (counts_[k] > 0) {
-                max_index_ = static_cast<int64_t>(k);
-                break;
-            }
-        }
-    } else {
-        for (int64_t k = sat_index_; k >= 0; --k) {
-            if (magnitudeCount(k) > 0) {
-                max_index_ = k;
-                break;
-            }
+    for (size_t k = counts_.size(); k-- > 0;) {
+        if (counts_[k] > 0) {
+            max_index_ = static_cast<int64_t>(k);
+            break;
         }
     }
+}
+
+void
+FxpLaplacePmf::buildAnalyticCounts()
+{
+    // m1 decreases in k, so the tail count floor(min(m1(k), 2^Bu))
+    // is zero from the first bin whose m1 drops below 1 onwards, and
+    // every bin from there up is empty (count(k) = floor(m1(k)) -
+    // floor(m1(k + 1)), since m2(k) and m1(k + 1) evaluate the same
+    // edge). The table stops at the last bin with a state.
+    const double total = std::ldexp(1.0, config_.uniform_bits);
+    int64_t k_top = 0;
+    while (k_top < sat_index_ &&
+           std::floor(std::min(m1(k_top + 1), total)) > 0.0)
+        ++k_top;
+    counts_.resize(static_cast<size_t>(k_top) + 1);
+    for (int64_t k = 0; k <= k_top; ++k)
+        counts_[static_cast<size_t>(k)] = analyticCount(k);
 }
 
 void
@@ -180,10 +189,11 @@ FxpLaplacePmf::buildSegmentCounts()
 void
 FxpLaplacePmf::buildTailCounts()
 {
-    // Suffix sums make the enumerated tailMass O(1); the values are
-    // the same exact uint64 totals the on-demand summation produced.
-    // Sized to counts_ (the reachable support), not the saturation
-    // index; the accessors return 0 beyond it.
+    // Suffix sums make tailMass a load in every mode. For the
+    // analytic counts they telescope to the closed-form tail
+    // floor(min(m1(k), 2^Bu)) exactly. Sized to counts_ (the
+    // reachable support), not the saturation index; the accessors
+    // return 0 beyond it.
     tail_.assign(counts_.size() + 1, 0);
     for (size_t k = counts_.size(); k-- > 0;)
         tail_[k] = tail_[k + 1] + counts_[k];
@@ -232,26 +242,16 @@ FxpLaplacePmf::analyticCount(int64_t k) const
 uint64_t
 FxpLaplacePmf::magnitudeCount(int64_t k) const
 {
-    if (k < 0 || k > sat_index_)
+    if (k < 0)
         return 0;
-    if (mode_ != Mode::Analytic) {
-        size_t idx = static_cast<size_t>(k);
-        return idx < counts_.size() ? counts_[idx] : 0;
-    }
-    return analyticCount(k);
+    size_t idx = static_cast<size_t>(k);
+    return idx < counts_.size() ? counts_[idx] : 0;
 }
 
 uint64_t
 FxpLaplacePmf::totalCount() const
 {
-    if (mode_ != Mode::Analytic)
-        return tail_[0];
-    // The analytic counts telescope to exactly 2^Bu as well; sum them
-    // so the caller's exactness assertion covers both paths.
-    uint64_t total = 0;
-    for (int64_t k = 0; k <= sat_index_; ++k)
-        total += analyticCount(k);
-    return total;
+    return tail_[0];
 }
 
 double
@@ -272,20 +272,9 @@ FxpLaplacePmf::tailMass(int64_t k) const
 {
     ULPDP_ASSERT(k >= 1);
     double denom = 2.0 * std::ldexp(1.0, config_.uniform_bits);
-    if (mode_ != Mode::Analytic) {
-        size_t idx = static_cast<size_t>(k);
-        uint64_t cnt = idx < tail_.size() ? tail_[idx] : 0;
-        return static_cast<double>(cnt) / denom;
-    }
-    // The per-bin counts telescope: sum_{j >= k} count(j) is just the
-    // number of URNG indices at or below the k boundary,
-    // floor(min(m1(k), 2^Bu)) -- the paper's Pr[n >= k Delta] =
-    // floor(m1(k)) / 2^(Bu+1).
-    if (k > sat_index_)
-        return 0.0;
-    double total = std::ldexp(1.0, config_.uniform_bits);
-    double cnt = std::floor(std::min(m1(k), total));
-    return (cnt > 0.0 ? cnt : 0.0) / denom;
+    size_t idx = static_cast<size_t>(k);
+    uint64_t cnt = idx < tail_.size() ? tail_[idx] : 0;
+    return static_cast<double>(cnt) / denom;
 }
 
 double

@@ -14,7 +14,9 @@
  * Eqs. (13)/(15), the Fig. 8 budget segments -- is driven by this PMF.
  *
  * Three construction modes are provided:
- *  - Analytic: evaluates the closed form above. O(1) per query.
+ *  - Analytic: tabulates the closed form above once per bin of the
+ *    reachable support; queries are table loads, as in the
+ *    enumerated modes.
  *  - Enumerated: exact per-bin URNG state counts via segment-rank
  *    accumulation. The pipeline magnitude -lambda * ln(m / 2^Bu) is
  *    monotone non-increasing in the URNG index m, and every
@@ -112,9 +114,9 @@ class FxpLaplacePmf : public NoisePmf
     uint64_t magnitudeCount(int64_t k) const;
 
     /**
-     * Exact total of the per-bin state counts (enumerated modes).
-     * Always exactly 2^Bu -- the uint64 accounting admits no
-     * normalization slack; tests assert equality, not closeness.
+     * Exact total of the per-bin state counts. Always exactly 2^Bu --
+     * the uint64 accounting admits no normalization slack; tests
+     * assert equality, not closeness.
      */
     uint64_t totalCount() const;
 
@@ -155,13 +157,16 @@ class FxpLaplacePmf : public NoisePmf
     /** Closed-form magnitude count. */
     uint64_t analyticCount(int64_t k) const;
 
+    /** Closed-form counts tabulated once (Mode::Analytic). */
+    void buildAnalyticCounts();
+
     /** Segment-rank accumulation (Mode::Enumerated). */
     void buildSegmentCounts();
 
     /** Per-state walk (Mode::EnumeratedLegacy). */
     void buildLegacyCounts();
 
-    /** Tail suffix sums over counts_, for O(1) enumerated tailMass. */
+    /** Tail suffix sums over counts_, for O(1) tailMass. */
     void buildTailCounts();
 
     FxpLaplaceConfig config_;
@@ -170,7 +175,7 @@ class FxpLaplacePmf : public NoisePmf
     int64_t sat_index_;
     /** Largest index with positive probability. */
     int64_t max_index_;
-    /** Enumerated counts per magnitude index (enumerated modes). */
+    /** Counts per magnitude index, over the reachable support. */
     std::vector<uint64_t> counts_;
     /** tail_[k] = sum of counts_[k..sat]; tail_[0] = 2^Bu exactly. */
     std::vector<uint64_t> tail_;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "fixed/quantizer.h"
 #include "rng/fxp_laplace_pmf.h"
 
 namespace ulpdp {
@@ -356,6 +357,54 @@ TEST(FxpLaplacePmf, TailMassMatchesPaperFormula)
                         std::ldexp(1.0, 13);
         EXPECT_DOUBLE_EQ(pmf.tailMass(k), std::max(expect, 0.0))
             << "k=" << k;
+    }
+}
+
+TEST(FxpLaplacePmf, AnalyticTablesEqualTheClosedFormEverywhere)
+{
+    // The analytic mode tabulates Eq. (11) once and answers from the
+    // table and its suffix sums; every count, probability and tail
+    // must equal the closed form evaluated on the spot, including
+    // the saturation bin (By = 8 saturates long before the tail
+    // empties at Bu = 32) and one index past the support.
+    using Rounding = FxpLaplaceConfig::Rounding;
+    for (Rounding rounding : {Rounding::Nearest, Rounding::Floor}) {
+        for (int by : {12, 8}) {
+            for (int bu : {8, 12, 17, 32}) {
+                FxpLaplaceConfig cfg = configOf(bu, by, 10.0 / 32.0, 20.0);
+                cfg.rounding = rounding;
+                FxpLaplacePmf pmf(cfg);
+                const int64_t sat =
+                    Quantizer(cfg.delta, cfg.output_bits).maxIndex();
+                const double states = std::ldexp(1.0, bu);
+                auto edge = [&](double m) {
+                    return std::floor(std::min(m, states));
+                };
+                SCOPED_TRACE(testing::Message()
+                             << "Bu " << bu << " By " << by
+                             << (rounding == Rounding::Floor
+                                     ? " floor" : " nearest"));
+                EXPECT_EQ(pmf.totalCount(), uint64_t{1} << bu);
+                for (int64_t k = 0; k <= pmf.maxIndex() + 1; ++k) {
+                    double count = 0.0;
+                    if (k <= sat) {
+                        double lower = k == sat ? 0.0 : edge(pmf.m2(k));
+                        count = std::max(edge(pmf.m1(k)) - lower, 0.0);
+                    }
+                    ASSERT_EQ(pmf.magnitudeCount(k),
+                              static_cast<uint64_t>(count)) << "k=" << k;
+                    double denom = k == 0 ? states : 2.0 * states;
+                    ASSERT_EQ(pmf.pmf(k), count / denom) << "k=" << k;
+                    ASSERT_EQ(pmf.pmf(-k), count / denom) << "k=" << k;
+                    if (k >= 1) {
+                        double tail = k <= sat ? edge(pmf.m1(k)) : 0.0;
+                        ASSERT_EQ(pmf.tailMass(k),
+                                  std::max(tail, 0.0) / (2.0 * states))
+                            << "k=" << k;
+                    }
+                }
+            }
+        }
     }
 }
 

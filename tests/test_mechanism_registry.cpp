@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "core/bounded_laplace.h"
+#include "core/constant_time.h"
 #include "core/mechanism_registry.h"
 #include "core/threshold_calc.h"
 
@@ -174,6 +176,137 @@ TEST(MechanismRegistry, ConstantTimeHasNoFleetLowering)
     const auto &entry =
         MechanismRegistry::instance().at("constant-time-resampling");
     EXPECT_FALSE(static_cast<bool>(entry.lower));
+}
+
+/** The certify-grid profile: the certify tool's defaults (range
+ *  [-20, 60], By 12, Delta = d/32) at the given Bu and eps. */
+FxpMechanismParams
+gridProfile(int bu, double eps)
+{
+    FxpMechanismParams p;
+    p.range = SensorRange(-20.0, 60.0);
+    p.epsilon = eps;
+    p.uniform_bits = bu;
+    return p;
+}
+
+/** The fleet reference device: range [0, 10], eps 0.5, Bu 17,
+ *  Delta = d/32. */
+FxpMechanismParams
+referenceDevice()
+{
+    FxpMechanismParams p;
+    p.range = SensorRange(0.0, 10.0);
+    p.epsilon = 0.5;
+    p.uniform_bits = 17;
+    p.delta = 10.0 / 32.0;
+    return p;
+}
+
+TEST(MechanismRegistry, GridThresholdsArePinned)
+{
+    // The exact window searches at the six certify-grid profiles, as
+    // resampling / thresholding / discrete-laplace. A faster search
+    // must land on the same windows.
+    struct Pin
+    {
+        int bu;
+        double eps;
+        int64_t resampling, thresholding, discrete;
+    };
+    const Pin pins[] = {
+        {16, 1.0, 217, 218, 211},  {16, 0.5, 372, 373, 575},
+        {24, 1.0, 391, 392, 394},  {24, 0.5, 728, 729, 1157},
+        {32, 1.0, 572, 573, 568},  {32, 0.5, 1084, 1085, 1749},
+    };
+    auto &reg = MechanismRegistry::instance();
+    for (const Pin &pin : pins) {
+        MechanismSpec spec;
+        spec.params = gridProfile(pin.bu, pin.eps);
+        spec.loss_multiple = 2.0;
+        SCOPED_TRACE(testing::Message()
+                     << "Bu " << pin.bu << " eps " << pin.eps);
+        EXPECT_EQ(reg.at("resampling").lower(spec).threshold_index,
+                  pin.resampling);
+        EXPECT_EQ(reg.at("thresholding").lower(spec).threshold_index,
+                  pin.thresholding);
+        EXPECT_EQ(
+            reg.at("discrete-laplace").lower(spec).threshold_index,
+            pin.discrete);
+    }
+}
+
+TEST(MechanismRegistry, DiscreteLoweringReusesTheWidenedSearch)
+{
+    // The window resolveParams() found on its final widening step is
+    // the window a fresh search over the resolved block finds.
+    MechanismSpec spec;
+    spec.params = gridProfile(16, 0.5);
+    spec.loss_multiple = 2.0;
+    MechanismLowering low =
+        MechanismRegistry::instance().at("discrete-laplace")
+            .lower(spec);
+    EXPECT_EQ(low.threshold_index,
+              ThresholdCalculator(low.params)
+                  .exactIndex(RangeControl::Resampling, 2.0));
+}
+
+TEST(MechanismRegistry, AcceptanceMassEqualsTheSequentialSum)
+{
+    // Every windowed model's acceptance mass comes from two tail
+    // queries; it must equal summing pmf() across the window one
+    // output at a time, bit for bit, for both PMF engines.
+    std::vector<FxpMechanismParams> profiles;
+    for (int bu : {16, 24, 32}) {
+        for (double eps : {1.0, 0.5})
+            profiles.push_back(gridProfile(bu, eps));
+    }
+    profiles.push_back(referenceDevice());
+
+    auto &reg = MechanismRegistry::instance();
+    int checked = 0;
+    for (const FxpMechanismParams &p : profiles) {
+        for (bool enumerate : {false, true}) {
+            for (const std::string &name : reg.names()) {
+                const auto &entry = reg.at(name);
+                MechanismSpec spec;
+                spec.params = p;
+                spec.loss_multiple = 2.0;
+                spec.enumerate_pmf = enumerate;
+                MechanismLowering res = entry.resolve(spec);
+                MechanismSpec resolved = spec;
+                resolved.params = res.params;
+                auto pmf = resolved.makePmf();
+                auto model = entry.buildModel(resolved, res);
+
+                std::function<double(int64_t)> accept;
+                if (auto *m = dynamic_cast<const ResamplingOutputModel *>(
+                        model.get()))
+                    accept = [m](int64_t i) {
+                        return m->acceptProbability(i);
+                    };
+                else if (auto *c =
+                             dynamic_cast<const ConstantTimeOutputModel *>(
+                                 model.get()))
+                    accept = [c](int64_t i) {
+                        return c->acceptProbability(i);
+                    };
+                else
+                    continue; // thresholding: no acceptance mass
+                ++checked;
+                for (int64_t i = 0; i <= model->span(); ++i) {
+                    double z = 0.0;
+                    for (int64_t j = model->outputLo();
+                         j <= model->outputHi(); ++j)
+                        z += pmf->pmf(j - i);
+                    ASSERT_EQ(accept(i), z)
+                        << name << " Bu " << p.uniform_bits << " eps "
+                        << p.epsilon << " input " << i;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 7 * 2 * 4);
 }
 
 TEST(MechanismRegistry, ModelsAreProperDistributionsAtBuEight)

@@ -15,6 +15,7 @@
 #include "common/logging.h"
 #include "core/pmf_certifier.h"
 #include "core/privacy_loss.h"
+#include "telemetry/telemetry.h"
 
 namespace ulpdp {
 namespace {
@@ -219,6 +220,61 @@ TEST(PmfCertifier, TimingFieldsPopulatedAndOptionalInJson)
               std::string::npos);
     std::remove(timed.c_str());
     std::remove(bare.c_str());
+}
+
+TEST(PmfCertifier, CertifyAllSharesTheResamplingWindow)
+{
+    // Constant-time resampling runs the resampling window: it shares
+    // that resolver, so certifyAll() searches once and both
+    // certificates report the same window.
+    auto certs = PmfCertifier(ciProfile(10), 2.0).certifyAll();
+    const MechanismCertificate *res = nullptr, *ct = nullptr;
+    for (const MechanismCertificate &c : certs) {
+        if (c.mechanism == "resampling")
+            res = &c;
+        if (c.mechanism == "constant-time-resampling")
+            ct = &c;
+    }
+    ASSERT_TRUE(res != nullptr && ct != nullptr);
+    EXPECT_GE(res->threshold_index, 0);
+    EXPECT_EQ(ct->threshold_index, res->threshold_index);
+    EXPECT_EQ(PmfCertifier(ciProfile(10), 2.0)
+                  .certify("constant-time-resampling")
+                  .threshold_index,
+              res->threshold_index);
+}
+
+/** Observation count of one certifier stage in the global scope. */
+uint64_t
+stageCount(const std::string &stage)
+{
+    for (const auto &s : telemetry::registry().snapshot()) {
+        if (s.info.name == "ulpdp_certify_stage_seconds" &&
+            s.info.labels == "stage=\"" + stage + "\"")
+            return s.count;
+    }
+    return 0;
+}
+
+TEST(PmfCertifier, StageSplitIsRecordedOnlyWhenTelemetryIsOn)
+{
+    const char *stages[] = {"threshold_search", "pmf_build",
+                            "model_build", "loss_sup"};
+    telemetry::reset();
+    PmfCertifier certifier(ciProfile(8), 2.0);
+    certifier.certifyAll();
+    for (const char *stage : stages)
+        EXPECT_EQ(stageCount(stage), 0u) << stage;
+
+    telemetry::setEnabled(true);
+    auto certs = certifier.certifyAll();
+    telemetry::setEnabled(false);
+    // Five mechanisms, four distinct resolutions (resampling and
+    // constant-time resampling share one).
+    EXPECT_EQ(stageCount("threshold_search"), certs.size() - 1);
+    for (const char *stage : {"pmf_build", "model_build", "loss_sup"})
+        EXPECT_EQ(stageCount(stage), certs.size()) << stage;
+    telemetry::reset();
 }
 
 } // namespace

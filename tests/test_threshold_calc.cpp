@@ -168,6 +168,34 @@ TEST(ThresholdCalc, CoarseRngMayAdmitNoThreshold)
     }
 }
 
+TEST(ThresholdCalc, ExactIndexEqualsLinearScan)
+{
+    // The bracketed search (closed-form guess, gallop, bisect) must
+    // find the same window as walking T = 0, 1, 2, ... until the
+    // exact loss first exceeds the bound.
+    for (int bu : {8, 10, 12, 16}) {
+        for (double eps : {0.25, 0.5, 1.0}) {
+            FxpMechanismParams p = paperParams();
+            p.uniform_bits = bu;
+            p.epsilon = eps;
+            ThresholdCalculator calc(p);
+            const double n = 2.0;
+            const double bound = n * eps * (1.0 + 1e-9) + 1e-12;
+            for (RangeControl kind :
+                 {RangeControl::Resampling, RangeControl::Thresholding}) {
+                int64_t linear = -1;
+                while (linear < calc.pmf()->maxIndex() &&
+                       calc.exactLossAt(kind, linear + 1) <= bound)
+                    ++linear;
+                EXPECT_EQ(calc.exactIndex(kind, n), linear)
+                    << "Bu " << bu << " eps " << eps << " kind "
+                    << (kind == RangeControl::Resampling ? "resampling"
+                                                         : "thresholding");
+            }
+        }
+    }
+}
+
 TEST(ThresholdCalc, SpanAndPmfAccessors)
 {
     ThresholdCalculator calc(paperParams());

@@ -86,6 +86,26 @@ TEST(Timeseries, DiurnalClipsJitter)
     }
 }
 
+TEST(Timeseries, DiurnalWithoutJitterIsTheClampedSine)
+{
+    size_t period = 48;
+    double base = 9.0, amplitude = 3.0;
+    auto d = timeseries::diurnal(500, kRange, base, amplitude, period,
+                                 0.0, 11);
+    for (size_t t = 0; t < d.size(); ++t) {
+        double phase = 2.0 * M_PI * static_cast<double>(t) /
+                       static_cast<double>(period);
+        EXPECT_EQ(d[t], kRange.clamp(base + amplitude * std::sin(phase)))
+            << "t = " << t;
+    }
+}
+
+TEST(Timeseries, DiurnalRejectsNegativeJitter)
+{
+    EXPECT_THROW(timeseries::diurnal(10, kRange, 5.0, 1.0, 8, -0.1, 1),
+                 FatalError);
+}
+
 TEST(Timeseries, DiurnalRejectsZeroPeriod)
 {
     EXPECT_THROW(timeseries::diurnal(10, kRange, 5.0, 1.0, 0, 0.1, 1),
