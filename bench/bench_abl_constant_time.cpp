@@ -47,26 +47,12 @@ main()
             return PrivacyLossAnalyzer::analyze(model)
                 .worst_case_loss;
         };
-        int64_t lo = -1;
-        for (int64_t t = 0; t <= calc.pmf()->maxIndex();
-             t = t == 0 ? 1 : t * 2) {
-            if (loss_at(t) <= bound * (1.0 + 1e-9))
-                lo = t;
-            else
-                break;
-        }
+        int64_t lo = bench::widestWindow(calc.pmf()->maxIndex(), bound,
+                                         loss_at);
         if (lo < 0) {
             table.addRow({std::to_string(k), "none", "-", "-", "-",
                           "-"});
             continue;
-        }
-        int64_t hi = std::min(lo * 2 + 1, calc.pmf()->maxIndex());
-        while (hi - lo > 1) {
-            int64_t mid = lo + (hi - lo) / 2;
-            if (loss_at(mid) <= bound * (1.0 + 1e-9))
-                lo = mid;
-            else
-                hi = mid;
         }
 
         ConstantTimeOutputModel model(calc.pmf(), calc.span(), lo, k);

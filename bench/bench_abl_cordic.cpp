@@ -18,46 +18,9 @@
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "core/output_model.h"
-#include "core/privacy_loss.h"
 #include "rng/fxp_laplace_pmf.h"
 
-namespace {
-
 using namespace ulpdp;
-
-/** Exact threshold search against an arbitrary PMF. */
-int64_t
-exactThreshold(const std::shared_ptr<const NoisePmf> &pmf,
-               int64_t span, double bound)
-{
-    int64_t lo = -1;
-    for (int64_t t = 0; t <= pmf->maxIndex(); t = t == 0 ? 1 : t * 2) {
-        ResamplingOutputModel model(pmf, span, t);
-        if (PrivacyLossAnalyzer::analyze(model).worst_case_loss <=
-            bound * (1.0 + 1e-9)) {
-            lo = t;
-        } else {
-            break;
-        }
-    }
-    if (lo < 0)
-        return -1;
-    int64_t hi = lo * 2 + 1;
-    hi = std::min(hi, pmf->maxIndex());
-    while (hi - lo > 1) {
-        int64_t mid = lo + (hi - lo) / 2;
-        ResamplingOutputModel model(pmf, span, mid);
-        if (PrivacyLossAnalyzer::analyze(model).worst_case_loss <=
-            bound * (1.0 + 1e-9))
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-
-} // anonymous namespace
 
 int
 main()
@@ -79,7 +42,7 @@ main()
 
     auto ref_pmf = std::make_shared<FxpLaplacePmf>(
         ref_cfg, FxpLaplacePmf::Mode::Enumerated);
-    int64_t ref_t = exactThreshold(ref_pmf, span, bound);
+    int64_t ref_t = bench::resamplingThreshold(ref_pmf, span, bound);
 
     TextTable table;
     table.setHeader({"log unit", "shifted URNG states",
@@ -105,7 +68,7 @@ main()
         }
         shifted /= 2; // each moved state counts in two bins
 
-        int64_t hw_t = exactThreshold(hw_pmf, span, bound);
+        int64_t hw_t = bench::resamplingThreshold(hw_pmf, span, bound);
         table.addRow({
             "CORDIC x" + std::to_string(iters),
             std::to_string(shifted),

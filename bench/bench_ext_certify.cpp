@@ -2,18 +2,18 @@
  * @file
  * Extension: certification-engine throughput.
  *
- * Measures the exact-PMF certifier's closed-form (segment-rank)
- * engine against the legacy per-state enumerator it replaced:
+ * Measures the exact-PMF certifier's segment-rank engine against the
+ * per-state walk it replaced (the test oracle in tests/pmf_oracle.h):
  *
  *  1. Sweep: full-registry certifyAll() wall time and aggregate
  *     URNG-states-accounted-per-second at Bu in {8, 12, 16, 20},
  *     single-thread, PMF cache cleared between points so every point
- *     pays its own enumeration. The legacy engine's full-registry
- *     time rides along per point for the wall-clock comparison.
+ *     pays its own enumeration.
  *
  *  2. Bu = 16 headline (the CI gate): best-of-repeats construction
- *     time of the base noise PMF under both engines at the certify
- *     tool's profile (range [-20, 60], eps = 1, Delta = d/32). The
+ *     time of the base noise PMF by the engine and by the walk at the
+ *     certify tool's profile (range [-20, 60], eps = 1, Delta = d/32).
+ *     The
  *     gated key bu16_speedup_vs_legacy is a time ratio on the same
  *     machine, so it is stable across runner generations in a way
  *     raw states/s floors are not (>= 50 enforced via
@@ -33,6 +33,7 @@
 
 #include "bench_util.h"
 #include "core/pmf_certifier.h"
+#include "pmf_oracle.h"
 
 namespace {
 
@@ -59,13 +60,12 @@ seconds(std::chrono::steady_clock::time_point t0,
 
 /** Best-of-@p repeats full-registry certifyAll() wall time. */
 double
-certifyAllSeconds(int bu, bool legacy, int repeats)
+certifyAllSeconds(int bu, int repeats)
 {
     double best = 0.0;
     for (int r = 0; r < repeats; ++r) {
         FxpLaplacePmf::clearSharedCache();
         PmfCertifier certifier(certifyProfile(bu));
-        certifier.setLegacyEnumeration(legacy);
         auto t0 = std::chrono::steady_clock::now();
         std::vector<MechanismCertificate> certs =
                 certifier.certifyAll();
@@ -83,20 +83,31 @@ certifyAllSeconds(int bu, bool legacy, int repeats)
     return best;
 }
 
-/** Best-of-@p repeats construction time of the base noise PMF. The
- *  fast engine is microseconds, so each repeat averages an inner
- *  batch to get above timer granularity. */
+/** Best-of-@p repeats construction time of the base noise PMF, by
+ *  the segment engine or by the per-state walk. The engine is
+ *  microseconds, so each repeat averages an inner batch to get above
+ *  timer granularity. */
 double
-pmfBuildSeconds(int bu, FxpLaplacePmf::Mode mode, int repeats)
+pmfBuildSeconds(int bu, bool walk, int repeats)
 {
     FxpLaplaceConfig cfg = certifyProfile(bu).rngConfig();
-    int inner = mode == FxpLaplacePmf::Mode::Enumerated ? 20 : 1;
+    int inner = walk ? 1 : 20;
     double best = 0.0;
     for (int r = 0; r < repeats; ++r) {
         auto t0 = std::chrono::steady_clock::now();
         for (int i = 0; i < inner; ++i) {
-            FxpLaplacePmf pmf(cfg, mode);
-            if (pmf.totalCount() != (uint64_t{1} << bu)) {
+            uint64_t total;
+            if (walk) {
+                FxpLaplaceRng rng(cfg);
+                total = walkPmf(bu, [&rng](uint64_t m) {
+                            return rng.pipeline(m, 1);
+                        }).totalCount();
+            } else {
+                total = FxpLaplacePmf(cfg,
+                                      FxpLaplacePmf::Mode::Enumerated)
+                                .totalCount();
+            }
+            if (total != (uint64_t{1} << bu)) {
                 std::fprintf(stderr,
                              "bench_ext_certify: count slack at "
                              "Bu=%d\n", bu);
@@ -126,8 +137,7 @@ main(int argc, char **argv)
         json_path = "BENCH_certify.json";
 
     bench::banner("certification engine",
-                  "segment-rank certifier vs legacy per-state "
-                  "enumeration");
+                  "segment-rank certifier vs the per-state walk");
 
     const size_t mechanisms =
             MechanismRegistry::instance().names().size();
@@ -139,30 +149,26 @@ main(int argc, char **argv)
     json.field("repeats", repeats);
 
     json.beginArray("sweep");
-    std::printf("  %-6s %-18s %-18s %s\n", "Bu", "fast certifyAll",
-                "legacy certifyAll", "states/s (fast)");
+    std::printf("  %-6s %-18s %s\n", "Bu", "certifyAll",
+                "states/s");
     for (int bu : {8, 12, 16, 20}) {
-        double fast_s = certifyAllSeconds(bu, false, repeats);
-        double legacy_s = certifyAllSeconds(bu, true, repeats);
+        double fast_s = certifyAllSeconds(bu, repeats);
         double states = static_cast<double>(mechanisms) *
                         static_cast<double>(uint64_t{1} << bu);
         json.beginObject();
         json.field("bu", bu);
         json.field("certify_all_seconds", fast_s);
-        json.field("legacy_certify_all_seconds", legacy_s);
         json.field("states_accounted_per_second", states / fast_s);
         json.endObject();
-        std::printf("  %-6d %-18.6f %-18.6f %.3g\n", bu, fast_s,
-                    legacy_s, states / fast_s);
+        std::printf("  %-6d %-18.6f %.3g\n", bu, fast_s,
+                    states / fast_s);
     }
     json.endArray();
 
-    // Bu = 16 headline: PMF derivation under both engines.
-    double fast_pmf = pmfBuildSeconds(
-            16, FxpLaplacePmf::Mode::Enumerated, repeats);
-    double legacy_pmf = pmfBuildSeconds(
-            16, FxpLaplacePmf::Mode::EnumeratedLegacy, repeats);
-    double certify16 = certifyAllSeconds(16, false, repeats);
+    // Bu = 16 headline: PMF derivation by the engine and by the walk.
+    double fast_pmf = pmfBuildSeconds(16, false, repeats);
+    double legacy_pmf = pmfBuildSeconds(16, true, repeats);
+    double certify16 = certifyAllSeconds(16, repeats);
     double states16 = static_cast<double>(uint64_t{1} << 16);
 
     json.field("bu16_fast_pmf_seconds", fast_pmf);
@@ -177,7 +183,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    std::printf("  Bu=16 PMF: fast %.3g s, legacy %.3g s "
+    std::printf("  Bu=16 PMF: engine %.3g s, walk %.3g s "
                 "(%.1fx), certifyAll 1t %.3g s\n",
                 fast_pmf, legacy_pmf, legacy_pmf / fast_pmf,
                 certify16);

@@ -19,41 +19,7 @@
 #include "core/privacy_loss.h"
 #include "rng/fxp_inversion.h"
 
-namespace {
-
 using namespace ulpdp;
-
-int64_t
-searchThreshold(const std::shared_ptr<const NoisePmf> &pmf,
-                int64_t span, double bound)
-{
-    auto ok = [&](int64_t t) {
-        ResamplingOutputModel model(pmf, span, t);
-        return PrivacyLossAnalyzer::analyze(model).worst_case_loss <=
-               bound * (1.0 + 1e-9);
-    };
-    int64_t lo = -1;
-    for (int64_t t = 0; t <= pmf->maxIndex();
-         t = t == 0 ? 1 : t * 2) {
-        if (ok(t))
-            lo = t;
-        else
-            break;
-    }
-    if (lo < 0)
-        return -1;
-    int64_t hi = std::min(lo * 2 + 1, pmf->maxIndex());
-    while (hi - lo > 1) {
-        int64_t mid = lo + (hi - lo) / 2;
-        if (ok(mid))
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-
-} // anonymous namespace
 
 int
 main()
@@ -100,11 +66,12 @@ main()
                      "loss at T", "E|noise| in window"});
 
     for (const auto &e : entries) {
-        auto pmf = std::make_shared<EnumeratedNoisePmf>(cfg, e.icdf);
+        auto pmf = std::make_shared<const NoisePmf>(
+            inversionPmf(cfg, e.icdf));
         NaiveOutputModel naive(pmf, span);
         LossReport naive_rep = PrivacyLossAnalyzer::analyze(naive);
 
-        int64_t t = searchThreshold(pmf, span, 2.0 * eps);
+        int64_t t = bench::resamplingThreshold(pmf, span, 2.0 * eps);
         std::string loss_str = "-";
         std::string mag_str = "-";
         if (t >= 0) {

@@ -6,6 +6,8 @@
 #include "agg/decode.h"
 #include "common/logging.h"
 #include "common/stats.h"
+#include "core/output_model.h"
+#include "core/privacy_loss.h"
 #include "data/generators.h"
 #include "fleet/fleet.h"
 #include "query/query.h"
@@ -60,6 +62,43 @@ banner(const std::string &title, const std::string &what)
     std::printf("%s\n", what.c_str());
     std::printf("======================================================"
                 "=====\n");
+}
+
+int64_t
+widestWindow(int64_t max_t, double bound,
+             const std::function<double(int64_t)> &loss_at)
+{
+    auto ok = [&](int64_t t) {
+        return loss_at(t) <= bound * (1.0 + 1e-9);
+    };
+    int64_t lo = -1;
+    for (int64_t t = 0; t <= max_t; t = t == 0 ? 1 : t * 2) {
+        if (ok(t))
+            lo = t;
+        else
+            break;
+    }
+    if (lo < 0)
+        return -1;
+    int64_t hi = std::min(lo * 2 + 1, max_t);
+    while (hi - lo > 1) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (ok(mid))
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+int64_t
+resamplingThreshold(const std::shared_ptr<const NoisePmf> &pmf,
+                    int64_t span, double bound)
+{
+    return widestWindow(pmf->maxIndex(), bound, [&](int64_t t) {
+        ResamplingOutputModel model(pmf, span, t);
+        return PrivacyLossAnalyzer::analyze(model).worst_case_loss;
+    });
 }
 
 std::string

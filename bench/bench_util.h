@@ -9,6 +9,8 @@
 #define ULPDP_BENCH_BENCH_UTIL_H
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "core/threshold_calc.h"
 #include "data/dataset.h"
 #include "query/utility.h"
+#include "rng/noise_pmf.h"
 
 namespace ulpdp {
 namespace bench {
@@ -36,6 +39,19 @@ std::string jsonPathFromArgs(int argc, char **argv);
 
 /** Print a bench banner naming the table/figure being reproduced. */
 void banner(const std::string &title, const std::string &what);
+
+/**
+ * Widest window half-extension T in [0, max_t] whose exact worst-case
+ * loss @p loss_at(T) stays within @p bound (relative slack 1e-9):
+ * doubling from T = 0, then bisection. Assumes the loss is
+ * non-decreasing in T. Returns -1 if even T = 0 fails.
+ */
+int64_t widestWindow(int64_t max_t, double bound,
+                     const std::function<double(int64_t)> &loss_at);
+
+/** widestWindow() of the resampling mechanism over @p pmf. */
+int64_t resamplingThreshold(const std::shared_ptr<const NoisePmf> &pmf,
+                            int64_t span, double bound);
 
 /**
  * Standard fixed-point parameters for a dataset: the paper's Bu = 17

@@ -11,8 +11,8 @@
  * machinery -- as the paper's Laplace datapath.
  *
  * Threshold selection for these mechanisms has no closed form; use
- * the exact search against an EnumeratedNoisePmf-backed output model
- * (see bench_ext_distributions for the pattern).
+ * the exact search against an output model over inversionPmf (see
+ * bench_ext_distributions for the pattern).
  */
 
 #ifndef ULPDP_CORE_GENERIC_MECHANISM_H

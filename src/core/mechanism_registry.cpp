@@ -52,12 +52,10 @@ metrics()
 std::shared_ptr<const FxpLaplacePmf>
 pmfFor(const FxpMechanismParams &params, const MechanismSpec &spec)
 {
-    FxpLaplacePmf::Mode mode = FxpLaplacePmf::Mode::Analytic;
-    if (spec.enumerate_pmf)
-        mode = spec.legacy_enumerate
-                       ? FxpLaplacePmf::Mode::EnumeratedLegacy
-                       : FxpLaplacePmf::Mode::Enumerated;
-    return FxpLaplacePmf::shared(params.rngConfig(), mode);
+    return FxpLaplacePmf::shared(params.rngConfig(),
+                                 spec.enumerate_pmf
+                                         ? FxpLaplacePmf::Mode::Enumerated
+                                         : FxpLaplacePmf::Mode::Analytic);
 }
 
 /**

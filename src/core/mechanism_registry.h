@@ -97,20 +97,10 @@ struct MechanismSpec
 
     /**
      * Build output models from the *enumerated* PMF (exact per-bin
-     * URNG state counts) instead of the analytic closed form.
-     * Requires params.uniform_bits <=
-     * FxpLaplacePmf::kMaxEnumeratedBits (32); this is what the
-     * certifier sets.
+     * URNG state counts) instead of the analytic closed form; this
+     * is what the certifier sets.
      */
     bool enumerate_pmf = false;
-
-    /**
-     * With enumerate_pmf: use the legacy per-state enumerator (walk
-     * all 2^Bu URNG states) instead of the segment-rank engine.
-     * Cross-check mode -- bit-identical results, 2^Bu cost, capped at
-     * FxpLaplacePmf::kMaxLegacyEnumeratedBits (24).
-     */
-    bool legacy_enumerate = false;
 
     /** The noise PMF this spec implies (analytic or enumerated). */
     std::shared_ptr<const FxpLaplacePmf> makePmf() const;

@@ -79,10 +79,14 @@ PmfCertifier::PmfCertifier(const FxpMechanismParams &profile,
                            double loss_multiple)
     : profile_(profile), loss_multiple_(loss_multiple)
 {
-    if (profile.uniform_bits > kMaxUniformBits)
-        fatal("PmfCertifier: exact enumeration needs "
-              "uniform_bits <= %d, got %d", kMaxUniformBits,
+    if (profile.uniform_bits < 1 ||
+        profile.uniform_bits > kMaxUniformBits)
+        fatal("PmfCertifier: exact enumeration needs uniform_bits "
+              "in [1, %d], got %d", kMaxUniformBits,
               profile.uniform_bits);
+    if (!(profile.epsilon > 0.0) || !std::isfinite(profile.epsilon))
+        fatal("PmfCertifier: epsilon must be finite and positive, "
+              "got %g", profile.epsilon);
     if (!(loss_multiple >= 1.0))
         fatal("PmfCertifier: loss multiple must be >= 1, got %g",
               loss_multiple);
@@ -94,17 +98,6 @@ PmfCertifier::setJobs(int jobs)
     jobs_ = jobs <= 0 ? hardwareJobs() : jobs;
 }
 
-void
-PmfCertifier::setLegacyEnumeration(bool legacy)
-{
-    if (legacy && profile_.uniform_bits > kMaxLegacyUniformBits)
-        fatal("PmfCertifier: the legacy per-state enumerator needs "
-              "uniform_bits <= %d, got %d (2^Bu pipeline "
-              "evaluations per mechanism)", kMaxLegacyUniformBits,
-              profile_.uniform_bits);
-    legacy_ = legacy;
-}
-
 MechanismSpec
 PmfCertifier::spec() const
 {
@@ -112,7 +105,6 @@ PmfCertifier::spec() const
     spec.params = profile_;
     spec.loss_multiple = loss_multiple_;
     spec.enumerate_pmf = true;
-    spec.legacy_enumerate = legacy_;
     return spec;
 }
 

@@ -15,9 +15,7 @@
  *     the Fig. 3 pipeline is monotone in the URNG index, so each
  *     output bin is one contiguous state interval whose boundary a
  *     few exact pipeline probes pin down. Cost is O(support bins),
- *     not O(2^Bu), so Bu up to kMaxUniformBits (32) is affordable --
- *     the legacy per-state walk survives as a cross-check mode
- *     (setLegacyEnumeration, Bu <= kMaxLegacyUniformBits);
+ *     not O(2^Bu), so Bu up to kMaxUniformBits (32) is affordable;
  *  2. the mechanism's registered output model applies its range
  *     control to that PMF (memoized per parameter block, so
  *     certifyAll() enumerates each distinct configuration once),
@@ -36,9 +34,8 @@
  * A mechanism is *certified* when the sup is <= loss_multiple * eps
  * for one query (hence <= n * loss_multiple * eps over n queries, by
  * composition). Certificates serialize to JSON; the CI certify job
- * runs the suite at Bu = 8/10 (byte-compat working points) and
- * Bu = 16 (silicon-width gate) and fails if any registered mechanism
- * misses its bound.
+ * runs the suite at Bu = 8/10, 16 (silicon-width gate) and 32 and
+ * fails if any registered mechanism misses its bound.
  */
 
 #ifndef ULPDP_CORE_PMF_CERTIFIER_H
@@ -111,17 +108,14 @@ class PmfCertifier
     /** Largest Bu the certifier accepts (segment-rank engine). The
      *  ctor guard and its fatal message both derive from this one
      *  constant, so they cannot drift apart again. */
-    static constexpr int kMaxUniformBits =
-            FxpLaplacePmf::kMaxEnumeratedBits;
-
-    /** Largest Bu the legacy cross-check enumeration accepts. */
-    static constexpr int kMaxLegacyUniformBits =
-            FxpLaplacePmf::kMaxLegacyEnumeratedBits;
+    static constexpr int kMaxUniformBits = NoisePmf::kMaxUniformBits;
 
     /**
      * @param profile Parameter block to certify at. uniform_bits
-     *        must be <= kMaxUniformBits (32).
-     * @param loss_multiple Per-query loss target, multiple of eps.
+     *        must be in [1, kMaxUniformBits] and epsilon finite and
+     *        positive.
+     * @param loss_multiple Per-query loss target, multiple of eps
+     *        (>= 1).
      */
     explicit PmfCertifier(const FxpMechanismParams &profile,
                           double loss_multiple = 2.0);
@@ -132,13 +126,6 @@ class PmfCertifier
      * Certificates are identical for every job count.
      */
     void setJobs(int jobs);
-
-    /**
-     * Use the legacy per-state enumerator instead of the segment
-     * engine (cross-check mode; tests and CI diff the two). Fatal if
-     * the profile's uniform_bits exceeds kMaxLegacyUniformBits.
-     */
-    void setLegacyEnumeration(bool legacy);
 
     /** Certify one registered mechanism (fatal on unknown names). */
     MechanismCertificate certify(const std::string &name) const;
@@ -180,7 +167,6 @@ class PmfCertifier
     FxpMechanismParams profile_;
     double loss_multiple_;
     int jobs_ = 1;
-    bool legacy_ = false;
 };
 
 } // namespace ulpdp

@@ -192,92 +192,14 @@ FxpInversionRng::sample()
     return quantizer_.value(sampleIndex());
 }
 
-// --- EnumeratedNoisePmf ----------------------------------------------------
-
-EnumeratedNoisePmf::EnumeratedNoisePmf(
-        const FxpInversionConfig &config,
-        std::shared_ptr<const MagnitudeIcdf> icdf)
-    : uniform_bits_(config.uniform_bits)
+NoisePmf
+inversionPmf(const FxpInversionConfig &config,
+             std::shared_ptr<const MagnitudeIcdf> icdf)
 {
-    if (config.uniform_bits > 24)
-        fatal("EnumeratedNoisePmf: uniform_bits must be <= 24 to "
-              "enumerate, got %d", config.uniform_bits);
-
     FxpInversionRng rng(config, std::move(icdf));
-    int64_t sat = rng.quantizer().maxIndex();
-    counts_.assign(static_cast<size_t>(sat) + 1, 0);
-    uint64_t states = uint64_t{1} << config.uniform_bits;
-    for (uint64_t m = 1; m <= states; ++m) {
-        int64_t k = rng.pipeline(m, 1);
-        ULPDP_ASSERT(k >= 0 && k <= sat);
-        ++counts_[static_cast<size_t>(k)];
-    }
-
-    max_index_ = 0;
-    for (int64_t k = sat; k >= 0; --k) {
-        if (counts_[static_cast<size_t>(k)] > 0) {
-            max_index_ = k;
-            break;
-        }
-    }
-
-    suffix_.assign(counts_.size() + 1, 0);
-    for (size_t k = counts_.size(); k-- > 0;)
-        suffix_[k] = suffix_[k + 1] + counts_[k];
-}
-
-uint64_t
-EnumeratedNoisePmf::magnitudeCount(int64_t k) const
-{
-    if (k < 0 || k >= static_cast<int64_t>(counts_.size()))
-        return 0;
-    return counts_[static_cast<size_t>(k)];
-}
-
-double
-EnumeratedNoisePmf::pmf(int64_t k) const
-{
-    int64_t mag = k >= 0 ? k : -k;
-    double cnt = static_cast<double>(magnitudeCount(mag));
-    double denom = std::ldexp(1.0, uniform_bits_);
-    return k == 0 ? cnt / denom : cnt / (2.0 * denom);
-}
-
-double
-EnumeratedNoisePmf::tailMass(int64_t k) const
-{
-    ULPDP_ASSERT(k >= 1);
-    if (k >= static_cast<int64_t>(suffix_.size()))
-        return 0.0;
-    return static_cast<double>(suffix_[static_cast<size_t>(k)]) /
-           (2.0 * std::ldexp(1.0, uniform_bits_));
-}
-
-double
-EnumeratedNoisePmf::upperMass(int64_t k) const
-{
-    if (k >= 1)
-        return tailMass(k);
-    return 1.0 - tailMass(1 - k);
-}
-
-int64_t
-EnumeratedNoisePmf::firstInteriorGap() const
-{
-    for (int64_t k = 0; k < max_index_; ++k) {
-        if (magnitudeCount(k) == 0)
-            return k;
-    }
-    return -1;
-}
-
-double
-EnumeratedNoisePmf::totalMass() const
-{
-    double sum = pmf(0);
-    for (int64_t k = 1; k <= max_index_; ++k)
-        sum += pmf(k) + pmf(-k);
-    return sum;
+    return NoisePmf::fromPipeline(
+            config.uniform_bits,
+            [&rng](uint64_t m) { return rng.pipeline(m, 1); });
 }
 
 } // namespace ulpdp

@@ -1,15 +1,16 @@
 /**
  * @file
- * Generic fixed-point inversion RNG and its enumerated exact PMF.
+ * Generic fixed-point inversion RNG and its exact PMF.
  *
  * Section III-A4 of the paper argues the infinite-loss failure is not
  * about Laplace specifically: any DP-guaranteeing distribution
  * (Gaussian, staircase, ...) realised by mapping a finite uniform
  * word through an inverse CDF inherits quantized tails, bounded
  * support and interior gaps. This module makes that claim executable:
- * plug any magnitude inverse-CDF into FxpInversionRng, enumerate its
- * exact PMF with EnumeratedNoisePmf, and run the same privacy-loss
- * analysis and range controls the Laplace path uses.
+ * plug any magnitude inverse-CDF into FxpInversionRng, derive its
+ * exact PMF with inversionPmf (NoisePmf's segment-rank engine, up to
+ * Bu = 32), and run the same privacy-loss analysis and range controls
+ * the Laplace path uses.
  *
  * Three magnitude ICDFs are provided:
  *  - LaplaceMagnitude: -lambda ln(u) (identical math to
@@ -28,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "fixed/quantizer.h"
 #include "rng/noise_pmf.h"
@@ -160,36 +160,13 @@ class FxpInversionRng
 };
 
 /**
- * Exact PMF of any FxpInversionRng, obtained by enumerating all 2^Bu
- * URNG states through the pipeline (Bu <= 24).
+ * Exact PMF of the FxpInversionRng pipeline over @p icdf: NoisePmf's
+ * segment-rank engine with no boundary guess (each bin gallops from
+ * the previous boundary), so any monotone ICDF is exact at every URNG
+ * width the pipeline accepts.
  */
-class EnumeratedNoisePmf : public NoisePmf
-{
-  public:
-    EnumeratedNoisePmf(const FxpInversionConfig &config,
-                       std::shared_ptr<const MagnitudeIcdf> icdf);
-
-    double pmf(int64_t k) const override;
-    double tailMass(int64_t k) const override;
-    double upperMass(int64_t k) const override;
-    int64_t maxIndex() const override { return max_index_; }
-
-    /** URNG states mapping to magnitude index k. */
-    uint64_t magnitudeCount(int64_t k) const;
-
-    /** First interior magnitude gap, or -1 (cf. Fig. 4(b)). */
-    int64_t firstInteriorGap() const;
-
-    /** Total probability (must be 1). */
-    double totalMass() const;
-
-  private:
-    int uniform_bits_;
-    int64_t max_index_;
-    std::vector<uint64_t> counts_;
-    /** Suffix sums of counts_ for O(1) tail masses. */
-    std::vector<uint64_t> suffix_;
-};
+NoisePmf inversionPmf(const FxpInversionConfig &config,
+                      std::shared_ptr<const MagnitudeIcdf> icdf);
 
 } // namespace ulpdp
 

@@ -97,7 +97,7 @@ TEST(FxpInversion, LaplacePathMatchesDedicatedImplementation)
     // with FxpLaplaceRng's enumerated PMF.
     FxpInversionConfig cfg = invConfig(12);
     auto icdf = std::make_shared<LaplaceMagnitude>(20.0);
-    EnumeratedNoisePmf generic(cfg, icdf);
+    NoisePmf generic = inversionPmf(cfg, icdf);
 
     FxpLaplaceConfig lap_cfg;
     lap_cfg.uniform_bits = 12;
@@ -166,9 +166,8 @@ TEST(FxpInversion, StaircaseMomentsMatch)
 TEST(FxpInversion, EnumeratedPmfIsProper)
 {
     for (int bu : {10, 14}) {
-        EnumeratedNoisePmf pmf(invConfig(bu),
-                               std::make_shared<GaussianMagnitude>(
-                                   15.0));
+        NoisePmf pmf = inversionPmf(
+            invConfig(bu), std::make_shared<GaussianMagnitude>(15.0));
         EXPECT_NEAR(pmf.totalMass(), 1.0, 1e-12) << "bu=" << bu;
         EXPECT_GT(pmf.maxIndex(), 0);
         // Tail telescopes.
@@ -180,21 +179,33 @@ TEST(FxpInversion, EnumeratedPmfIsProper)
     }
 }
 
-TEST(FxpInversion, EnumeratedRejectsHugeBu)
+TEST(FxpInversion, ExactAtThirtyTwoBits)
 {
-    FxpInversionConfig cfg = invConfig(25);
-    EXPECT_THROW(EnumeratedNoisePmf(cfg,
-                                    std::make_shared<LaplaceMagnitude>(
-                                        20.0)),
-                 FatalError);
+    // The segment engine accounts for every one of the 2^32 URNG
+    // states of a non-Laplace pipeline without visiting them, and the
+    // support ends where the smallest URNG index lands.
+    double eps = 0.5;
+    std::shared_ptr<const MagnitudeIcdf> icdfs[] = {
+        std::make_shared<GaussianMagnitude>(15.0),
+        std::make_shared<StaircaseMagnitude>(
+            10.0, eps, StaircaseMagnitude::optimalGamma(eps)),
+    };
+    for (const auto &icdf : icdfs) {
+        FxpInversionConfig cfg = invConfig(32);
+        cfg.output_bits = 14;
+        NoisePmf pmf = inversionPmf(cfg, icdf);
+        FxpInversionRng rng(cfg, icdf);
+        EXPECT_EQ(pmf.totalCount(), uint64_t{1} << 32) << icdf->name();
+        EXPECT_EQ(pmf.maxIndex(), rng.pipeline(1, 1)) << icdf->name();
+    }
 }
 
 TEST(SectionIIIA4, GaussianNaiveIsNotLdpEither)
 {
     // The paper's generalization: swap Laplace for Gaussian and the
     // naive mechanism still has infinite loss...
-    auto pmf = std::make_shared<EnumeratedNoisePmf>(
-        invConfig(14), std::make_shared<GaussianMagnitude>(15.0));
+    auto pmf = std::make_shared<const NoisePmf>(inversionPmf(
+        invConfig(14), std::make_shared<GaussianMagnitude>(15.0)));
     NaiveOutputModel naive(pmf, 32);
     EXPECT_FALSE(PrivacyLossAnalyzer::analyze(naive).bounded);
 }
@@ -205,8 +216,8 @@ TEST(SectionIIIA4, GaussianThresholdingRestoresBoundedLoss)
     // tails decay faster than e^{-eps k}, so the bounded loss is a
     // function of the window; we just require finiteness and a sane
     // magnitude here.)
-    auto pmf = std::make_shared<EnumeratedNoisePmf>(
-        invConfig(14), std::make_shared<GaussianMagnitude>(15.0));
+    auto pmf = std::make_shared<const NoisePmf>(inversionPmf(
+        invConfig(14), std::make_shared<GaussianMagnitude>(15.0)));
     ThresholdingOutputModel model(pmf, 32, 40);
     LossReport rep = PrivacyLossAnalyzer::analyze(model);
     EXPECT_TRUE(rep.bounded);
@@ -219,7 +230,7 @@ TEST(SectionIIIA4, StaircaseNaiveIsNotLdpEither)
     auto icdf = std::make_shared<StaircaseMagnitude>(
         10.0, eps, StaircaseMagnitude::optimalGamma(eps));
     FxpInversionConfig cfg = invConfig(14);
-    auto pmf = std::make_shared<EnumeratedNoisePmf>(cfg, icdf);
+    auto pmf = std::make_shared<const NoisePmf>(inversionPmf(cfg, icdf));
     NaiveOutputModel naive(pmf, 32);
     EXPECT_FALSE(PrivacyLossAnalyzer::analyze(naive).bounded);
 }
@@ -230,7 +241,7 @@ TEST(SectionIIIA4, StaircaseResamplingBoundsLoss)
     auto icdf = std::make_shared<StaircaseMagnitude>(
         10.0, eps, StaircaseMagnitude::optimalGamma(eps));
     FxpInversionConfig cfg = invConfig(14);
-    auto pmf = std::make_shared<EnumeratedNoisePmf>(cfg, icdf);
+    auto pmf = std::make_shared<const NoisePmf>(inversionPmf(cfg, icdf));
     // A modest window; for staircase the per-step ratio is exactly
     // e^{-eps} per period, so small windows stay close to eps.
     ResamplingOutputModel model(pmf, 32, 64);

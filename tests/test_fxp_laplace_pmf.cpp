@@ -3,17 +3,25 @@
  * Tests for the exact PMF of the fixed-point Laplace RNG (Eq. 11):
  * the analytic closed form, the enumerated ground truth, and the
  * paper's qualitative claims about the distribution (bounded support,
- * tail gaps, zeroed small probabilities).
+ * tail gaps, zeroed small probabilities). The segment-rank engine
+ * behind every enumerated PMF is checked here against the per-state
+ * walk of pmf_oracle.h, for the Laplace pipeline and the generic
+ * Gaussian / staircase inversion pipelines alike.
  */
 
 #include <cmath>
 #include <map>
+#include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "fixed/quantizer.h"
+#include "pmf_oracle.h"
+#include "rng/fxp_inversion.h"
 #include "rng/fxp_laplace_pmf.h"
 
 namespace ulpdp {
@@ -28,6 +36,53 @@ configOf(int bu, int by, double delta, double lambda)
     cfg.delta = delta;
     cfg.lambda = lambda;
     return cfg;
+}
+
+/** A named magnitude ICDF for the generic inversion pipeline. */
+struct InversionCase
+{
+    std::string name;
+    std::shared_ptr<const MagnitudeIcdf> icdf;
+};
+
+/** The distribution bench's pipeline: range d = 10, Delta = d / 32,
+ *  By = 14. */
+FxpInversionConfig
+inversionConfig(int bu)
+{
+    FxpInversionConfig cfg;
+    cfg.uniform_bits = bu;
+    cfg.output_bits = 14;
+    cfg.delta = 10.0 / 32.0;
+    return cfg;
+}
+
+/** Gaussian (std matched to Lap(d / eps)) and optimal-gamma
+ *  staircase noise at @p eps. */
+std::vector<InversionCase>
+inversionCases(double eps)
+{
+    const double d = 10.0;
+    return {
+        {"Gaussian",
+         std::make_shared<GaussianMagnitude>(d / eps * std::sqrt(2.0))},
+        {"Staircase",
+         std::make_shared<StaircaseMagnitude>(
+             d, eps, StaircaseMagnitude::optimalGamma(eps))},
+    };
+}
+
+/** Every count, every tail and the support bound of @p engine equal
+ *  the oracle walk's. */
+void
+expectSamePmf(const NoisePmf &engine, const NoisePmf &oracle)
+{
+    ASSERT_EQ(engine.maxIndex(), oracle.maxIndex());
+    for (int64_t k = 0; k <= engine.maxIndex() + 2; ++k)
+        ASSERT_EQ(engine.magnitudeCount(k), oracle.magnitudeCount(k))
+            << "k=" << k;
+    for (int64_t k = 1; k <= engine.maxIndex() + 2; ++k)
+        ASSERT_EQ(engine.tailMass(k), oracle.tailMass(k)) << "k=" << k;
 }
 
 TEST(FxpLaplacePmf, TotalMassIsOneAnalytic)
@@ -45,13 +100,9 @@ TEST(FxpLaplacePmf, TotalMassIsOneEnumerated)
 
 TEST(FxpLaplacePmf, EnumeratedRejectsHugeBu)
 {
-    // The segment engine covers the RNG's full width range (<= 32);
-    // only the legacy per-state walk keeps the 2^24 affordability cap.
+    // The segment engine covers the RNG's full width range (<= 32).
     EXPECT_THROW(FxpLaplacePmf(configOf(33, 12, 0.3, 20.0),
                                FxpLaplacePmf::Mode::Enumerated),
-                 FatalError);
-    EXPECT_THROW(FxpLaplacePmf(configOf(25, 12, 0.3, 20.0),
-                               FxpLaplacePmf::Mode::EnumeratedLegacy),
                  FatalError);
     EXPECT_NO_THROW(FxpLaplacePmf(configOf(25, 12, 0.3, 20.0),
                                   FxpLaplacePmf::Mode::Enumerated));
@@ -60,9 +111,10 @@ TEST(FxpLaplacePmf, EnumeratedRejectsHugeBu)
 /**
  * The property the segment-rank engine rests on: the Fig. 3 pipeline
  * magnitude is monotone non-increasing in the URNG index, for every
- * log mode and rounding mode. A violation here invalidates the
- * interval-arithmetic enumeration (and the engine's bit-identity
- * test below would be expected to fail with it).
+ * log mode and rounding mode, and so is the generic inversion
+ * pipeline over the Gaussian and staircase ICDFs. A violation here
+ * invalidates the interval-arithmetic enumeration (and the engine's
+ * bit-identity test below would be expected to fail with it).
  */
 TEST(FxpLaplacePmf, PipelineIsMonotoneInUrngIndex)
 {
@@ -85,13 +137,26 @@ TEST(FxpLaplacePmf, PipelineIsMonotoneInUrngIndex)
             }
         }
     }
+    for (double eps : {0.5, 1.0}) {
+        for (const InversionCase &c : inversionCases(eps)) {
+            FxpInversionRng rng(inversionConfig(12), c.icdf);
+            int64_t prev = rng.pipeline(1, 1);
+            for (uint64_t m = 2; m <= (uint64_t{1} << 12); ++m) {
+                int64_t k = rng.pipeline(m, 1);
+                ASSERT_LE(k, prev)
+                    << c.name << " eps=" << eps << " m=" << m;
+                prev = k;
+            }
+        }
+    }
 }
 
 /**
  * The segment-rank engine must reproduce the per-state walk exactly
- * -- every bin count, every tail sum -- across widths, log modes,
- * rounding modes and scales. This is the cross-check that lets the
- * fast engine replace the walk in certification.
+ * -- every bin count, every tail sum, the support bound -- across
+ * widths, log modes, rounding modes and scales, with the Eq. (11)
+ * guess (Laplace) and without any guess (Gaussian, staircase). This
+ * is the cross-check that lets the engine stand in for the walk.
  */
 TEST(FxpLaplacePmf, SegmentEngineBitIdenticalToLegacyWalk)
 {
@@ -108,24 +173,30 @@ TEST(FxpLaplacePmf, SegmentEngineBitIdenticalToLegacyWalk)
                     cfg.rounding = rounding;
                     FxpLaplacePmf fast(
                         cfg, FxpLaplacePmf::Mode::Enumerated);
-                    FxpLaplacePmf legacy(
-                        cfg, FxpLaplacePmf::Mode::EnumeratedLegacy);
-                    ASSERT_EQ(fast.maxIndex(), legacy.maxIndex())
-                        << "Bu=" << bu << " lambda=" << lambda;
-                    for (int64_t k = 0; k <= fast.maxIndex() + 2;
-                         ++k) {
-                        ASSERT_EQ(fast.magnitudeCount(k),
-                                  legacy.magnitudeCount(k))
-                            << "Bu=" << bu << " lambda=" << lambda
-                            << " k=" << k;
-                    }
-                    for (int64_t k = 1; k <= fast.maxIndex() + 2;
-                         ++k) {
-                        ASSERT_EQ(fast.tailMass(k),
-                                  legacy.tailMass(k))
-                            << "Bu=" << bu << " k=" << k;
-                    }
+                    FxpLaplaceRng rng(cfg);
+                    SCOPED_TRACE(testing::Message()
+                                 << "Bu=" << bu << " lambda=" << lambda
+                                 << " log=" << static_cast<int>(log_mode)
+                                 << " rounding="
+                                 << static_cast<int>(rounding));
+                    expectSamePmf(fast, walkPmf(bu, [&](uint64_t m) {
+                                      return rng.pipeline(m, 1);
+                                  }));
                 }
+            }
+        }
+    }
+    for (int bu : {12, 16, 20}) {
+        for (double eps : {0.5, 1.0}) {
+            for (const InversionCase &c : inversionCases(eps)) {
+                FxpInversionConfig cfg = inversionConfig(bu);
+                FxpInversionRng rng(cfg, c.icdf);
+                SCOPED_TRACE(testing::Message() << c.name << " Bu=" << bu
+                                                << " eps=" << eps);
+                expectSamePmf(inversionPmf(cfg, c.icdf),
+                              walkPmf(bu, [&](uint64_t m) {
+                                  return rng.pipeline(m, 1);
+                              }));
             }
         }
     }
@@ -135,16 +206,17 @@ TEST(FxpLaplacePmf, EnumeratedCountsSumExactlyToStateSpace)
 {
     // uint64 accounting admits no slack: the per-bin counts sum to
     // exactly 2^Bu, tested as integer equality, including at widths
-    // the legacy walk could never afford.
+    // the per-state walk could never afford.
     for (int bu : {8, 12, 16, 20, 24, 28, 32}) {
         FxpLaplacePmf fast(configOf(bu, 14, 2.5, 80.0),
                            FxpLaplacePmf::Mode::Enumerated);
         EXPECT_EQ(fast.totalCount(), uint64_t{1} << bu)
             << "Bu=" << bu;
     }
-    FxpLaplacePmf legacy(configOf(12, 14, 2.5, 80.0),
-                         FxpLaplacePmf::Mode::EnumeratedLegacy);
-    EXPECT_EQ(legacy.totalCount(), uint64_t{1} << 12);
+    FxpLaplaceRng rng(configOf(12, 14, 2.5, 80.0));
+    NoisePmf oracle = walkPmf(
+        12, [&](uint64_t m) { return rng.pipeline(m, 1); });
+    EXPECT_EQ(oracle.totalCount(), uint64_t{1} << 12);
 }
 
 TEST(FxpLaplacePmf, SharedCacheMemoizesPerConfigAndMode)

@@ -72,7 +72,7 @@ TEST(IntegrationExt, GaussianMechanismDeconvolvesToo)
     int64_t t = 40;
     GenericFxpMechanism mech(SensorRange(0.0, 10.0), 1.0, cfg, icdf,
                              RangeControl::Thresholding, t, 7);
-    auto pmf = std::make_shared<EnumeratedNoisePmf>(cfg, icdf);
+    auto pmf = std::make_shared<const NoisePmf>(inversionPmf(cfg, icdf));
     ThresholdingOutputModel model(pmf, 32, t);
     HistogramEstimator est(model, 300);
 
@@ -167,7 +167,7 @@ TEST(IntegrationExt, StaircaseBeatsLaplaceUtilityAtHighEps)
     cfg.delta = d / 64.0;
 
     auto expected_mag = [&](std::shared_ptr<const MagnitudeIcdf> m) {
-        EnumeratedNoisePmf pmf(cfg, std::move(m));
+        NoisePmf pmf = inversionPmf(cfg, std::move(m));
         double e = 0.0;
         for (int64_t k = 1; k <= pmf.maxIndex(); ++k)
             e += 2.0 * pmf.pmf(k) * static_cast<double>(k) *

@@ -5,8 +5,10 @@
  * margins, and the JSON artifact round-trips the verdict.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -15,6 +17,7 @@
 #include "common/logging.h"
 #include "core/pmf_certifier.h"
 #include "core/privacy_loss.h"
+#include "pmf_oracle.h"
 #include "telemetry/telemetry.h"
 
 namespace ulpdp {
@@ -33,6 +36,18 @@ ciProfile(int bu)
     p.output_bits = 14;
     p.delta = p.range.length() / 32.0;
     return p;
+}
+
+/** The FatalError message of constructing a certifier, or "". */
+std::string
+constructionError(const FxpMechanismParams &profile)
+{
+    try {
+        PmfCertifier certifier(profile, 2.0);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
 }
 
 TEST(PmfCertifier, AllRegisteredMechanismsCertifyAtBuEight)
@@ -112,12 +127,22 @@ TEST(PmfCertifier, RejectsEnumerationsItCannotAfford)
     // beyond that the certifier refuses rather than wedge CI.
     EXPECT_THROW(PmfCertifier(ciProfile(33), 2.0), FatalError);
     EXPECT_NO_THROW(PmfCertifier(ciProfile(32), 2.0));
-    // The legacy per-state cross-check engine keeps the old 2^24
-    // affordability cap.
-    PmfCertifier wide(ciProfile(25), 2.0);
-    EXPECT_THROW(wide.setLegacyEnumeration(true), FatalError);
-    PmfCertifier narrow(ciProfile(10), 2.0);
-    EXPECT_NO_THROW(narrow.setLegacyEnumeration(true));
+
+    // Impossible profiles are refused up front, naming the field,
+    // rather than failing later inside a threshold search or an
+    // output model.
+    EXPECT_NE(constructionError(ciProfile(0)).find("uniform_bits"),
+              std::string::npos);
+    for (double eps : {-1.0, 0.0, std::numeric_limits<double>::infinity(),
+                       std::nan("")}) {
+        FxpMechanismParams profile = ciProfile(8);
+        profile.epsilon = eps;
+        EXPECT_NE(constructionError(profile).find("epsilon"),
+                  std::string::npos) << "eps=" << eps;
+    }
+    // Loss multiple 1 stays legal: bounded-laplace certifies at it.
+    EXPECT_NO_THROW(PmfCertifier(ciProfile(8), 1.0));
+    EXPECT_THROW(PmfCertifier(ciProfile(8), 0.5), FatalError);
 }
 
 TEST(PmfCertifier, CertifiesAtBuThirtyTwo)
@@ -137,34 +162,39 @@ TEST(PmfCertifier, CertifiesAtBuThirtyTwo)
 
 TEST(PmfCertifier, FastAndLegacyCertificatesBitIdentical)
 {
-    // The segment-rank engine must reproduce the per-state walk's
-    // certificates exactly -- same doubles, not just same verdicts --
-    // for every registered mechanism at both CI working points.
+    // A certificate is a deterministic function of the resolved
+    // enumerated PMF's counts, the span, T and K. So wherever every
+    // registered mechanism's resolved PMF equals the per-state walk
+    // of the real pipeline count for count, the segment engine's
+    // certificates are the walk's, bit for bit -- checked at the CI
+    // working points.
     struct Point
     {
         int bu;
         double eps;
     };
+    const MechanismRegistry &registry = MechanismRegistry::instance();
     for (const Point &pt :
          {Point{8, 1.0}, Point{10, 0.5}, Point{12, 1.0}}) {
-        FxpMechanismParams profile = ciProfile(pt.bu);
-        profile.epsilon = pt.eps;
-        PmfCertifier fast(profile, 2.0);
-        PmfCertifier legacy(profile, 2.0);
-        legacy.setLegacyEnumeration(true);
-        auto fc = fast.certifyAll();
-        auto lc = legacy.certifyAll();
-        ASSERT_EQ(fc.size(), lc.size());
-        for (size_t i = 0; i < fc.size(); ++i) {
-            SCOPED_TRACE(fc[i].mechanism + " at Bu=" +
-                         std::to_string(pt.bu));
-            EXPECT_EQ(fc[i].mechanism, lc[i].mechanism);
-            EXPECT_EQ(fc[i].threshold_index, lc[i].threshold_index);
-            EXPECT_EQ(fc[i].worst_case_loss, lc[i].worst_case_loss);
-            EXPECT_EQ(fc[i].worst_output, lc[i].worst_output);
-            EXPECT_EQ(fc[i].infinite_outputs, lc[i].infinite_outputs);
-            EXPECT_EQ(fc[i].margin, lc[i].margin);
-            EXPECT_EQ(fc[i].certified, lc[i].certified);
+        MechanismSpec spec;
+        spec.params = ciProfile(pt.bu);
+        spec.params.epsilon = pt.eps;
+        spec.loss_multiple = 2.0;
+        spec.enumerate_pmf = true;
+        for (const std::string &name : registry.names()) {
+            SCOPED_TRACE(name + " at Bu=" + std::to_string(pt.bu));
+            MechanismLowering res = registry.at(name).resolve(spec);
+            MechanismSpec resolved = spec;
+            resolved.params = res.params;
+            auto engine = resolved.makePmf();
+            FxpLaplaceRng rng(res.params.rngConfig());
+            NoisePmf oracle = walkPmf(pt.bu, [&](uint64_t m) {
+                return rng.pipeline(m, 1);
+            });
+            ASSERT_EQ(engine->maxIndex(), oracle.maxIndex());
+            for (int64_t k = 0; k <= oracle.maxIndex() + 1; ++k)
+                ASSERT_EQ(engine->magnitudeCount(k),
+                          oracle.magnitudeCount(k)) << "k=" << k;
         }
     }
 }

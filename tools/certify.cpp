@@ -12,15 +12,13 @@
  *
  *   ulpdp_certify [--bu N] [--epsilon E] [--multiple M]
  *                 [--range LO HI] [--json PATH] [--jobs N]
- *                 [--mechanism NAME] [--legacy-enumerate]
- *                 [--no-timing]
+ *                 [--mechanism NAME] [--no-timing]
  *
  * --jobs 0 uses every hardware thread; certificates are identical
- * for every job count. --legacy-enumerate switches to the per-state
- * cross-check enumerator (Bu <= 24); CI diffs its output against the
- * fast engine's at the byte-compat working points. --no-timing omits
- * the per-certificate elapsed_seconds / states_per_second JSON
- * fields, for byte-stable diffs.
+ * for every job count. --no-timing omits the per-certificate
+ * elapsed_seconds / states_per_second JSON fields, for byte-stable
+ * diffs. Usage errors and impossible profiles (Bu < 1, eps not
+ * finite and positive) exit 2.
  */
 
 #include <cinttypes>
@@ -31,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/pmf_certifier.h"
 
 using namespace ulpdp;
@@ -43,15 +42,12 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--bu N] [--epsilon E] [--multiple M] "
                  "[--range LO HI] [--json PATH] [--jobs N] "
-                 "[--mechanism NAME] [--legacy-enumerate] "
-                 "[--no-timing]\n", argv0);
+                 "[--mechanism NAME] [--no-timing]\n", argv0);
     std::exit(2);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     FxpMechanismParams profile;
     profile.range = SensorRange(-20.0, 60.0); // the paper's example
@@ -66,7 +62,6 @@ main(int argc, char **argv)
     std::string json_path;
     std::string mechanism;
     int jobs = 1;
-    bool legacy = false;
     bool timing = true;
 
     for (int i = 1; i < argc; ++i) {
@@ -97,8 +92,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--mechanism") == 0) {
             want(1);
             mechanism = argv[++i];
-        } else if (std::strcmp(argv[i], "--legacy-enumerate") == 0) {
-            legacy = true;
         } else if (std::strcmp(argv[i], "--no-timing") == 0) {
             timing = false;
         } else {
@@ -106,15 +99,12 @@ main(int argc, char **argv)
         }
     }
 
-    std::printf("Exact-PMF certification: Bu=%d eps=%g bound=%g*eps "
-                "range=[%g, %g] engine=%s jobs=%d\n",
-                profile.uniform_bits, profile.epsilon, multiple,
-                profile.range.lo, profile.range.hi,
-                legacy ? "legacy-per-state" : "segment-rank", jobs);
-
     PmfCertifier certifier(profile, multiple);
     certifier.setJobs(jobs);
-    certifier.setLegacyEnumeration(legacy);
+    std::printf("Exact-PMF certification: Bu=%d eps=%g bound=%g*eps "
+                "range=[%g, %g] jobs=%d\n",
+                profile.uniform_bits, profile.epsilon, multiple,
+                profile.range.lo, profile.range.hi, jobs);
     std::vector<MechanismCertificate> certs;
     if (mechanism.empty())
         certs = certifier.certifyAll();
@@ -145,4 +135,18 @@ main(int argc, char **argv)
     std::printf("all %zu registered mechanisms certified\n",
                 certs.size());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // fatal() has already printed the reason (an impossible profile,
+    // an unknown mechanism name); exit like a usage error.
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &) {
+        return 2;
+    }
 }
