@@ -2,8 +2,8 @@
  * @file
  * Extension (Section III-A4 made executable): the infinite-loss
  * failure and the window fixes for *other* DP noise distributions.
- * Runs Gaussian and staircase noise through the same fixed-point
- * inversion pipeline, enumerates the exact device PMFs, shows that
+ * Runs Gaussian and staircase noise through the Fig. 3 pipeline's
+ * ICDF stage, enumerates the exact device PMFs, shows that
  * the naive mechanism is never LDP for any of them, and compares
  * utility of the fixed mechanisms at matched privacy.
  */
@@ -17,7 +17,7 @@
 #include "common/table.h"
 #include "core/output_model.h"
 #include "core/privacy_loss.h"
-#include "rng/fxp_inversion.h"
+#include "rng/fxp_laplace_pmf.h"
 
 using namespace ulpdp;
 
@@ -31,18 +31,19 @@ main()
 
     const double eps = 0.5;
     const double d = 10.0;
-    FxpInversionConfig cfg;
-    cfg.uniform_bits = 16;
-    cfg.output_bits = 14;
-    cfg.delta = d / 32.0;
-    int64_t span = 32;
-
     // Matched privacy intent: Laplace lambda = d/eps is exactly
     // eps-DP; the Gaussian sigma is set to the same standard
     // deviation (Gaussian gives (eps, delta)-DP only -- listed for
     // the mechanism-level comparison the paper gestures at);
     // staircase with optimal gamma is exactly eps-DP.
     double lambda = d / eps;
+    FxpLaplaceConfig cfg;
+    cfg.uniform_bits = 16;
+    cfg.output_bits = 14;
+    cfg.delta = d / 32.0;
+    cfg.lambda = lambda;
+    int64_t span = 32;
+
     double sigma = lambda * std::sqrt(2.0);
     double gamma = StaircaseMagnitude::optimalGamma(eps);
 
@@ -51,9 +52,9 @@ main()
         std::string name;
         std::shared_ptr<const MagnitudeIcdf> icdf;
     };
+    // A null ICDF is the paper's own -lambda ln u stage.
     std::vector<Entry> entries{
-        {"Laplace(d/eps)",
-         std::make_shared<LaplaceMagnitude>(lambda)},
+        {"Laplace(d/eps)", nullptr},
         {"Gaussian (matched std)",
          std::make_shared<GaussianMagnitude>(sigma)},
         {"Staircase (optimal gamma)",
@@ -66,8 +67,9 @@ main()
                      "loss at T", "E|noise| in window"});
 
     for (const auto &e : entries) {
-        auto pmf = std::make_shared<const NoisePmf>(
-            inversionPmf(cfg, e.icdf));
+        cfg.icdf = e.icdf;
+        auto pmf = std::make_shared<const FxpLaplacePmf>(
+            cfg, FxpLaplacePmf::Mode::Enumerated);
         NaiveOutputModel naive(pmf, span);
         LossReport naive_rep = PrivacyLossAnalyzer::analyze(naive);
 

@@ -21,7 +21,6 @@
 #include "query/histogram_query.h"
 #include "rng/batch_sampler.h"
 #include "rng/cordic.h"
-#include "rng/fxp_inversion.h"
 #include "rng/fxp_laplace.h"
 #include "rng/taus_bank.h"
 #include "rng/tausworthe.h"
@@ -175,15 +174,25 @@ BM_ExactThresholdSearch(benchmark::State &state)
 }
 BENCHMARK(BM_ExactThresholdSearch);
 
-void
-BM_GenericGaussianSample(benchmark::State &state)
+/** The Fig. 3 pipeline over @p icdf on the per-draw path, so the
+ *  ICDF itself is evaluated on every draw. */
+FxpLaplaceRng
+naiveIcdfRng(std::shared_ptr<const MagnitudeIcdf> icdf)
 {
-    FxpInversionConfig cfg;
+    FxpLaplaceConfig cfg;
     cfg.uniform_bits = 17;
     cfg.output_bits = 12;
     cfg.delta = 10.0 / 32.0;
-    FxpInversionRng rng(cfg,
-                        std::make_shared<GaussianMagnitude>(20.0));
+    cfg.sample_path = FxpLaplaceConfig::SamplePath::Naive;
+    cfg.icdf = std::move(icdf);
+    return FxpLaplaceRng(cfg);
+}
+
+void
+BM_GenericGaussianSample(benchmark::State &state)
+{
+    FxpLaplaceRng rng =
+        naiveIcdfRng(std::make_shared<GaussianMagnitude>(20.0));
     for (auto _ : state)
         benchmark::DoNotOptimize(rng.sampleIndex());
 }
@@ -192,13 +201,8 @@ BENCHMARK(BM_GenericGaussianSample);
 void
 BM_GenericStaircaseSample(benchmark::State &state)
 {
-    FxpInversionConfig cfg;
-    cfg.uniform_bits = 17;
-    cfg.output_bits = 12;
-    cfg.delta = 10.0 / 32.0;
-    FxpInversionRng rng(
-        cfg, std::make_shared<StaircaseMagnitude>(
-                 10.0, 0.5, StaircaseMagnitude::optimalGamma(0.5)));
+    FxpLaplaceRng rng = naiveIcdfRng(std::make_shared<StaircaseMagnitude>(
+        10.0, 0.5, StaircaseMagnitude::optimalGamma(0.5)));
     for (auto _ : state)
         benchmark::DoNotOptimize(rng.sampleIndex());
 }

@@ -18,6 +18,10 @@ FxpMechanismBase::FxpMechanismBase(const FxpMechanismParams &params)
                                                   delta));
     hi_index_ = static_cast<int64_t>(std::llround(params.range.hi /
                                                   delta));
+    if (hi_index_ <= lo_index_)
+        fatal("FxpMechanismBase: sensor range [%g, %g] is shorter "
+              "than one quantization step (Delta=%g)",
+              params.range.lo, params.range.hi, delta);
     double lo_err = std::abs(toValue(lo_index_) - params.range.lo);
     double hi_err = std::abs(toValue(hi_index_) - params.range.hi);
     if (lo_err > 1e-9 * std::max(1.0, std::abs(params.range.lo)) ||

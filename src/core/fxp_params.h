@@ -7,12 +7,15 @@
  * only in what happens when the noised output leaves the allowed
  * window. This struct carries the common knobs and derives the
  * Laplace scale lambda = d / eps and the RNG configuration from them.
+ * Setting icdf swaps the Laplace magnitude law for another one
+ * (Gaussian, staircase, ...) on the same datapath.
  */
 
 #ifndef ULPDP_CORE_FXP_PARAMS_H
 #define ULPDP_CORE_FXP_PARAMS_H
 
 #include <cstdint>
+#include <memory>
 
 #include "core/sensor_range.h"
 #include "rng/fxp_laplace.h"
@@ -66,6 +69,11 @@ struct FxpMechanismParams
      */
     double lambda_scale = 1.0;
 
+    /** Magnitude ICDF stage (see FxpLaplaceConfig::icdf); null is
+     *  the paper's Laplace. The noise scale of a non-null ICDF lives
+     *  inside it, so lambda() no longer describes the noise. */
+    std::shared_ptr<const MagnitudeIcdf> icdf;
+
     /** PRNG seed. */
     uint64_t seed = 1;
 
@@ -96,6 +104,7 @@ struct FxpMechanismParams
         cfg.rounding = rounding;
         cfg.sample_path = sample_path;
         cfg.integrity_checks = rng_integrity_checks;
+        cfg.icdf = icdf;
         return cfg;
     }
 

@@ -16,13 +16,9 @@ ResamplingMechanism::ResamplingMechanism(const FxpMechanismParams &params,
               static_cast<long long>(threshold_index));
 }
 
-NoisedReport
-ResamplingMechanism::noise(double x)
+inline NoisedReport
+ResamplingMechanism::redraw(int64_t xi, int64_t win_lo, int64_t win_hi)
 {
-    int64_t xi = checkAndIndex(x);
-    int64_t win_lo = windowLoIndex();
-    int64_t win_hi = windowHiIndex();
-
     uint64_t attempts = 0;
     while (true) {
         ++attempts;
@@ -38,14 +34,19 @@ ResamplingMechanism::noise(double x)
         }
         // The redraw loop is kept (it is what the latency benches
         // model); only the per-draw cost drops to a table lookup.
-        int64_t k = rng_.sampleIndexFast();
-        int64_t yi = xi + k;
+        int64_t yi = xi + rng_.sampleIndexFast();
         if (yi >= win_lo && yi <= win_hi) {
             total_samples_ += attempts;
             ++total_reports_;
             return NoisedReport{toValue(yi), attempts};
         }
     }
+}
+
+NoisedReport
+ResamplingMechanism::noise(double x)
+{
+    return redraw(checkAndIndex(x), windowLoIndex(), windowHiIndex());
 }
 
 void
@@ -55,29 +56,8 @@ ResamplingMechanism::sampleBatch(const double *x, double *out,
     const int64_t win_lo = windowLoIndex();
     const int64_t win_hi = windowHiIndex();
 
-    for (size_t i = 0; i < n; ++i) {
-        int64_t xi = checkAndIndex(x[i]);
-        uint64_t attempts = 0;
-        while (true) {
-            ++attempts;
-            if (attempts > max_attempts_) {
-                panic("ResamplingMechanism: no accepted sample after "
-                      "%llu attempts (window [%lld, %lld], input "
-                      "%lld)",
-                      static_cast<unsigned long long>(max_attempts_),
-                      static_cast<long long>(win_lo),
-                      static_cast<long long>(win_hi),
-                      static_cast<long long>(xi));
-            }
-            int64_t yi = xi + rng_.sampleIndexFast();
-            if (yi >= win_lo && yi <= win_hi) {
-                total_samples_ += attempts;
-                ++total_reports_;
-                out[i] = toValue(yi);
-                break;
-            }
-        }
-    }
+    for (size_t i = 0; i < n; ++i)
+        out[i] = redraw(checkAndIndex(x[i]), win_lo, win_hi).value;
 }
 
 double

@@ -70,6 +70,11 @@ class ResamplingMechanism : public FxpMechanismBase
     double averageSamplesPerReport() const;
 
   private:
+    /** The redraw loop shared by noise() and sampleBatch(): draw
+     *  until grid input @p xi plus the noise lands in
+     *  [@p win_lo, @p win_hi], and count the attempts. */
+    NoisedReport redraw(int64_t xi, int64_t win_lo, int64_t win_hi);
+
     int64_t threshold_index_;
     uint64_t max_attempts_;
     uint64_t total_samples_ = 0;

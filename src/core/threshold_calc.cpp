@@ -8,9 +8,24 @@
 
 namespace ulpdp {
 
+namespace {
+
+/** The RNG config of @p params, which must use the Laplace stage:
+ *  Eqs. (13)/(15) are Laplace closed forms. */
+FxpLaplaceConfig
+laplaceConfig(const FxpMechanismParams &params)
+{
+    if (params.icdf)
+        fatal("ThresholdCalculator: the closed forms (13)/(15) are "
+              "Laplace-only; params.icdf must be null");
+    return params.rngConfig();
+}
+
+} // anonymous namespace
+
 ThresholdCalculator::ThresholdCalculator(const FxpMechanismParams &params)
     : params_(params),
-      pmf_(FxpLaplacePmf::shared(params.rngConfig())),
+      pmf_(FxpLaplacePmf::shared(laplaceConfig(params))),
       span_(params.rangeIndexSpan())
 {
     if (span_ <= 0)

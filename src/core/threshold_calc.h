@@ -49,7 +49,9 @@ class ThresholdCalculator
 {
   public:
     /**
-     * @param params Mechanism parameters the thresholds are for.
+     * @param params Mechanism parameters the thresholds are for;
+     *        params.icdf must be null (the closed forms and the
+     *        analytic PMF are Laplace-only).
      */
     explicit ThresholdCalculator(const FxpMechanismParams &params);
 

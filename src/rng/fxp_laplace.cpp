@@ -21,6 +21,10 @@ FxpLaplaceRng::FxpLaplaceRng(const FxpLaplaceConfig &config, uint64_t seed)
     if (!(config.lambda > 0.0))
         fatal("FxpLaplaceRng: lambda must be positive, got %g",
               config.lambda);
+    if (config.icdf &&
+        config.log_mode == FxpLaplaceConfig::LogMode::Cordic)
+        fatal("FxpLaplaceRng: config.icdf requires LogMode::Reference "
+              "(the CORDIC unit computes ln only)");
 }
 
 int64_t
@@ -30,17 +34,18 @@ FxpLaplaceRng::pipeline(uint64_t m, int sign) const
                  m <= (uint64_t{1} << config_.uniform_bits));
     ULPDP_ASSERT(sign == 1 || sign == -1);
 
-    double ln_u;
+    // Inverse-CDF magnitude, Eq. (7): F^-1(u) = -lambda * ln(u) >= 0,
+    // unless another magnitude law is plugged in.
+    double magnitude;
     if (config_.log_mode == FxpLaplaceConfig::LogMode::Cordic) {
-        ln_u = cordic_.lnUnitIndex(m, config_.uniform_bits);
+        magnitude = -config_.lambda *
+                    cordic_.lnUnitIndex(m, config_.uniform_bits);
     } else {
         double u = std::ldexp(static_cast<double>(m),
                               -config_.uniform_bits);
-        ln_u = std::log(u);
+        magnitude = config_.icdf ? config_.icdf->magnitude(u)
+                                 : -config_.lambda * std::log(u);
     }
-
-    // Inverse-CDF magnitude, Eq. (7): F^-1(u) = -lambda * ln(u) >= 0.
-    double magnitude = -config_.lambda * ln_u;
     int64_t k;
     if (config_.rounding == FxpLaplaceConfig::Rounding::Floor) {
         // Truncate to the grid (discrete-Laplace variant): the
@@ -295,6 +300,9 @@ FxpLaplaceRng::sampleIndexTruncated(int64_t lo, int64_t hi,
 double
 FxpLaplaceRng::maxMagnitude() const
 {
+    if (config_.icdf)
+        return config_.icdf->magnitude(
+                std::ldexp(1.0, -config_.uniform_bits));
     return config_.lambda * static_cast<double>(config_.uniform_bits) *
            std::log(2.0);
 }

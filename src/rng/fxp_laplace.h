@@ -6,6 +6,11 @@
  * nearest multiple of the quantization step Delta, saturated to the
  * By-bit output word, and given a random sign.
  *
+ * The ICDF stage is a parameter (FxpLaplaceConfig::icdf): with a
+ * MagnitudeIcdf set, the same pipeline -- table, batch path,
+ * integrity fallback and range controls included -- draws Gaussian,
+ * staircase or any other magnitude law (Section III-A4).
+ *
  * Two computation modes are provided:
  *  - Reference: the logarithm is evaluated in double precision. This
  *    matches the mathematical model of Section III-A2 exactly, so its
@@ -26,6 +31,7 @@
 
 #include "fixed/quantizer.h"
 #include "rng/cordic.h"
+#include "rng/magnitude_icdf.h"
 #include "rng/tausworthe.h"
 
 namespace ulpdp {
@@ -44,12 +50,23 @@ struct FxpLaplaceConfig
     /** Quantization step Delta (paper example: 10 / 2^5). */
     double delta = 10.0 / 32.0;
 
-    /** Laplace scale lambda = d / eps (paper example: Lap(20)). */
+    /** Laplace scale lambda = d / eps (paper example: Lap(20)).
+     *  Unused when icdf is set. */
     double lambda = 20.0;
 
-    /** How the logarithm is evaluated. */
+    /** How the logarithm is evaluated (Cordic requires a null icdf:
+     *  the CORDIC unit computes ln only). */
     enum class LogMode { Reference, Cordic };
     LogMode log_mode = LogMode::Reference;
+
+    /**
+     * The magnitude inverse CDF stage. Null is the paper's
+     * -lambda ln u; otherwise magnitude = icdf->magnitude(m 2^-Bu)
+     * and every later stage is unchanged. Laplace closed forms
+     * (FxpLaplacePmf::Mode::Analytic, ThresholdCalculator) refuse a
+     * non-null icdf.
+     */
+    std::shared_ptr<const MagnitudeIcdf> icdf;
 
     /**
      * How the magnitude is quantized to the Delta grid.
@@ -210,7 +227,8 @@ class FxpLaplaceRng
 
     /**
      * Largest magnitude the pipeline can produce before saturation:
-     * L = lambda * Bu * ln 2 (Section III-A2).
+     * L = lambda * Bu * ln 2 (Section III-A2), or
+     * icdf->magnitude(2^-Bu) when an ICDF is set.
      */
     double maxMagnitude() const;
 

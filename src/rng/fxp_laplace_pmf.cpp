@@ -40,20 +40,30 @@ FxpLaplacePmf::build(const FxpLaplaceConfig &config, Mode mode)
 {
     const double total = std::ldexp(1.0, config.uniform_bits);
     if (mode == Mode::Enumerated) {
+        FxpLaplaceRng rng(config);
+        auto pipeline = [&rng](uint64_t m) {
+            return rng.pipeline(m, 1);
+        };
+        // Any other magnitude law has no closed-form boundary: each
+        // bin gallops from the previous one.
+        if (config.icdf)
+            return NoisePmf::fromPipeline(config.uniform_bits,
+                                          pipeline);
         // Eq. (11)'s tail count is the boundary guess: the engine
         // corrects it against the real pipeline, so the result is
         // the pipeline's, bit for bit. The truncating cast equals
         // floor() for m1 > 0 without a libm call per bin.
-        FxpLaplaceRng rng(config);
         return NoisePmf::fromPipeline(
-                config.uniform_bits,
-                [&rng](uint64_t m) { return rng.pipeline(m, 1); },
-                [&](int64_t k) {
+                config.uniform_bits, pipeline, [&](int64_t k) {
                     double m1 = std::min(edgeState(config, k, true),
                                          total);
                     return m1 > 0.0 ? static_cast<uint64_t>(m1) : 0;
                 });
     }
+    if (config.icdf)
+        fatal("FxpLaplacePmf: Mode::Analytic is the Laplace closed "
+              "form (Eq. (11)); config.icdf must be null (use "
+              "Mode::Enumerated for another magnitude law)");
 
     // Analytic: the number of URNG indices m in the half-open
     // interval (m2(k), m1(k)] is floor(m1(k)) - floor(m2(k)), with
@@ -111,16 +121,19 @@ struct PmfCacheKey
     int log_mode;
     int rounding;
     int cordic_iterations;
+    /** Identity of the ICDF stage; the cached config holds its
+     *  shared_ptr, so the address is not reused while cached. */
+    uintptr_t icdf;
     int mode;
 
     bool operator<(const PmfCacheKey &o) const
     {
         return std::tie(uniform_bits, output_bits, delta_bits,
                         lambda_bits, log_mode, rounding,
-                        cordic_iterations, mode) <
+                        cordic_iterations, icdf, mode) <
                std::tie(o.uniform_bits, o.output_bits, o.delta_bits,
                         o.lambda_bits, o.log_mode, o.rounding,
-                        o.cordic_iterations, o.mode);
+                        o.cordic_iterations, o.icdf, o.mode);
     }
 };
 
@@ -159,6 +172,7 @@ FxpLaplacePmf::shared(const FxpLaplaceConfig &config, Mode mode)
                     static_cast<int>(config.log_mode),
                     static_cast<int>(config.rounding),
                     config.cordic_iterations,
+                    reinterpret_cast<uintptr_t>(config.icdf.get()),
                     static_cast<int>(mode)};
     // Build under the lock: enumeration is O(support bins) since the
     // segment engine, so serializing a cold miss costs microseconds

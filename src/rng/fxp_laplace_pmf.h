@@ -18,7 +18,10 @@
  * the real pipeline's URNG states with NoisePmf's segment-rank engine,
  * passing floor(m1(k)) as each bin's boundary guess, so the common
  * case costs two pipeline probes per bin (exact up to Bu = 32 in
- * microseconds, bit-identical to the per-state walk).
+ * microseconds, bit-identical to the per-state walk). A config with
+ * a magnitude ICDF (FxpLaplaceConfig::icdf) has no closed form:
+ * Enumerated then runs the engine without a guess, and Analytic is a
+ * fatal error.
  */
 
 #ifndef ULPDP_RNG_FXP_LAPLACE_PMF_H
@@ -42,7 +45,7 @@ class FxpLaplacePmf : public NoisePmf
     /** How the PMF is computed. */
     enum class Mode
     {
-        /** Closed form, Eq. (11). */
+        /** Closed form, Eq. (11) (Laplace only: null icdf). */
         Analytic,
         /** Exact state counts of the pipeline by segment-rank
          *  accumulation (Bu <= 32). */
@@ -58,7 +61,7 @@ class FxpLaplacePmf : public NoisePmf
 
     /**
      * Memoized construction: one shared immutable PMF per distinct
-     * (PMF-relevant configuration, mode) pair, so repeated
+     * (PMF-relevant configuration, ICDF object, mode), so repeated
      * certification of mechanisms sharing a parameter block
      * enumerates once. Thread-safe; the cache holds strong references
      * (the distinct configurations of a process are few).
@@ -75,10 +78,10 @@ class FxpLaplacePmf : public NoisePmf
     /** Mode used. */
     Mode mode() const { return mode_; }
 
-    /** The m1 boundary function of Eq. (11). */
+    /** The m1 boundary function of Eq. (11) (Laplace stage). */
     double m1(int64_t k) const;
 
-    /** The m2 boundary function of Eq. (11). */
+    /** The m2 boundary function of Eq. (11) (Laplace stage). */
     double m2(int64_t k) const;
 
   private:

@@ -5,8 +5,8 @@
  * paper's qualitative claims about the distribution (bounded support,
  * tail gaps, zeroed small probabilities). The segment-rank engine
  * behind every enumerated PMF is checked here against the per-state
- * walk of pmf_oracle.h, for the Laplace pipeline and the generic
- * Gaussian / staircase inversion pipelines alike.
+ * walk of pmf_oracle.h, for the Laplace stage and the Gaussian /
+ * staircase ICDF stages alike.
  */
 
 #include <cmath>
@@ -21,7 +21,6 @@
 #include "common/logging.h"
 #include "fixed/quantizer.h"
 #include "pmf_oracle.h"
-#include "rng/fxp_inversion.h"
 #include "rng/fxp_laplace_pmf.h"
 
 namespace ulpdp {
@@ -38,22 +37,20 @@ configOf(int bu, int by, double delta, double lambda)
     return cfg;
 }
 
-/** A named magnitude ICDF for the generic inversion pipeline. */
+/** A named magnitude ICDF for the pipeline's ICDF stage. */
 struct InversionCase
 {
     std::string name;
     std::shared_ptr<const MagnitudeIcdf> icdf;
 };
 
-/** The distribution bench's pipeline: range d = 10, Delta = d / 32,
- *  By = 14. */
-FxpInversionConfig
-inversionConfig(int bu)
+/** The distribution bench's pipeline over @p icdf: range d = 10,
+ *  Delta = d / 32, By = 14. */
+FxpLaplaceConfig
+inversionConfig(int bu, std::shared_ptr<const MagnitudeIcdf> icdf)
 {
-    FxpInversionConfig cfg;
-    cfg.uniform_bits = bu;
-    cfg.output_bits = 14;
-    cfg.delta = 10.0 / 32.0;
+    FxpLaplaceConfig cfg = configOf(bu, 14, 10.0 / 32.0, 20.0);
+    cfg.icdf = std::move(icdf);
     return cfg;
 }
 
@@ -111,8 +108,8 @@ TEST(FxpLaplacePmf, EnumeratedRejectsHugeBu)
 /**
  * The property the segment-rank engine rests on: the Fig. 3 pipeline
  * magnitude is monotone non-increasing in the URNG index, for every
- * log mode and rounding mode, and so is the generic inversion
- * pipeline over the Gaussian and staircase ICDFs. A violation here
+ * log mode and rounding mode, and so is the pipeline over the
+ * Gaussian and staircase ICDFs. A violation here
  * invalidates the interval-arithmetic enumeration (and the engine's
  * bit-identity test below would be expected to fail with it).
  */
@@ -139,7 +136,7 @@ TEST(FxpLaplacePmf, PipelineIsMonotoneInUrngIndex)
     }
     for (double eps : {0.5, 1.0}) {
         for (const InversionCase &c : inversionCases(eps)) {
-            FxpInversionRng rng(inversionConfig(12), c.icdf);
+            FxpLaplaceRng rng(inversionConfig(12, c.icdf));
             int64_t prev = rng.pipeline(1, 1);
             for (uint64_t m = 2; m <= (uint64_t{1} << 12); ++m) {
                 int64_t k = rng.pipeline(m, 1);
@@ -189,11 +186,12 @@ TEST(FxpLaplacePmf, SegmentEngineBitIdenticalToLegacyWalk)
     for (int bu : {12, 16, 20}) {
         for (double eps : {0.5, 1.0}) {
             for (const InversionCase &c : inversionCases(eps)) {
-                FxpInversionConfig cfg = inversionConfig(bu);
-                FxpInversionRng rng(cfg, c.icdf);
+                FxpLaplaceConfig cfg = inversionConfig(bu, c.icdf);
+                FxpLaplaceRng rng(cfg);
                 SCOPED_TRACE(testing::Message() << c.name << " Bu=" << bu
                                                 << " eps=" << eps);
-                expectSamePmf(inversionPmf(cfg, c.icdf),
+                expectSamePmf(FxpLaplacePmf(
+                                  cfg, FxpLaplacePmf::Mode::Enumerated),
                               walkPmf(bu, [&](uint64_t m) {
                                   return rng.pipeline(m, 1);
                               }));

@@ -1,11 +1,14 @@
 /**
  * @file
- * Tests for the generic (any-distribution) mechanism wrapper, plus
- * the data-processing-inequality property of the loss analysis
- * (Section II-B: post-processing cannot increase privacy loss).
+ * Tests for the range-controlled mechanisms over non-Laplace noise
+ * (Resampling- / ThresholdingMechanism with a magnitude ICDF in their
+ * parameter block), plus the data-processing-inequality property of
+ * the loss analysis (Section II-B: post-processing cannot increase
+ * privacy loss).
  */
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <random>
 
@@ -13,63 +16,52 @@
 
 #include "common/logging.h"
 #include "common/stats.h"
-#include "core/generic_mechanism.h"
 #include "core/output_model.h"
 #include "core/privacy_loss.h"
+#include "core/resampling_mechanism.h"
+#include "core/thresholding_mechanism.h"
 #include "query/utility.h"
 
 namespace ulpdp {
 namespace {
 
-FxpInversionConfig
-invConfig()
+/** Range [0, 10] at Bu = 14, Delta = d / 32, drawing through
+ *  @p icdf. */
+FxpMechanismParams
+icdfParams(std::shared_ptr<const MagnitudeIcdf> icdf, double eps = 0.5,
+           uint64_t seed = 1)
 {
-    FxpInversionConfig cfg;
-    cfg.uniform_bits = 14;
-    cfg.output_bits = 12;
-    cfg.delta = 10.0 / 32.0;
-    return cfg;
+    FxpMechanismParams p;
+    p.range = SensorRange(0.0, 10.0);
+    p.epsilon = eps;
+    p.uniform_bits = 14;
+    p.output_bits = 12;
+    p.delta = 10.0 / 32.0;
+    p.icdf = std::move(icdf);
+    p.seed = seed;
+    return p;
 }
 
 TEST(GenericMechanism, RejectsBadConfig)
 {
     auto icdf = std::make_shared<GaussianMagnitude>(10.0);
-    EXPECT_THROW(GenericFxpMechanism(SensorRange(0.0, 10.0), 0.0,
-                                     invConfig(), icdf,
-                                     RangeControl::Thresholding, 50),
+    EXPECT_THROW(ThresholdingMechanism(icdfParams(icdf, 0.0), 50),
                  FatalError);
-    EXPECT_THROW(GenericFxpMechanism(SensorRange(0.0, 10.0), 0.5,
-                                     invConfig(), icdf,
-                                     RangeControl::Thresholding, -1),
+    EXPECT_THROW(ThresholdingMechanism(icdfParams(icdf), -1),
                  FatalError);
-    FxpInversionConfig coarse = invConfig();
+    FxpMechanismParams coarse = icdfParams(icdf);
     coarse.delta = 100.0;
-    EXPECT_THROW(GenericFxpMechanism(SensorRange(0.0, 10.0), 0.5,
-                                     coarse, icdf,
-                                     RangeControl::Thresholding, 5),
-                 FatalError);
-}
-
-TEST(GenericMechanism, NameCombinesDistributionAndControl)
-{
-    auto icdf = std::make_shared<GaussianMagnitude>(10.0);
-    GenericFxpMechanism thresh(SensorRange(0.0, 10.0), 0.5,
-                               invConfig(), icdf,
-                               RangeControl::Thresholding, 50);
-    EXPECT_EQ(thresh.name(), "Gaussian (thresholding)");
-    GenericFxpMechanism resamp(SensorRange(0.0, 10.0), 0.5,
-                               invConfig(), icdf,
-                               RangeControl::Resampling, 50);
-    EXPECT_EQ(resamp.name(), "Gaussian (resampling)");
+    EXPECT_THROW(ThresholdingMechanism(coarse, 5), FatalError);
+    FxpMechanismParams cordic = icdfParams(icdf);
+    cordic.log_mode = FxpLaplaceConfig::LogMode::Cordic;
+    EXPECT_THROW(ResamplingMechanism(cordic, 5), FatalError);
 }
 
 TEST(GenericMechanism, GaussianOutputsConfinedAndUnbiased)
 {
-    auto icdf = std::make_shared<GaussianMagnitude>(8.0);
     int64_t t = 80;
-    GenericFxpMechanism mech(SensorRange(0.0, 10.0), 0.5,
-                             invConfig(), icdf,
-                             RangeControl::Thresholding, t);
+    ThresholdingMechanism mech(
+        icdfParams(std::make_shared<GaussianMagnitude>(8.0)), t);
     double ext = static_cast<double>(t) * mech.delta();
     RunningStats stats;
     for (int i = 0; i < 50000; ++i) {
@@ -86,9 +78,7 @@ TEST(GenericMechanism, StaircaseThroughUtilityHarness)
     double eps = 1.0;
     auto icdf = std::make_shared<StaircaseMagnitude>(
         10.0, eps, StaircaseMagnitude::optimalGamma(eps));
-    GenericFxpMechanism mech(SensorRange(0.0, 10.0), eps,
-                             invConfig(), icdf,
-                             RangeControl::Resampling, 100);
+    ResamplingMechanism mech(icdfParams(icdf, eps), 100);
 
     std::vector<double> data;
     for (int i = 0; i < 300; ++i)
@@ -102,14 +92,74 @@ TEST(GenericMechanism, StaircaseThroughUtilityHarness)
 
 TEST(GenericMechanism, ResamplingCountsAttempts)
 {
-    auto icdf = std::make_shared<GaussianMagnitude>(20.0);
-    GenericFxpMechanism mech(SensorRange(0.0, 10.0), 0.5,
-                             invConfig(), icdf,
-                             RangeControl::Resampling, 10);
+    ResamplingMechanism mech(
+        icdfParams(std::make_shared<GaussianMagnitude>(20.0)), 10);
     uint64_t total = 0;
     for (int i = 0; i < 2000; ++i)
         total += mech.noise(5.0).samples_drawn;
     EXPECT_GT(total, 2000u); // tight window: must have resampled
+}
+
+/** FNV-1a over the bytes of @p v, continuing from @p h. */
+uint64_t
+fnv1a(uint64_t h, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Hash of (value bits, samples_drawn) over 20 000 reports of
+ *  @p mech on inputs cycling through [0, 10] in steps of 0.25. */
+uint64_t
+reportHash(Mechanism &mech)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (int i = 0; i < 20000; ++i) {
+        NoisedReport r = mech.noise(0.25 * (i % 41));
+        uint64_t bits;
+        std::memcpy(&bits, &r.value, sizeof bits);
+        h = fnv1a(fnv1a(h, bits), r.samples_drawn);
+    }
+    return h;
+}
+
+TEST(GenericMechanism, ReportsPinnedBitForBit)
+{
+    // Gaussian (std matched to Lap(d / eps)) and optimal-gamma
+    // staircase noise at eps = 1, Bu = 14, window T = 40, seed 7.
+    // The hashes were recorded from the standalone inversion
+    // mechanism the ICDF stage replaced, so every released value and
+    // every attempt count is unchanged by the merge.
+    const double d = 10.0, eps = 1.0;
+    struct Case
+    {
+        std::shared_ptr<const MagnitudeIcdf> icdf;
+        uint64_t resampling;
+        uint64_t thresholding;
+    };
+    const Case cases[] = {
+        {std::make_shared<GaussianMagnitude>(d / eps * std::sqrt(2.0)),
+         0xd885959402b83c1eull, 0x1a7344f0a4f75093ull},
+        {std::make_shared<StaircaseMagnitude>(
+             d, eps, StaircaseMagnitude::optimalGamma(eps)),
+         0xddf45725bf61a3a0ull, 0x844f9ef848c06c4cull},
+    };
+    // The table path and the per-draw ICDF path consume the same
+    // URNG words, so both reproduce the pins.
+    for (auto path : {FxpLaplaceConfig::SamplePath::Table,
+                      FxpLaplaceConfig::SamplePath::Naive}) {
+        for (const Case &c : cases) {
+            FxpMechanismParams p = icdfParams(c.icdf, eps, 7);
+            p.sample_path = path;
+            ResamplingMechanism resamp(p, 40);
+            EXPECT_EQ(reportHash(resamp), c.resampling);
+            ThresholdingMechanism thresh(p, 40);
+            EXPECT_EQ(reportHash(thresh), c.thresholding);
+        }
+    }
 }
 
 /**

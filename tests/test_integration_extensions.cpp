@@ -1,8 +1,8 @@
 /**
  * @file
  * Cross-module integration tests for the extension features:
- * provisioning driving a traced device, deconvolution on generic-
- * distribution mechanisms, and categorical + numeric streams sharing
+ * provisioning driving a traced device, deconvolution on mechanisms
+ * over non-Laplace noise, and categorical + numeric streams sharing
  * one budget pool.
  */
 
@@ -11,10 +11,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/generic_mechanism.h"
 #include "core/kary_randomized_response.h"
 #include "core/privacy_loss.h"
 #include "core/shared_budget.h"
+#include "core/thresholding_mechanism.h"
 #include "dpbox/driver.h"
 #include "dpbox/provisioning.h"
 #include "dpbox/trace.h"
@@ -63,16 +63,19 @@ TEST(IntegrationExt, GaussianMechanismDeconvolvesToo)
     // The histogram estimator is distribution-agnostic: feed it the
     // exact model of a *Gaussian* fixed-point mechanism and recover
     // a point mass.
-    FxpInversionConfig cfg;
-    cfg.uniform_bits = 14;
-    cfg.output_bits = 12;
-    cfg.delta = 10.0 / 32.0;
-    auto icdf = std::make_shared<GaussianMagnitude>(3.0);
+    FxpMechanismParams p;
+    p.range = SensorRange(0.0, 10.0);
+    p.epsilon = 1.0;
+    p.uniform_bits = 14;
+    p.output_bits = 12;
+    p.delta = 10.0 / 32.0;
+    p.icdf = std::make_shared<GaussianMagnitude>(3.0);
+    p.seed = 7;
 
     int64_t t = 40;
-    GenericFxpMechanism mech(SensorRange(0.0, 10.0), 1.0, cfg, icdf,
-                             RangeControl::Thresholding, t, 7);
-    auto pmf = std::make_shared<const NoisePmf>(inversionPmf(cfg, icdf));
+    ThresholdingMechanism mech(p, t);
+    auto pmf = std::make_shared<const FxpLaplacePmf>(
+        p.rngConfig(), FxpLaplacePmf::Mode::Enumerated);
     ThresholdingOutputModel model(pmf, 32, t);
     HistogramEstimator est(model, 300);
 
@@ -161,21 +164,24 @@ TEST(IntegrationExt, StaircaseBeatsLaplaceUtilityAtHighEps)
     // expected noise magnitude undercuts Laplace at equal privacy.
     double eps = 4.0;
     double d = 10.0;
-    FxpInversionConfig cfg;
+    FxpLaplaceConfig cfg;
     cfg.uniform_bits = 14;
     cfg.output_bits = 12;
     cfg.delta = d / 64.0;
+    cfg.lambda = d / eps;
 
+    // A null ICDF is the pipeline's own Laplace stage.
     auto expected_mag = [&](std::shared_ptr<const MagnitudeIcdf> m) {
-        NoisePmf pmf = inversionPmf(cfg, std::move(m));
+        FxpLaplaceConfig c = cfg;
+        c.icdf = std::move(m);
+        FxpLaplacePmf pmf(c, FxpLaplacePmf::Mode::Enumerated);
         double e = 0.0;
         for (int64_t k = 1; k <= pmf.maxIndex(); ++k)
             e += 2.0 * pmf.pmf(k) * static_cast<double>(k) *
                  cfg.delta;
         return e;
     };
-    double lap = expected_mag(
-        std::make_shared<LaplaceMagnitude>(d / eps));
+    double lap = expected_mag(nullptr);
     double stair = expected_mag(std::make_shared<StaircaseMagnitude>(
         d, eps, StaircaseMagnitude::optimalGamma(eps)));
     EXPECT_LT(stair, lap);
