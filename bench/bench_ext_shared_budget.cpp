@@ -9,10 +9,11 @@
 
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "core/shared_budget.h"
+#include "core/budget.h"
 
 int
 main()
@@ -33,7 +34,7 @@ main()
         return p;
     };
 
-    SharedBudgetPool pool(30.0);
+    BudgetPool pool(30.0);
 
     FxpMechanismParams pa = make_params(-2.0, 2.0, 11); // accel, g
     FxpMechanismParams ph = make_params(40.0, 200.0, 12); // HR, bpm
@@ -45,12 +46,12 @@ main()
                                      RangeControl::Thresholding,
                                      {1.5, 2.0});
     };
-    BudgetedSensor accel("accelerometer", pa,
-                         RangeControl::Thresholding, segs(pa), pool);
-    BudgetedSensor heart("heart rate", ph,
-                         RangeControl::Thresholding, segs(ph), pool);
-    BudgetedSensor baro("barometer", pb,
-                        RangeControl::Thresholding, segs(pb), pool);
+    BudgetController accel(pa, RangeControl::Thresholding, segs(pa),
+                           pool);
+    BudgetController heart(ph, RangeControl::Thresholding, segs(ph),
+                           pool);
+    BudgetController baro(pb, RangeControl::Thresholding, segs(pb),
+                          pool);
 
     // An app polls all three sensors in lockstep.
     const int kRounds = 60;
@@ -62,9 +63,13 @@ main()
 
     TextTable table;
     table.setHeader({"Sensor", "fresh reports", "cache replays"});
-    for (const BudgetedSensor *s : {&accel, &heart, &baro}) {
+    const std::pair<const char *, const BudgetController *> sensors[] =
+        {{"accelerometer", &accel},
+         {"heart rate", &heart},
+         {"barometer", &baro}};
+    for (const auto &[name, s] : sensors) {
         table.addRow({
-            s->name(),
+            name,
             std::to_string(s->freshReports()),
             std::to_string(s->cacheHits()),
         });
@@ -73,8 +78,8 @@ main()
 
     std::printf("\npool: charged %.3f of %.1f nats total across all "
                 "sensors; remaining %.3f\n",
-                pool.totalCharged(), pool.initialBudget(),
-                pool.remaining());
+                nats(pool.totalCharged()), nats(pool.initial()),
+                nats(pool.remaining()));
     std::printf("\nInvariant demonstrated: sum of losses over ALL "
                 "streams <= pool budget, so even an adversary "
                 "correlating the three streams faces a single "

@@ -73,7 +73,7 @@ main()
         return std::make_pair(err, cache_hits / kRuns);
     };
 
-    auto [e_none, h_none] = averaged(1e12, 100);
+    auto [e_none, h_none] = averaged(1e9, 100);
     auto [e_100, h_100] = averaged(100.0, 200);
     auto [e_20, h_20] = averaged(20.0, 300);
 

@@ -247,7 +247,7 @@ BM_DpBoxNoising(benchmark::State &state)
     cfg.threshold_index = 418;
     cfg.thresholding = true;
     DpBoxDriver drv(cfg);
-    drv.initialize(1e12, 0);
+    drv.initialize(1e9, 0);
     drv.configure(0.5, SensorRange(0.0, 10.0));
     for (auto _ : state)
         benchmark::DoNotOptimize(drv.noise(5.0).value);

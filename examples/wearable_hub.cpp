@@ -22,7 +22,7 @@
 #include "common/stats.h"
 #include "core/constant_time.h"
 #include "core/kary_randomized_response.h"
-#include "core/shared_budget.h"
+#include "core/budget.h"
 #include "data/timeseries.h"
 #include "dpbox/provisioning.h"
 #include "sim/sensor_adc.h"
@@ -70,10 +70,15 @@ main()
 
     // One shared pool: correlating HR and temperature streams still
     // faces a single composition bound.
-    SharedBudgetPool pool(60.0, /*replenish every*/ 1440);
+    BudgetPool pool(60.0, /*replenish every*/ 1440);
 
     // Activity classifier output: 4 categories through k-ary RR.
     KaryRandomizedResponse activity_rr(4, 1.0, 20, 13);
+
+    // Per-report charges in loss quanta, rounded up.
+    const LossQuanta hr_charge = quantaUp(hr_plan.proven_loss);
+    const LossQuanta temp_charge = quantaUp(temp_plan.proven_loss);
+    const LossQuanta act_charge = quantaUp(activity_rr.exactLoss());
 
     // --- Simulate a day (one sample per simulated minute) --------
     SensorAdc hr_adc(hr_intent.range, 10);
@@ -98,28 +103,28 @@ main()
         pool.advanceTime(1);
         // Numeric sensors report once per minute, charging the pool
         // with the per-report loss the plans proved.
-        if (pool.tryCharge(hr_plan.proven_loss)) {
+        if (pool.tryCharge(hr_charge)) {
             hr_reports.add(
                 hr_mech.noise(hr_adc.sample(hr_true[t])).value);
-            charged += hr_plan.proven_loss;
+            charged += nats(hr_charge);
         } else {
             ++skipped;
         }
-        if (pool.tryCharge(temp_plan.proven_loss)) {
+        if (pool.tryCharge(temp_charge)) {
             temp_reports.add(
                 temp_mech.noise(temp_adc.sample(temp_true[t])).value);
-            charged += temp_plan.proven_loss;
+            charged += nats(temp_charge);
         } else {
             ++skipped;
         }
         // Activity reports are cheap (one RR answer, eps = 1), and
         // here metered on the same pool.
-        if (pool.tryCharge(activity_rr.exactLoss())) {
+        if (pool.tryCharge(act_charge)) {
             int cat = static_cast<int>(act_true[t]);
             act_true_counts[static_cast<size_t>(cat)] += 1.0;
             ++act_observed[static_cast<size_t>(
                 activity_rr.respond(cat))];
-            charged += activity_rr.exactLoss();
+            charged += nats(act_charge);
         } else {
             ++skipped;
         }
@@ -166,7 +171,7 @@ main()
     std::printf("\nprivacy ledger: %.1f nats charged across ALL "
                 "streams over %zu minutes (pool %.0f nats per "
                 "1440-minute epoch).\n",
-                charged, kMinutes, pool.initialBudget());
+                charged, kMinutes, nats(pool.initial()));
     std::printf("Every released value was noised on-device; latency "
                 "was a constant %d samples per numeric report (no "
                 "timing channel).\n", hr_mech.batchSize());

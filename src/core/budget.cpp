@@ -60,6 +60,17 @@ budgetMetrics()
     return m;
 }
 
+/** Scale @p nats to quanta units, fatal() outside the exact range. */
+double
+scaledQuanta(double nats, const char *what)
+{
+    if (!(nats >= 0.0 && nats <= kMaxExactNats))
+        fatal("%s: %g nats is outside [0, %g], the range loss quanta "
+              "(2^-%d nats) represent exactly", what, nats,
+              kMaxExactNats, kLossFracBits);
+    return std::ldexp(nats, kLossFracBits);
+}
+
 } // anonymous namespace
 
 int64_t
@@ -120,6 +131,93 @@ drawConfinedOutput(FxpLaplaceRng &rng, RangeControl kind, int64_t xi,
             return std::clamp(yi, win_lo, win_hi);
         }
     }
+}
+
+LossQuanta
+quantaUp(double nats)
+{
+    return static_cast<LossQuanta>(
+        std::ceil(scaledQuanta(nats, "loss charge")));
+}
+
+LossQuanta
+quantaDown(double nats)
+{
+    return static_cast<LossQuanta>(
+        std::floor(scaledQuanta(nats, "privacy budget")));
+}
+
+BudgetPool::BudgetPool(double initial_budget, uint64_t replenish_period)
+    : initial_(quantaDown(initial_budget)), remaining_(initial_),
+      replenish_period_(replenish_period)
+{
+    if (initial_ == 0)
+        fatal("BudgetPool: budget must be at least one loss quantum "
+              "(2^-%d nats), got %g", kLossFracBits, initial_budget);
+}
+
+bool
+BudgetPool::advanceTime(uint64_t ticks)
+{
+    if (replenish_period_ == 0)
+        return false;
+    ticks_ += ticks;
+    if (ticks_ < replenish_period_)
+        return false;
+    ticks_ %= replenish_period_;
+    refill();
+    return true;
+}
+
+SegmentTable::SegmentTable(const std::vector<BudgetSegment> &segments)
+{
+    if (segments.empty())
+        fatal("SegmentTable: need at least one segment");
+    for (size_t i = 0; i < segments.size(); ++i) {
+        if (i > 0 && (segments[i].threshold_index <=
+                          segments[i - 1].threshold_index ||
+                      !(segments[i].loss >= segments[i - 1].loss)))
+            fatal("SegmentTable: segments must have strictly "
+                  "increasing thresholds and non-decreasing losses");
+        entries_.push_back(
+            {segments[i].threshold_index, quantaUp(segments[i].loss)});
+    }
+}
+
+const SegmentTable::Entry &
+SegmentTable::classify(int64_t ext) const
+{
+    for (const Entry &e : entries_) {
+        if (ext <= e.threshold_index)
+            return e;
+    }
+    // Callers clamp/resample into the outermost window before
+    // classifying, so this indicates an internal bug.
+    panic("SegmentTable: output extension %lld beyond outermost "
+          "segment", static_cast<long long>(ext));
+}
+
+const SegmentTable::Entry *
+SegmentTable::widestAffordable(const BudgetPool &pool) const
+{
+    // Charges are non-decreasing outward, so scan from the outermost
+    // segment inward for the first the pool still covers.
+    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+        if (pool.covers(it->charge))
+            return &*it;
+    }
+    return nullptr;
+}
+
+void
+requireRecordable(const BudgetLedger *ledger, double loss,
+                  const char *who)
+{
+    if (ledger != nullptr && loss > ledger->config().max_record_loss)
+        fatal("%s: a spend of %g nats exceeds the ledger's "
+              "max_record_loss %g (a torn record of it would be "
+              "under-counted at recovery)", who, loss,
+              ledger->config().max_record_loss);
 }
 
 std::vector<BudgetSegment>
@@ -198,23 +296,11 @@ BudgetCheckpoint::valid() const
 
 BudgetController::BudgetController(const FxpMechanismParams &params,
                                    const BudgetControllerConfig &config)
-    : params_(params), config_(config), rng_(params.rngConfig(),
-                                             params.seed),
-      budget_(config.initial_budget)
+    : params_(params), config_(config), table_(config.segments),
+      own_pool_(std::make_unique<BudgetPool>(config.initial_budget,
+                                             config.replenish_period)),
+      pool_(own_pool_.get()), rng_(params.rngConfig(), params.seed)
 {
-    if (!(config.initial_budget > 0.0))
-        fatal("BudgetController: initial budget must be positive");
-    if (config.segments.empty())
-        fatal("BudgetController: need at least one segment");
-    for (size_t i = 1; i < config.segments.size(); ++i) {
-        if (config.segments[i].threshold_index <=
-                config.segments[i - 1].threshold_index ||
-            config.segments[i].loss < config.segments[i - 1].loss) {
-            fatal("BudgetController: segments must have strictly "
-                  "increasing thresholds and non-decreasing losses");
-        }
-    }
-
     double delta = params.resolvedDelta();
     lo_index_ = static_cast<int64_t>(std::llround(params.range.lo /
                                                   delta));
@@ -222,30 +308,16 @@ BudgetController::BudgetController(const FxpMechanismParams &params,
                                                   delta));
 }
 
-double
-BudgetController::segmentLoss(int64_t extension) const
+BudgetController::BudgetController(const FxpMechanismParams &params,
+                                   RangeControl kind,
+                                   std::vector<BudgetSegment> segments,
+                                   BudgetPool &pool)
+    : BudgetController(params,
+                       {nats(pool.initial()), 0, kind,
+                        std::move(segments)})
 {
-    for (const auto &seg : config_.segments) {
-        if (extension <= seg.threshold_index)
-            return seg.loss;
-    }
-    // Outside the outermost segment: callers clamp/resample before
-    // classifying, so this indicates an internal bug.
-    panic("BudgetController: output extension %lld beyond outermost "
-          "segment", static_cast<long long>(extension));
-}
-
-const BudgetSegment *
-BudgetController::affordableSegment() const
-{
-    // Losses are non-decreasing outward, so scan from the outermost
-    // segment inward for the first the budget still covers.
-    for (auto it = config_.segments.rbegin();
-         it != config_.segments.rend(); ++it) {
-        if (budgetCovers(budget_, it->loss))
-            return &*it;
-    }
-    return nullptr;
+    own_pool_.reset();
+    pool_ = &pool;
 }
 
 BudgetResponse
@@ -287,7 +359,7 @@ BudgetController::request(double x)
     // sampling energy -- and because the decision depends only on
     // already-public state (the budget is a function of previously
     // released outputs), the halt event itself leaks nothing about x.
-    const BudgetSegment *afford = affordableSegment();
+    const SegmentTable::Entry *afford = table_.widestAffordable(*pool_);
     if (afford == nullptr) {
         // Replay the cache. Before any fresh report exists, the range
         // midpoint is returned -- a constant, so it carries no
@@ -334,13 +406,9 @@ BudgetController::request(double x)
         }
     }
 
-    int64_t ext = 0;
-    if (yi < lo_index_)
-        ext = lo_index_ - yi;
-    else if (yi > hi_index_)
-        ext = yi - hi_index_;
-    double loss = segmentLoss(ext);
-    ULPDP_ASSERT(budgetCovers(budget_, loss));
+    const LossQuanta charge = table_.classify(
+        std::max({lo_index_ - yi, yi - hi_index_, int64_t{0}})).charge;
+    const double loss = nats(charge);
 
     // Durability gate: the spend must be on flash before the value
     // leaves the device. A failed append means the power is dying (or
@@ -353,9 +421,10 @@ BudgetController::request(double x)
         return serveCached();
     }
 
+    bool charged = pool_->tryCharge(charge);
+    ULPDP_ASSERT(charged);
     BudgetResponse resp;
     resp.samples_drawn = samples;
-    budget_ -= loss;
     resp.value = static_cast<double>(yi) * delta;
     resp.charged = loss;
     cache_ = resp.value;
@@ -413,61 +482,80 @@ BudgetController::latchFault(const char *what)
     fault_latched_ = true;
 }
 
+void
+BudgetController::requireOwnPool(const char *what) const
+{
+    if (own_pool_ == nullptr)
+        fatal("BudgetController: %s on a shared BudgetPool; time and "
+              "durability belong to the pool's owner", what);
+}
+
+void
+BudgetController::attachLedger(BudgetLedger *ledger)
+{
+    requireOwnPool("attachLedger");
+    requireRecordable(ledger, nats(table_.outermost().charge),
+                      "BudgetController");
+    ledger_ = ledger;
+}
+
 BudgetCheckpoint
 BudgetController::checkpoint() const
 {
+    requireOwnPool("checkpoint");
     BudgetCheckpoint cp;
     cp.magic = BudgetCheckpoint::kMagic;
     cp.flags = cache_.has_value() ? 1u : 0u;
-    std::memcpy(&cp.budget_bits, &budget_, sizeof budget_);
+    double budget = nats(pool_->remaining());
+    std::memcpy(&cp.budget_bits, &budget, sizeof budget);
     double cached = cache_.value_or(0.0);
     std::memcpy(&cp.cache_bits, &cached, sizeof cached);
-    cp.ticks_since_replenish = ticks_since_replenish_;
+    cp.ticks_since_replenish = pool_->ticksSinceReplenish();
     cp.crc = cp.computeCrc();
     return cp;
 }
 
 bool
-BudgetController::restoreFromCheckpoint(const BudgetCheckpoint &cp)
+BudgetController::restore(bool valid, double saved,
+                          std::optional<double> cached, uint64_t ticks,
+                          const char *why)
 {
-    if (!cp.valid()) {
+    if (!valid) {
         ++fault_stats_.checkpoint_restore_failures;
-        warn("BudgetController: checkpoint rejected (%s); restoring "
-             "to zero remaining budget",
-             cp.magic == BudgetCheckpoint::kMagic ? "bad CRC"
-                                                  : "bad magic");
-        budget_ = 0.0;
+        warn("BudgetController: %s; restoring to zero remaining "
+             "budget", why);
+        pool_->restoreAtMost(0, 0);
         cache_.reset();
-        ticks_since_replenish_ = 0;
         return false;
     }
-
-    double saved;
-    std::memcpy(&saved, &cp.budget_bits, sizeof saved);
     // NaN or negative collapses to zero; above-initial clamps down.
-    // Then min() with the live value: a stale checkpoint (power cut
-    // after a spend it never recorded) can only *reduce* spendable
-    // budget, never hand back what was already used.
+    // Then min() with the live value: a stale record (power cut after
+    // a spend it never recorded) can only *reduce* spendable budget,
+    // never hand back what was already used. Likewise a restore can
+    // delay the replenishment timer but never advance it.
     if (!(saved >= 0.0))
         saved = 0.0;
-    saved = std::min(saved, config_.initial_budget);
-    budget_ = std::min(budget_, saved);
-
-    if (cp.flags & 1u) {
-        double cached;
-        std::memcpy(&cached, &cp.cache_bits, sizeof cached);
-        if (std::isfinite(cached))
-            cache_ = cached;
-    }
-
-    // Same monotonicity for the replenishment timer: restoring a
-    // *larger* tick count would bring the refill forward, so take the
-    // minimum -- a restore can delay replenishment but never advance
-    // it. (A freshly constructed controller sits at 0, so a restore
-    // right after reset always restarts the timer.)
-    ticks_since_replenish_ = std::min(ticks_since_replenish_,
-                                      cp.ticks_since_replenish);
+    pool_->restoreAtMost(
+        quantaDown(std::min(saved, nats(pool_->initial()))), ticks);
+    if (cached.has_value() && std::isfinite(*cached))
+        cache_ = cached;
     return true;
+}
+
+bool
+BudgetController::restoreFromCheckpoint(const BudgetCheckpoint &cp)
+{
+    requireOwnPool("restoreFromCheckpoint");
+    double saved, cached;
+    std::memcpy(&saved, &cp.budget_bits, sizeof saved);
+    std::memcpy(&cached, &cp.cache_bits, sizeof cached);
+    return restore(cp.valid(), saved,
+                   (cp.flags & 1u) ? std::optional<double>(cached)
+                                   : std::nullopt,
+                   cp.ticks_since_replenish,
+                   cp.magic == BudgetCheckpoint::kMagic
+                       ? "checkpoint rejected (bad CRC)"
+                       : "checkpoint rejected (bad magic)");
 }
 
 bool
@@ -475,26 +563,8 @@ BudgetController::restoreFromLedger()
 {
     if (ledger_ == nullptr)
         return false;
-    if (ledger_->halted()) {
-        ++fault_stats_.checkpoint_restore_failures;
-        warn("BudgetController: ledger unrecoverable; restoring to "
-             "zero remaining budget");
-        budget_ = 0.0;
-        cache_.reset();
-        ticks_since_replenish_ = 0;
-        return false;
-    }
-    // Same monotone rule as restoreFromCheckpoint(): the ledger can
-    // only make the device more conservative, never hand back budget.
-    double rem = ledger_->remaining();
-    if (!(rem >= 0.0))
-        rem = 0.0;
-    budget_ = std::min(budget_, std::min(rem,
-                                         config_.initial_budget));
-    if (ledger_->cache().has_value() &&
-        std::isfinite(*ledger_->cache()))
-        cache_ = *ledger_->cache();
-    return true;
+    return restore(!ledger_->halted(), ledger_->remaining(),
+                   ledger_->cache(), UINT64_MAX, "ledger unrecoverable");
 }
 
 bool
@@ -502,35 +572,32 @@ BudgetController::checkpointToLedger()
 {
     if (ledger_ == nullptr)
         return false;
-    return ledger_->commitCheckpoint(budget_, cache_);
+    return ledger_->commitCheckpoint(nats(pool_->remaining()), cache_);
 }
 
 void
 BudgetController::advanceTime(uint64_t ticks)
 {
-    if (config_.replenish_period == 0)
+    requireOwnPool("advanceTime");
+    if (!pool_->advanceTime(ticks))
         return;
-    ticks_since_replenish_ += ticks;
-    if (ticks_since_replenish_ >= config_.replenish_period) {
-        ticks_since_replenish_ %= config_.replenish_period;
-        budget_ = config_.initial_budget;
-        // The refill is a policy event, not a spend: record it as a
-        // checkpoint so recovery resumes from the replenished state
-        // instead of replaying pre-refill spends against it.
-        if (ledger_ != nullptr && !ledger_->halted())
-            checkpointToLedger();
-        if (telemetry::enabled()) {
-            budgetMetrics().replenishments.inc();
-            telemetry::event(EventKind::Replenish,
-                             fresh_reports_ + cache_hits_, budget_);
-        }
+    // The refill is a policy event, not a spend: record it as a
+    // checkpoint so recovery resumes from the replenished state
+    // instead of replaying pre-refill spends against it.
+    if (ledger_ != nullptr && !ledger_->halted())
+        checkpointToLedger();
+    if (telemetry::enabled()) {
+        budgetMetrics().replenishments.inc();
+        telemetry::event(EventKind::Replenish,
+                         fresh_reports_ + cache_hits_,
+                         nats(pool_->remaining()));
     }
 }
 
 double
 BudgetController::spentSinceReplenish() const
 {
-    return config_.initial_budget - budget_;
+    return nats(pool_->initial() - pool_->remaining());
 }
 
 } // namespace ulpdp

@@ -19,12 +19,18 @@
  * data, so it costs nothing (Section III-C). An optional replenishment
  * period restores the budget, matching the DP-Box hardware which
  * resets the budget timer while idle in the waiting phase.
+ *
+ * Every budget (controller, shared pool, DP-Box, fleet) is a
+ * BudgetPool of integer loss quanta charged through a SegmentTable:
+ * charges round up and budgets down, so every compare is exact.
  */
 
 #ifndef ULPDP_CORE_BUDGET_H
 #define ULPDP_CORE_BUDGET_H
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -37,23 +43,84 @@ namespace ulpdp {
 class BudgetLedger;
 class RngHealthMonitor;
 
-/**
- * The single authoritative halt condition of Algorithm 1: can a
- * budget of @p remaining cover a report of privacy loss @p loss? The
- * tolerance absorbs the floating-point error accumulated by repeated
- * charging. The per-device controller and the shared pool must never
- * drift on this condition, so both call this one helper.
- */
-inline bool
-budgetCovers(double remaining, double loss)
+/** Fraction bits of a loss quantum: one quantum is 2^-20 nats. */
+constexpr int kLossFracBits = 20;
+
+/** A privacy loss or budget in whole loss quanta. */
+using LossQuanta = uint64_t;
+
+/** Largest value, in nats, exact as quanta in a double: 2^53 quanta. */
+constexpr double kMaxExactNats =
+    static_cast<double>(uint64_t{1} << (53 - kLossFracBits));
+
+/** @p nats in quanta rounded up (charges) or down (budgets and
+ *  restored values); fatal() outside [0, kMaxExactNats]. */
+LossQuanta quantaUp(double nats);
+LossQuanta quantaDown(double nats);
+
+/** Nats of @p q quanta; exact for q <= 2^53. */
+inline double
+nats(LossQuanta q)
 {
-    return remaining + 1e-12 >= loss;
+    return static_cast<double>(q) / (1 << kLossFracBits);
 }
 
 /**
+ * A privacy budget in loss quanta: where Algorithm 1 checks and
+ * charges. A controller owns one, or several sensors share one
+ * (Section IV: the *sum* of their losses is what must be bounded).
+ */
+class BudgetPool
+{
+  public:
+    /** @param initial_budget Nats per period (rounded down, >= 1
+     *         quantum). @param replenish_period Ticks; 0 disables. */
+    explicit BudgetPool(double initial_budget,
+                        uint64_t replenish_period = 0);
+
+    bool covers(LossQuanta q) const { return q <= remaining_; }
+
+    /** Charge @p q; false (pool untouched) when not covered. */
+    bool tryCharge(LossQuanta q)
+    {
+        if (!covers(q))
+            return false;
+        remaining_ -= q;
+        total_charged_ += q;
+        return true;
+    }
+
+    /** True when a period elapsed and the pool refilled. */
+    bool advanceTime(uint64_t ticks);
+
+    void refill() { remaining_ = initial_; }
+
+    /** Monotone restore: remaining = min(remaining, @p q), timer =
+     *  min(timer, @p ticks); a stale record can never add budget. */
+    void restoreAtMost(LossQuanta q, uint64_t ticks = UINT64_MAX)
+    {
+        remaining_ = std::min(remaining_, q);
+        ticks_ = std::min(ticks_, ticks);
+    }
+
+    LossQuanta remaining() const { return remaining_; }
+    LossQuanta initial() const { return initial_; }
+    /** Total charged since construction, across periods. */
+    LossQuanta totalCharged() const { return total_charged_; }
+    uint64_t ticksSinceReplenish() const { return ticks_; }
+
+  private:
+    LossQuanta initial_;
+    LossQuanta remaining_;
+    LossQuanta total_charged_ = 0;
+    uint64_t replenish_period_;
+    uint64_t ticks_ = 0;
+};
+
+/**
  * Draw a noised output confined to [win_lo, win_hi] (grid indices)
- * for input index @p xi, the common sampling step of both budget
- * controllers.
+ * for input index @p xi, the sampling step the budget controller,
+ * the fleet and bounded Laplace share.
  *
  * Thresholding clamps one draw. Resampling serves the accept-reject
  * conditional distribution: through the table fast path when the RNG
@@ -81,6 +148,42 @@ struct BudgetSegment
     /** Privacy loss charged for a report landing in this segment. */
     double loss = 0.0;
 };
+
+/**
+ * The Fig. 8 segments of one device, validated once, charges rounded
+ * up to quanta: the one map from an output's window extension to the
+ * segment it is charged for.
+ */
+class SegmentTable
+{
+  public:
+    struct Entry
+    {
+        int64_t threshold_index;
+        LossQuanta charge;
+    };
+
+    /** @param segments Innermost first: non-empty, strictly
+     *         increasing thresholds, non-decreasing losses. */
+    explicit SegmentTable(const std::vector<BudgetSegment> &segments);
+
+    /** Innermost segment covering @p ext; panic() beyond the last. */
+    const Entry &classify(int64_t ext) const;
+
+    /** Widest segment @p pool can pay for, or nullptr (the halt). */
+    const Entry *widestAffordable(const BudgetPool &pool) const;
+
+    const Entry &outermost() const { return entries_.back(); }
+
+  private:
+    std::vector<Entry> entries_;
+};
+
+/** fatal() when @p ledger (may be null) cannot journal one spend of
+ *  @p loss nats by @p who: recovery charges a torn record only the
+ *  ledger's max_record_loss, so a larger one could come back short. */
+void requireRecordable(const BudgetLedger *ledger, double loss,
+                       const char *who);
 
 /**
  * Computes the Fig. 8 segmentation: for each requested loss level,
@@ -137,9 +240,10 @@ struct BudgetCheckpoint
     /** Bit 0: cache_bits holds a cached report. */
     uint32_t flags = 0;
 
-    /** Remaining budget, as the raw IEEE-754 bit pattern (bitwise
-     *  storage keeps the CRC meaningful; value semantics would not
-     *  round-trip NaNs and signed zeros). */
+    /** Remaining budget in nats (a whole number of loss quanta, so
+     *  exact), as the raw IEEE-754 bit pattern (bitwise storage keeps
+     *  the CRC meaningful; value semantics would not round-trip NaNs
+     *  and signed zeros). */
     uint64_t budget_bits = 0;
 
     /** Cached previous report (bit pattern; valid when flags bit 0). */
@@ -164,7 +268,8 @@ struct BudgetResponse
     /** Value released to the requester. */
     double value = 0.0;
 
-    /** Privacy loss charged (0 when served from cache). */
+    /** Privacy loss charged: the segment's quantized charge in nats
+     *  (0 when served from cache). */
     double charged = 0.0;
 
     /** True when the cached previous output was replayed. */
@@ -224,12 +329,23 @@ class BudgetController
 {
   public:
     /**
+     * A controller that owns its budget pool.
+     *
      * @param params Fixed-point mechanism parameters.
-     * @param config Budget configuration; segments must be non-empty
-     *        with strictly increasing thresholds and losses.
+     * @param config Budget configuration (see SegmentTable).
      */
     BudgetController(const FxpMechanismParams &params,
                      const BudgetControllerConfig &config);
+
+    /**
+     * One sensor charging @p pool, shared with other sensors (Section
+     * IV; must outlive the controller). Time and durability belong to
+     * the pool's owner: advanceTime(), the checkpoints and
+     * attachLedger() fatal() here.
+     */
+    BudgetController(const FxpMechanismParams &params, RangeControl kind,
+                     std::vector<BudgetSegment> segments,
+                     BudgetPool &pool);
 
     /** Serve one sensor data request for true reading @p x. */
     BudgetResponse request(double x);
@@ -278,9 +394,9 @@ class BudgetController
      * dead, ledger halted) the transaction is withheld -- the cached
      * report is served instead and the controller latches fail-secure.
      * The persisted record is therefore always at least as pessimistic
-     * as what left the device.
+     * as what left the device. See requireRecordable().
      */
-    void attachLedger(BudgetLedger *ledger) { ledger_ = ledger; }
+    void attachLedger(BudgetLedger *ledger);
 
     /**
      * Adopt the attached ledger's recovered state after a mount:
@@ -306,8 +422,8 @@ class BudgetController
     /** Detection/degradation counters of the hardening logic. */
     const FaultStats &faultStats() const { return fault_stats_; }
 
-    /** Budget remaining right now. */
-    double remainingBudget() const { return budget_; }
+    /** Budget remaining right now, in nats (exact quanta). */
+    double remainingBudget() const { return nats(pool_->remaining()); }
 
     /** Requests served from cache so far. */
     uint64_t cacheHits() const { return cache_hits_; }
@@ -340,30 +456,28 @@ class BudgetController
 
     /** Build the cache-replay response (shared by halt and faults). */
     BudgetResponse cachedResponse();
-    /** Classify a noised output index into a segment; returns the
-     *  charged loss. */
-    double segmentLoss(int64_t extension) const;
 
-    /**
-     * Widest segment the remaining budget can still pay for, or
-     * nullptr when even the central segment is unaffordable (the
-     * Algorithm 1 halt). Depends only on the budget -- public state --
-     * so it is evaluated *before* any randomness is consumed.
-     */
-    const BudgetSegment *affordableSegment() const;
+    /** fatal() unless the pool is owned: @p what is the owner's. */
+    void requireOwnPool(const char *what) const;
+
+    /** The monotone restore of both persistence paths; an invalid
+     *  record (@p why) restores zero budget and an empty cache. */
+    bool restore(bool valid, double saved, std::optional<double> cached,
+                 uint64_t ticks, const char *why);
 
     FxpMechanismParams params_;
     BudgetControllerConfig config_;
+    SegmentTable table_;
+    std::unique_ptr<BudgetPool> own_pool_;
+    BudgetPool *pool_;
     FxpLaplaceRng rng_;
     int64_t lo_index_;
     int64_t hi_index_;
-    double budget_;
     std::optional<double> cache_;
     uint64_t cache_hits_ = 0;
     uint64_t fresh_reports_ = 0;
     uint64_t resample_overflows_ = 0;
     uint64_t overflows_reported_ = 0; // telemetry high-water mark
-    uint64_t ticks_since_replenish_ = 0;
 
     // Hardening state.
     BudgetLedger *ledger_ = nullptr;

@@ -620,6 +620,10 @@ BudgetLedger::journalSpend(double loss)
     if (!mounted_ || halted_)
         return false;
     ULPDP_ASSERT(std::isfinite(loss) && loss >= 0.0);
+    // A torn record is charged max_record_loss at recovery, so a
+    // larger spend could come back under-counted: refuse it.
+    if (loss > config_.max_record_loss)
+        return false;
     if (!appendRecord(kTypeSpend, 0, doubleBits(loss), 0))
         return false;
     charge(loss);

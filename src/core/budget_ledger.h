@@ -72,7 +72,8 @@ struct BudgetLedgerConfig
      * Fail-secure charge for a record whose content cannot be read
      * back (torn, corrupt). Must be >= the largest loss any single
      * spend can be charged (the outermost segment loss), so an
-     * ambiguous record is always counted at least as spent.
+     * ambiguous record is always counted at least as spent;
+     * journalSpend() refuses a larger spend.
      */
     double max_record_loss = 1.0;
 };
@@ -152,8 +153,9 @@ class BudgetLedger
      * Durably journal one spend of @p loss *before* the caller
      * releases the corresponding output. Returns false when the
      * append could not complete (power lost mid-program, device
-     * dead, or ledger halted) -- the caller must NOT release the
-     * output in that case.
+     * dead, or ledger halted) or @p loss exceeds max_record_loss (a
+     * torn record of it would be under-counted) -- the caller must
+     * NOT release the output in that case.
      */
     bool journalSpend(double loss);
 

@@ -102,14 +102,13 @@ DpBox::DpBox(const DpBoxConfig &config)
     if (config.threshold_index < 0)
         fatal("DpBox: threshold_index must be non-negative");
     if (config.budget_enabled) {
-        if (config.segments.empty())
-            fatal("DpBox: budget enabled but no loss segments given");
-        if (config.segments.back().threshold_index !=
+        segments_.emplace(config.segments);
+        if (segments_->outermost().threshold_index !=
                 config.threshold_index)
             fatal("DpBox: outermost segment threshold (%lld) must "
                   "equal threshold_index (%lld)",
                   static_cast<long long>(
-                      config.segments.back().threshold_index),
+                      segments_->outermost().threshold_index),
                   static_cast<long long>(config.threshold_index));
     }
 
@@ -177,30 +176,28 @@ DpBox::precomputeSample()
     sample_valid_ = true;
 }
 
-std::optional<double>
+void
+DpBox::attachLedger(BudgetLedger *ledger)
+{
+    if (segments_)
+        requireRecordable(ledger, nats(segments_->outermost().charge),
+                          "DpBox");
+    ledger_ = ledger;
+}
+
+std::optional<LossQuanta>
 DpBox::chargeBudget(int64_t out)
 {
-    int64_t ext = 0;
-    if (out < r_l_)
-        ext = r_l_ - out;
-    else if (out > r_u_)
-        ext = out - r_u_;
-
-    double loss = config_.segments.back().loss;
-    for (const auto &seg : config_.segments) {
-        if (ext <= seg.threshold_index) {
-            loss = seg.loss;
-            break;
-        }
-    }
-    if (budget_ + 1e-12 < loss)
+    LossQuanta charge = segments_->classify(
+        std::max({r_l_ - out, out - r_u_, int64_t{0}})).charge;
+    if (!pool_ || !pool_->covers(charge))
         return std::nullopt;
 
     // Durability gate: the spend hits flash before the noised word
     // hits the output port. A cut append means the power is dying --
     // withhold the transaction (the caller replays the cache) and,
     // on hardened silicon, latch fail-secure.
-    if (ledger_ != nullptr && !ledger_->journalSpend(loss)) {
+    if (ledger_ != nullptr && !ledger_->journalSpend(nats(charge))) {
         ++fault_stats_.ledger_append_failures;
         if (config_.harden_faults && !fault_latched_) {
             fault_latched_ = true;
@@ -213,8 +210,8 @@ DpBox::chargeBudget(int64_t out)
         return std::nullopt;
     }
 
-    budget_ -= loss;
-    return loss;
+    pool_->tryCharge(charge);
+    return charge;
 }
 
 bool
@@ -296,9 +293,9 @@ DpBox::noisingCycle()
             return true;
         }
         if (telemetry::enabled()) {
-            dpboxMetrics().spend.add(*charged);
+            dpboxMetrics().spend.add(nats(*charged));
             telemetry::event(EventKind::BudgetSpend, stats_.cycles,
-                             *charged);
+                             nats(*charged));
         }
     }
 
@@ -319,10 +316,12 @@ DpBox::applyCommand(DpBoxCommand cmd, int64_t input)
       case DpBoxCommand::SetEpsilon:
         if (init) {
             // During initialization this command configures the
-            // budget (Section IV-A); losses are raw nats.
-            initial_budget_ = static_cast<double>(input) *
-                              std::ldexp(1.0, -8);
-            budget_ = initial_budget_;
+            // budget register (Section IV-A): Q8 nats, exact in
+            // loss quanta. A non-positive word leaves no budget.
+            if (input > 0)
+                pool_.emplace(std::ldexp(static_cast<double>(input), -8));
+            else
+                pool_.reset();
         } else if (!config_.hardened) {
             if (input < 0 || input > 16)
                 fatal("DpBox: n_m must be in [0, 16], got %lld",
@@ -395,11 +394,12 @@ DpBox::step(DpBoxCommand cmd, int64_t input)
                 if (telemetry::enabled())
                     dpboxMetrics().glitches.inc();
             } else {
-                budget_ = initial_budget_;
+                if (pool_)
+                    pool_->refill();
                 last_replenish_cycle_ = stats_.cycles;
                 if (config_.budget_enabled)
                     telemetry::event(EventKind::Replenish,
-                                     stats_.cycles, budget_);
+                                     stats_.cycles, remainingBudget());
             }
         }
     }

@@ -213,8 +213,11 @@ class DpBox
     /** Statistics counters. */
     const DpBoxStats &stats() const { return stats_; }
 
-    /** Remaining privacy budget (raw loss units). */
-    double remainingBudget() const { return budget_; }
+    /** Remaining privacy budget in nats (0 when none was set). */
+    double remainingBudget() const
+    {
+        return pool_ ? nats(pool_->remaining()) : 0.0;
+    }
 
     /** Whether the device is currently in thresholding mode. */
     bool thresholdingMode() const { return thresholding_; }
@@ -241,9 +244,9 @@ class DpBox
      * device and be mounted). Each spend is journaled before the
      * noised word reaches the output port; a failed append withholds
      * the transaction and (when harden_faults) latches cache-only
-     * service. nullptr detaches.
+     * service. nullptr detaches. See requireRecordable().
      */
-    void attachLedger(BudgetLedger *ledger) { ledger_ = ledger; }
+    void attachLedger(BudgetLedger *ledger);
 
     /** True once a detected fault latched cache-only service. */
     bool faultLatched() const { return fault_latched_; }
@@ -277,8 +280,8 @@ class DpBox
     bool noisingCycle();
 
     /** Classify output extension and charge the budget; returns the
-     *  charged loss or nullopt when the budget cannot cover it. */
-    std::optional<double> chargeBudget(int64_t out);
+     *  charged quanta or nullopt when the budget cannot cover it. */
+    std::optional<LossQuanta> chargeBudget(int64_t out);
 
     DpBoxConfig config_;
     Tausworthe urng_;
@@ -294,8 +297,6 @@ class DpBox
     int64_t r_u_ = 0;       // range upper (raw)
     int64_t r_l_ = 0;       // range lower (raw)
     bool thresholding_;
-    double budget_ = 0.0;
-    double initial_budget_ = 0.0;
     uint64_t replenish_period_ = 0;
     uint64_t last_replenish_cycle_ = 0;
 
@@ -305,6 +306,10 @@ class DpBox
     int sample_sign_ = 1;
     int64_t sample_mag_raw_ = 0;
     bool sample_valid_ = false;
+
+    // Budget logic (segments when budget_enabled; Q8 register).
+    std::optional<SegmentTable> segments_;
+    std::optional<BudgetPool> pool_;
 
     // Cache register for budget-exhausted replay.
     std::optional<int64_t> cache_;

@@ -41,13 +41,16 @@ DpBoxDriver::initialize(double budget, uint64_t replenish_period)
     if (initialized_)
         fatal("DpBoxDriver: initialize() may only run once (the "
               "device seals its budget configuration)");
-    if (!(budget > 0.0))
-        fatal("DpBoxDriver: budget must be positive, got %g", budget);
     ULPDP_ASSERT(box_.phase() == DpBoxPhase::Initialization);
 
-    // Budget register is Q.8 fixed point on the input port.
-    int64_t budget_raw = std::llrint(budget * 256.0);
-    box_.step(DpBoxCommand::SetEpsilon, budget_raw);
+    // Budget register is Q.8 fixed point on the input port, filled by
+    // rounding down: the device never seals more than was asked for.
+    double budget_raw = std::floor(std::ldexp(budget, 8));
+    if (!(budget_raw >= 1.0 && budget <= kMaxExactNats))
+        fatal("DpBoxDriver: budget %g nats does not fit the Q8 budget "
+              "register [2^-8, %g]", budget, kMaxExactNats);
+    box_.step(DpBoxCommand::SetEpsilon,
+              static_cast<int64_t>(budget_raw));
     box_.step(DpBoxCommand::SetRangeUpper,
               static_cast<int64_t>(replenish_period));
     box_.step(DpBoxCommand::StartNoising);

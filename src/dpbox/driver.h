@@ -38,7 +38,8 @@ class DpBoxDriver
      * privacy budget and replenishment period, then seal them with
      * StartNoising. Must be called exactly once, first.
      *
-     * @param budget Total privacy budget (nats of loss).
+     * @param budget Total privacy budget in nats, rounded down to the
+     *        Q8 register; fatal() outside [2^-8, kMaxExactNats].
      * @param replenish_period Cycles between budget refills; 0 never.
      */
     void initialize(double budget, uint64_t replenish_period);

@@ -139,7 +139,7 @@ DpBoxTracer::check() const
         //    refill (or since the timer started at seal time).
         if (i > 0) {
             const DpBoxTraceEntry &prev = trace_[i - 1];
-            if (e.budget > prev.budget + 1e-12 &&
+            if (e.budget > prev.budget &&
                 prev.phase != DpBoxPhase::Initialization) {
                 bool legal = period > 0 &&
                              e.cycle - last_refill >= period;

@@ -205,6 +205,20 @@ synthValue(uint64_t data_seed, double mu, double sigma, double lo,
     return std::clamp(mu + sigma * z, lo, hi);
 }
 
+/** Nats charged for @p reports fresh reports at @p per_report quanta
+ *  each: an exact 128-bit product whose conversion to a double rounds
+ *  up whenever the double cannot hold it (never an undercharge). */
+double
+epochLoss(uint64_t reports, LossQuanta per_report)
+{
+    unsigned __int128 q =
+        static_cast<unsigned __int128>(reports) * per_report;
+    double charged = static_cast<double>(q);
+    if (static_cast<unsigned __int128>(charged) < q)
+        charged = std::nextafter(charged, HUGE_VAL);
+    return std::ldexp(charged, -kLossFracBits);
+}
+
 } // anonymous namespace
 
 const char *
@@ -326,22 +340,16 @@ struct FleetRunner::CohortPlan
         win_lo = lo_index - threshold;
         win_hi = hi_index + threshold;
 
-        // Worst-case flat charge per fresh report (never undercharges,
-        // and the affordable count needs no randomness to evaluate).
-        per_report_charge = controlled
+        // Worst-case flat charge per fresh report in quanta (never
+        // undercharges; the affordable count needs no randomness).
+        per_report_charge = quantaUp(controlled
             ? cfg.loss_multiple * cfg.params.epsilon
-            : cfg.params.epsilon;
+            : cfg.params.epsilon);
         fresh_per_node = cfg.reports_per_node;
-        if (cfg.budget_per_node > 0.0) {
-            uint32_t f = 0;
-            double remaining = cfg.budget_per_node;
-            while (f < cfg.reports_per_node &&
-                   budgetCovers(remaining, per_report_charge)) {
-                remaining -= per_report_charge;
-                ++f;
-            }
-            fresh_per_node = f;
-        }
+        if (cfg.budget_per_node > 0.0)
+            fresh_per_node = static_cast<uint32_t>(std::min<LossQuanta>(
+                cfg.reports_per_node,
+                quantaDown(cfg.budget_per_node) / per_report_charge));
 
         // Synthetic-data shape defaults: centered, range/6 std.
         data_mean = cfg.data_mean_set
@@ -495,9 +503,9 @@ struct FleetRunner::CohortPlan
     double hist_lo = 0.0;
     double hist_hi = 1.0;
     uint32_t fresh_per_node = 0;
-    /** Worst-case loss one fresh report is metered at (epoch-ledger
-     *  journaling uses the same bound: never undercharges). */
-    double per_report_charge = 0.0;
+    /** Worst-case loss one fresh report is metered at, in quanta
+     *  (the epoch ledger journals the same bound). */
+    LossQuanta per_report_charge = 0;
     double worst_loss = 0.0;
     bool ldp = false;
 
@@ -804,6 +812,13 @@ FleetRunner::FleetRunner(FleetConfig config)
     for (size_t i = 0; i < config_.cohorts.size(); ++i)
         plans_.emplace_back(config_.cohorts[i],
                             static_cast<uint32_t>(i));
+    // Each cohort's epoch is one journaled spend: refuse a ledger
+    // that cannot record the worst one before any report is out.
+    for (const CohortPlan &plan : plans_)
+        requireRecordable(config_.epoch_ledger,
+                          epochLoss(plan.nodes * plan.fresh_per_node,
+                                    plan.per_report_charge),
+                          "FleetRunner epoch");
 }
 
 FleetRunner::~FleetRunner() = default;
@@ -1236,6 +1251,7 @@ FleetRunner::run(unsigned num_threads)
     // thread ran which block.
     FleetReport report;
     report.threads = spawn;
+    bool epoch_journaled = true;
     report.seconds =
         std::chrono::duration<double>(t1 - t0).count();
     for (size_t c = 0; c < plans_.size(); ++c) {
@@ -1321,17 +1337,18 @@ FleetRunner::run(unsigned num_threads)
         // undercharge) and seal the epoch with a checkpoint. Main
         // thread, post-merge: the FleetReport and its fingerprint are
         // already final, so a ledger cannot move a bit of them.
-        if (config_.epoch_ledger != nullptr &&
-            res.fresh_reports > 0) {
-            double charged = static_cast<double>(res.fresh_reports) *
-                             plan.per_report_charge;
-            if (!config_.epoch_ledger->journalSpend(charged))
-                warn("FleetRunner: epoch ledger append failed for "
-                     "cohort '%s'", res.name.c_str());
+        if (config_.epoch_ledger != nullptr && res.fresh_reports > 0 &&
+            !config_.epoch_ledger->journalSpend(
+                epochLoss(res.fresh_reports, plan.per_report_charge))) {
+            warn("FleetRunner: epoch ledger lost the spend of cohort "
+                 "'%s'; the epoch is left unsealed", res.name.c_str());
+            epoch_journaled = false;
         }
         report.cohorts.push_back(std::move(res));
     }
-    if (config_.epoch_ledger != nullptr)
+    // A checkpoint seals remaining(), which leaves out a lost spend:
+    // sealing it would hand that budget back at recovery.
+    if (config_.epoch_ledger != nullptr && epoch_journaled)
         config_.epoch_ledger->commitCheckpoint(
             config_.epoch_ledger->remaining(),
             config_.epoch_ledger->cache());

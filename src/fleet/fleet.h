@@ -222,7 +222,10 @@ struct FleetConfig
      * checkpoint. Journaling happens entirely outside the parallel
      * section and after the merge, so it cannot move a bit of the
      * FleetReport: the fingerprint is identical with and without a
-     * ledger attached on a fault-free run.
+     * ledger attached on a fault-free run. Each cohort's epoch is one
+     * record, so the ledger's max_record_loss must cover every
+     * cohort's worst epoch charge; the runner's constructor calls
+     * fatal() otherwise.
      */
     BudgetLedger *epoch_ledger = nullptr;
 };

@@ -11,6 +11,8 @@
 
 #include "common/logging.h"
 #include "core/budget.h"
+#include "dpbox/driver.h"
+#include "fleet/fleet.h"
 
 namespace ulpdp {
 namespace {
@@ -122,7 +124,7 @@ TEST(BudgetController, ChargesPerRequest)
     BudgetResponse r = ctrl.request(5.0);
     EXPECT_FALSE(r.from_cache);
     EXPECT_GT(r.charged, 0.0);
-    EXPECT_DOUBLE_EQ(ctrl.remainingBudget(), before - r.charged);
+    EXPECT_EQ(ctrl.remainingBudget(), before - r.charged);
     EXPECT_EQ(ctrl.freshReports(), 1u);
 }
 
@@ -194,8 +196,8 @@ TEST(BudgetController, TotalChargedNeverExceedsBudget)
     double total = 0.0;
     for (int i = 0; i < 200; ++i)
         total += ctrl.request(7.0).charged;
-    EXPECT_LE(total, 3.0 + 1e-9);
-    EXPECT_GE(ctrl.remainingBudget(), -1e-9);
+    EXPECT_LE(total, 3.0);
+    EXPECT_GE(ctrl.remainingBudget(), 0.0);
 }
 
 TEST(BudgetController, ResamplingModeDrawsExtraSamples)
@@ -342,7 +344,7 @@ TEST(BudgetController, PartialBudgetNarrowsTheWindow)
         if (r.from_cache)
             continue;
         fresh_seen = true;
-        EXPECT_DOUBLE_EQ(r.charged, central);
+        EXPECT_EQ(r.charged, nats(quantaUp(central)));
         EXPECT_GE(r.value, 0.0 - 1e-9);
         EXPECT_LE(r.value, 10.0 + 1e-9);
     }
@@ -384,11 +386,193 @@ TEST(BudgetController, SpentSinceReplenish)
     BudgetController ctrl(p,
                           makeConfig(p, 10.0,
                                      RangeControl::Thresholding));
-    ctrl.request(5.0);
+    BudgetResponse r = ctrl.request(5.0);
     EXPECT_GT(ctrl.spentSinceReplenish(), 0.0);
-    EXPECT_NEAR(ctrl.spentSinceReplenish() + ctrl.remainingBudget(),
-                10.0, 1e-12);
+    EXPECT_EQ(ctrl.spentSinceReplenish(), r.charged);
+    EXPECT_EQ(ctrl.spentSinceReplenish() + ctrl.remainingBudget(), 10.0);
 }
+
+TEST(BudgetPool, QuantaRoundChargesUpAndBudgetsDown)
+{
+    const LossQuanta one = LossQuanta{1} << kLossFracBits;
+    EXPECT_EQ(quantaUp(1.0), one);
+    EXPECT_EQ(quantaDown(1.0), one);
+    // 0.1 nats is 104857.6 quanta.
+    EXPECT_EQ(quantaUp(0.1), 104858u);
+    EXPECT_EQ(quantaDown(0.1), 104857u);
+    EXPECT_EQ(quantaUp(0.0), 0u);
+    // Every budget the repo uses round-trips exactly, up to the limit.
+    EXPECT_EQ(nats(quantaDown(1e9)), 1e9);
+    EXPECT_EQ(nats(quantaDown(kMaxExactNats)), kMaxExactNats);
+    EXPECT_EQ(quantaDown(kMaxExactNats), LossQuanta{1} << 53);
+    EXPECT_THROW(quantaDown(2.0 * kMaxExactNats), FatalError);
+    EXPECT_THROW(quantaUp(-1e-9), FatalError);
+    EXPECT_THROW(quantaUp(std::nan("")), FatalError);
+    EXPECT_THROW(quantaDown(HUGE_VAL), FatalError);
+    EXPECT_THROW(BudgetPool(1e12), FatalError);
+    // Below one quantum a budget rounds to nothing.
+    EXPECT_THROW(BudgetPool(1e-7), FatalError);
+}
+
+TEST(BudgetPool, AdmitsExactlyNineChargesOfATenthPlusEpsilon)
+{
+    // Ten charges of 0.1 + 5e-14 total 1.0000000000005 nats: the
+    // tenth overdraws a budget of 1.0, so it must be refused and
+    // remaining must never go negative.
+    BudgetPool pool(1.0);
+    const LossQuanta q = quantaUp(0.1 + 5e-14);
+    int admitted = 0;
+    while (pool.tryCharge(q))
+        ++admitted;
+    EXPECT_EQ(admitted, 9);
+    EXPECT_EQ(pool.remaining(), quantaDown(1.0) - 9 * q);
+    EXPECT_EQ(pool.totalCharged(), 9 * q);
+}
+
+TEST(BudgetPool, RestoreIsMonotone)
+{
+    BudgetPool pool(2.0, 100);
+    ASSERT_TRUE(pool.tryCharge(quantaUp(0.5)));
+    EXPECT_FALSE(pool.advanceTime(40));
+    // A restore above the live state changes nothing.
+    pool.restoreAtMost(quantaDown(2.0), 90);
+    EXPECT_EQ(pool.remaining(), quantaDown(1.5));
+    EXPECT_EQ(pool.ticksSinceReplenish(), 40u);
+    // One below it lowers both.
+    pool.restoreAtMost(quantaDown(1.0), 10);
+    EXPECT_EQ(pool.remaining(), quantaDown(1.0));
+    EXPECT_EQ(pool.ticksSinceReplenish(), 10u);
+    EXPECT_TRUE(pool.advanceTime(90));
+    EXPECT_EQ(pool.remaining(), quantaDown(2.0));
+    pool.restoreAtMost(0, 0);
+    EXPECT_EQ(pool.remaining(), 0u);
+    pool.refill();
+    EXPECT_EQ(pool.remaining(), pool.initial());
+}
+
+std::vector<BudgetSegment>
+threeSegments()
+{
+    return {{0, 0.5}, {10, 0.75}, {20, 1.0}};
+}
+
+TEST(SegmentTable, ClassifiesIntoTheInnermostCoveringSegment)
+{
+    SegmentTable t(threeSegments());
+    EXPECT_EQ(t.classify(0).charge, quantaUp(0.5));
+    EXPECT_EQ(t.classify(1).charge, quantaUp(0.75));
+    EXPECT_EQ(t.classify(10).charge, quantaUp(0.75));
+    EXPECT_EQ(t.classify(11).charge, quantaUp(1.0));
+    EXPECT_EQ(t.classify(20).threshold_index, 20);
+    EXPECT_EQ(&t.outermost(), &t.classify(20));
+    EXPECT_THROW(t.classify(21), PanicError);
+}
+
+TEST(SegmentTable, RejectsBadSegments)
+{
+    EXPECT_THROW(SegmentTable({}), FatalError);
+    EXPECT_THROW(SegmentTable({{0, 0.5}, {0, 0.75}}), FatalError);
+    EXPECT_THROW(SegmentTable({{0, 0.75}, {10, 0.5}}), FatalError);
+    EXPECT_THROW(SegmentTable({{0, -0.5}}), FatalError);
+    EXPECT_THROW(SegmentTable({{0, 0.5}, {10, std::nan("")}}),
+                 FatalError);
+}
+
+TEST(SegmentTable, WidestAffordableFollowsThePool)
+{
+    SegmentTable t(threeSegments());
+    BudgetPool pool(1.0);
+    ASSERT_NE(t.widestAffordable(pool), nullptr);
+    EXPECT_EQ(t.widestAffordable(pool)->threshold_index, 20);
+    ASSERT_TRUE(pool.tryCharge(quantaUp(0.3)));
+    ASSERT_NE(t.widestAffordable(pool), nullptr);
+    EXPECT_EQ(t.widestAffordable(pool)->threshold_index, 0);
+    ASSERT_TRUE(pool.tryCharge(quantaUp(0.3)));
+    EXPECT_EQ(t.widestAffordable(pool), nullptr);
+}
+
+/** One budget and one flat segment charge for all four consumers. */
+struct ParityCase
+{
+    double budget;
+    /** Per-report charge is 2 * epsilon (the fleet's loss_multiple). */
+    double epsilon;
+    uint64_t expect_fresh;
+};
+
+class BudgetPoolParity : public ::testing::TestWithParam<ParityCase>
+{};
+
+TEST_P(BudgetPoolParity, EveryConsumerAdmitsTheSameFreshReports)
+{
+    const ParityCase c = GetParam();
+    const double charge = 2.0 * c.epsilon;
+    const int64_t window = 8;
+    const int kRequests = 20;
+
+    FxpMechanismParams p = testParams();
+    p.epsilon = c.epsilon;
+    const std::vector<BudgetSegment> segs = {{window, charge}};
+
+    // 1. A controller that owns its pool.
+    BudgetControllerConfig cfg;
+    cfg.initial_budget = c.budget;
+    cfg.segments = segs;
+    BudgetController own(p, cfg);
+    // 2. A controller on a shared pool.
+    BudgetPool pool(c.budget);
+    BudgetController shared(p, RangeControl::Thresholding, segs, pool);
+    for (int i = 0; i < kRequests; ++i) {
+        own.request(5.0);
+        shared.request(5.0);
+        EXPECT_GE(own.remainingBudget(), 0.0);
+        EXPECT_GE(nats(pool.remaining()), 0.0);
+    }
+    EXPECT_EQ(own.freshReports(), c.expect_fresh);
+    EXPECT_EQ(shared.freshReports(), c.expect_fresh);
+
+    // 3. The DP-Box model.
+    DpBoxConfig box;
+    box.threshold_index = window;
+    box.budget_enabled = true;
+    box.segments = segs;
+    DpBoxDriver drv(box);
+    drv.initialize(c.budget, 0);
+    drv.configure(0.5, SensorRange(0.0, 10.0));
+    for (int i = 0; i < kRequests; ++i) {
+        drv.noise(5.0);
+        EXPECT_GE(drv.device().remainingBudget(), 0.0);
+    }
+    const DpBoxStats &st = drv.device().stats();
+    EXPECT_EQ(st.noising_requests - st.cache_hits, c.expect_fresh);
+
+    // 4. A fleet plan: one node, the same budget, charge 2 * eps.
+    FleetConfig fc;
+    CohortConfig cohort;
+    cohort.name = "parity";
+    cohort.mechanism = CohortMechanism::Thresholding;
+    cohort.params = p;
+    cohort.loss_multiple = 2.0;
+    cohort.nodes = 1;
+    cohort.reports_per_node = kRequests;
+    cohort.budget_per_node = c.budget;
+    cohort.analyze_loss = false;
+    fc.cohorts = {cohort};
+    FleetReport rep = FleetRunner(fc).run(1);
+    EXPECT_EQ(rep.cohorts[0].fresh_reports, c.expect_fresh);
+    EXPECT_LE(static_cast<double>(c.expect_fresh) *
+                  nats(quantaUp(charge)),
+              c.budget);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Budgets, BudgetPoolParity,
+    ::testing::Values(
+        // Dyadic: 6 nats at 1 nat per report admits exactly 6.
+        ParityCase{6.0, 0.5, 6},
+        // 10 x (0.1 + 5e-14) overdraws 1.0: exactly 9.
+        ParityCase{1.0, 0.5 * (0.1 + 5e-14), 9},
+        ParityCase{2.5, 0.5, 2}));
 
 } // anonymous namespace
 } // namespace ulpdp

@@ -15,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
+#include "common/logging.h"
 #include "core/budget.h"
 #include "core/budget_ledger.h"
 #include "core/threshold_calc.h"
+#include "dpbox/dpbox.h"
 #include "sim/fault_injector.h"
 #include "sim/nor_flash.h"
 
@@ -420,8 +422,8 @@ TEST(BudgetLedger, ControllerJournalsEverySpendBeforeRelease)
         charged += r.charged;
     }
     EXPECT_EQ(ledger.stats().spends_journaled, 5u);
-    EXPECT_NEAR(ledger.remaining(), 10.0 - charged, 1e-9);
-    EXPECT_NEAR(ctrl.remainingBudget(), ledger.remaining(), 1e-9);
+    EXPECT_EQ(ledger.remaining(), 10.0 - charged);
+    EXPECT_EQ(ctrl.remainingBudget(), ledger.remaining());
 
     // The recovered ledger hands the next boot the same state.
     ASSERT_TRUE(ctrl.checkpointToLedger());
@@ -430,7 +432,52 @@ TEST(BudgetLedger, ControllerJournalsEverySpendBeforeRelease)
     BudgetController next(p, cfg);
     next.attachLedger(&recovered);
     ASSERT_TRUE(next.restoreFromLedger());
-    EXPECT_NEAR(next.remainingBudget(), ctrl.remainingBudget(), 1e-9);
+    EXPECT_EQ(next.remainingBudget(), ctrl.remainingBudget());
+}
+
+TEST(BudgetLedger, RefusesSpendAboveMaxRecordLoss)
+{
+    // A torn record is charged max_record_loss at recovery; a larger
+    // spend journaled and then torn would come back under-counted.
+    NorFlashModel flash(ledgerGeom());
+    BudgetLedger ledger(flash, ledgerConfig(5.0, 1.0));
+    ASSERT_TRUE(ledger.mount());
+    EXPECT_FALSE(ledger.journalSpend(1.5));
+    EXPECT_EQ(ledger.stats().spends_journaled, 0u);
+    EXPECT_EQ(ledger.remaining(), 5.0);
+    EXPECT_TRUE(ledger.journalSpend(1.0));
+    EXPECT_EQ(ledger.remaining(), 4.0);
+}
+
+TEST(BudgetLedger, AttachRefusesOutermostChargeAboveMaxRecordLoss)
+{
+    NorFlashModel flash(ledgerGeom());
+    FxpMechanismParams p = testParams();
+    auto cfg = testConfig(p);
+    const double outer = cfg.segments.back().loss;
+
+    // Below the outermost charge: the controller refuses the ledger.
+    BudgetLedger narrow(flash, ledgerConfig(10.0, 0.5 * outer));
+    ASSERT_TRUE(narrow.mount());
+    BudgetController ctrl(p, cfg);
+    EXPECT_THROW(ctrl.attachLedger(&narrow), FatalError);
+
+    // The DP-Box budget logic applies the same rule.
+    DpBoxConfig box;
+    box.threshold_index = 300;
+    box.budget_enabled = true;
+    box.segments = {{0, 0.55}, {300, 1.0}};
+    DpBox dev(box);
+    BudgetLedger tight(flash, ledgerConfig(10.0, 0.75));
+    EXPECT_THROW(dev.attachLedger(&tight), FatalError);
+    BudgetLedger exact(flash, ledgerConfig(10.0, 1.0));
+    dev.attachLedger(&exact);
+
+    // At or above it, both attach.
+    BudgetLedger wide(flash, ledgerConfig(10.0, 2.0));
+    ASSERT_TRUE(wide.mount());
+    ctrl.attachLedger(&wide);
+    EXPECT_TRUE(ctrl.restoreFromLedger());
 }
 
 TEST(BudgetLedger, FailedAppendWithholdsTheOutputAndLatches)

@@ -81,6 +81,32 @@ TEST(DpBoxDriver, RejectsNonPositiveBudget)
     setLoggingEnabled(true);
 }
 
+TEST(DpBoxDriver, BudgetRoundsDownToTheRegister)
+{
+    // 1.003 nats is 256.768 register LSBs: the device must seal
+    // 256/256 = 1 nat, never the 257/256 that rounding to nearest
+    // would grant.
+    DpBoxDriver drv(driverConfig());
+    drv.initialize(1.003, 0);
+    EXPECT_EQ(drv.device().remainingBudget(), 1.0);
+}
+
+TEST(DpBoxDriver, RejectsBudgetsTheRegisterCannotHold)
+{
+    setLoggingEnabled(false);
+    // Floors to zero LSBs.
+    EXPECT_THROW(DpBoxDriver(driverConfig()).initialize(0.003, 0),
+                 FatalError);
+    // Overflows the register's exact range.
+    EXPECT_THROW(
+        DpBoxDriver(driverConfig()).initialize(2.0 * kMaxExactNats, 0),
+        FatalError);
+    setLoggingEnabled(true);
+    DpBoxDriver edge(driverConfig());
+    edge.initialize(kMaxExactNats, 0);
+    EXPECT_EQ(edge.device().remainingBudget(), kMaxExactNats);
+}
+
 TEST(DpBoxDriver, RejectsNonPositiveEpsilon)
 {
     DpBoxDriver drv(driverConfig());

@@ -670,7 +670,7 @@ runControllerCampaign(RangeControl kind, uint64_t seed, bool hardened,
                 injector.corruptCheckpointMaybe(&cp, sizeof cp);
                 bool restored = ctrl->restoreFromCheckpoint(cp);
                 if (restored &&
-                    ctrl->remainingBudget() > cp_remaining + 1e-9) {
+                    ctrl->remainingBudget() > cp_remaining) {
                     ++outcome.violations;
                 }
             }
@@ -718,7 +718,7 @@ runControllerCampaign(RangeControl kind, uint64_t seed, bool hardened,
             continue;
         }
 
-        if (ctrl->remainingBudget() > prev_remaining + 1e-9)
+        if (ctrl->remainingBudget() > prev_remaining)
             ++outcome.violations; // budget grew across a request
         if (pre_latched && !resp.from_cache)
             ++outcome.violations; // fresh draw after fail-secure latch
@@ -758,7 +758,7 @@ runControllerCampaign(RangeControl kind, uint64_t seed, bool hardened,
     // reboot and overspends it.
     double spend_cap =
         static_cast<double>(refills_possible) * cfg.initial_budget;
-    if (outcome.total_charged > spend_cap + 1e-6)
+    if (outcome.total_charged > spend_cap)
         ++outcome.violations;
 
     outcome.device_stats += ctrl->faultStats();

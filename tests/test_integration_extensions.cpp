@@ -13,7 +13,7 @@
 
 #include "core/kary_randomized_response.h"
 #include "core/privacy_loss.h"
-#include "core/shared_budget.h"
+#include "core/budget.h"
 #include "core/thresholding_mechanism.h"
 #include "dpbox/driver.h"
 #include "dpbox/provisioning.h"
@@ -97,7 +97,7 @@ TEST(IntegrationExt, MixedStreamsOnOnePool)
     // A numeric sensor (thresholding) and a categorical one (k-ary
     // RR) metered against the same pool: the combined spend is
     // bounded and both degrade gracefully.
-    SharedBudgetPool pool(8.0);
+    BudgetPool pool(8.0);
 
     FxpMechanismParams p;
     p.range = SensorRange(0.0, 10.0);
@@ -106,27 +106,28 @@ TEST(IntegrationExt, MixedStreamsOnOnePool)
     p.output_bits = 12;
     p.delta = 10.0 / 32.0;
     ThresholdCalculator calc(p);
-    BudgetedSensor numeric(
-        "numeric", p, RangeControl::Thresholding,
+    BudgetController numeric(
+        p, RangeControl::Thresholding,
         LossSegments::compute(calc, RangeControl::Thresholding,
                               {1.5, 2.0}),
         pool);
 
     KaryRandomizedResponse categorical(4, 1.0, 20, 3);
-    double rr_loss = categorical.exactLoss();
+    const LossQuanta rr_charge = quantaUp(categorical.exactLoss());
 
     double charged = 0.0;
     int rr_answers = 0;
     for (int i = 0; i < 60; ++i) {
         charged += numeric.request(5.0).charged;
-        if (pool.tryCharge(rr_loss)) {
+        if (pool.tryCharge(rr_charge)) {
             categorical.respond(i % 4);
-            charged += rr_loss;
+            charged += nats(rr_charge);
             ++rr_answers;
         }
     }
-    EXPECT_LE(charged, 8.0 + 1e-9);
-    EXPECT_NEAR(charged, pool.totalCharged(), 1e-9);
+    // Whole quanta throughout, so both sums are exact.
+    EXPECT_LE(charged, 8.0);
+    EXPECT_EQ(charged, nats(pool.totalCharged()));
     EXPECT_GT(rr_answers, 0);
     EXPECT_GT(numeric.cacheHits(), 0u);
 }

@@ -284,12 +284,50 @@ TEST(LedgerFleet, FingerprintUnchangedWithEpochLedgerAttached)
     // cover exactly that worst case.
     double expect_thr = 1500.0 * 2 * (2.0 * 0.5);
     double expect_res = 1500.0 * 3 * (2.0 * 0.5);
-    EXPECT_NEAR(charged, expect_thr + expect_res, 1e-6);
+    EXPECT_EQ(charged, expect_thr + expect_res);
 
     // Recovery hands the same accounting to the next epoch.
     BudgetLedger recovered(flash, stormLedgerConfig(1e9, 1e6));
     ASSERT_TRUE(recovered.mount());
-    EXPECT_NEAR(recovered.remaining(), ledger.remaining(), 1e-3);
+    EXPECT_EQ(recovered.remaining(), ledger.remaining());
+}
+
+TEST(LedgerFleet, EpochLedgerMustRecordEachCohortsWorstEpoch)
+{
+    // Each cohort's epoch is one spend record, and a torn record is
+    // charged only max_record_loss at recovery. A ledger that cannot
+    // record a cohort's worst epoch (here "res": 1500 x 3 x 1.0 =
+    // 4500 nats) would refuse the spend after the reports are out,
+    // so the runner refuses the ledger up front.
+    FleetConfig wired = smallFleet();
+    NorFlashModel flash(stormGeom());
+    BudgetLedgerConfig defaults;
+    defaults.initial_budget = 1e9;
+    BudgetLedger narrow(flash, defaults);
+    ASSERT_TRUE(narrow.mount());
+    wired.epoch_ledger = &narrow;
+    EXPECT_THROW(FleetRunner{wired}, FatalError);
+
+    NorFlashModel flash2(stormGeom());
+    BudgetLedger just_short(
+        flash2, stormLedgerConfig(1e9, std::nextafter(4500.0, 0.0)));
+    ASSERT_TRUE(just_short.mount());
+    wired.epoch_ledger = &just_short;
+    EXPECT_THROW(FleetRunner{wired}, FatalError);
+
+    // At exactly the worst epoch charge, the epoch is journaled and
+    // sealed, and recovery gives back none of it.
+    NorFlashModel flash3(stormGeom());
+    BudgetLedger exact(flash3, stormLedgerConfig(1e9, 4500.0));
+    ASSERT_TRUE(exact.mount());
+    wired.epoch_ledger = &exact;
+    FleetRunner runner(wired);
+    runner.run(1);
+    EXPECT_EQ(exact.stats().spends_journaled, 2u);
+    EXPECT_EQ(exact.remaining(), 1e9 - 3000.0 - 4500.0);
+    BudgetLedger recovered(flash3, stormLedgerConfig(1e9, 4500.0));
+    ASSERT_TRUE(recovered.mount());
+    EXPECT_EQ(recovered.remaining(), exact.remaining());
 }
 
 } // namespace

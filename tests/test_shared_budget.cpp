@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests for the multi-sensor shared budget pool (Section IV).
+ * Tests for the multi-sensor shared budget pool (Section IV): one
+ * BudgetPool charged by several sensors' BudgetControllers.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
-#include "core/shared_budget.h"
+#include "core/budget.h"
 
 namespace ulpdp {
 namespace {
@@ -34,58 +35,77 @@ segmentsFor(const FxpMechanismParams &p)
 
 TEST(SharedBudgetPool, RejectsBadBudget)
 {
-    EXPECT_THROW(SharedBudgetPool(0.0), FatalError);
+    EXPECT_THROW(BudgetPool(0.0), FatalError);
 }
 
 TEST(SharedBudgetPool, ChargesUntilEmpty)
 {
-    SharedBudgetPool pool(1.0);
-    EXPECT_TRUE(pool.tryCharge(0.6));
-    EXPECT_FALSE(pool.tryCharge(0.5));
-    EXPECT_DOUBLE_EQ(pool.remaining(), 0.4);
-    EXPECT_TRUE(pool.tryCharge(0.4));
-    EXPECT_DOUBLE_EQ(pool.totalCharged(), 1.0);
+    BudgetPool pool(1.0);
+    EXPECT_TRUE(pool.tryCharge(quantaUp(0.6)));
+    EXPECT_FALSE(pool.tryCharge(quantaUp(0.5)));
+    EXPECT_EQ(pool.remaining(), quantaDown(1.0) - quantaUp(0.6));
+    // Both charges round up, so 0.6 + 0.4 overdraws 1.0 by one
+    // quantum; the exact remainder is still spendable.
+    EXPECT_FALSE(pool.tryCharge(quantaUp(0.4)));
+    EXPECT_TRUE(pool.tryCharge(pool.remaining()));
+    EXPECT_EQ(pool.totalCharged(), quantaDown(1.0));
 }
 
 TEST(SharedBudgetPool, FailedChargeLeavesPoolIntact)
 {
-    SharedBudgetPool pool(1.0);
-    EXPECT_FALSE(pool.tryCharge(2.0));
-    EXPECT_DOUBLE_EQ(pool.remaining(), 1.0);
-    EXPECT_DOUBLE_EQ(pool.totalCharged(), 0.0);
+    BudgetPool pool(1.0);
+    EXPECT_FALSE(pool.tryCharge(quantaUp(2.0)));
+    EXPECT_EQ(pool.remaining(), quantaDown(1.0));
+    EXPECT_EQ(pool.totalCharged(), 0u);
 }
 
 TEST(SharedBudgetPool, Replenishes)
 {
-    SharedBudgetPool pool(1.0, 100);
-    pool.tryCharge(1.0);
-    EXPECT_FALSE(pool.tryCharge(0.1));
-    pool.advanceTime(99);
-    EXPECT_FALSE(pool.tryCharge(0.1));
-    pool.advanceTime(1);
-    EXPECT_TRUE(pool.tryCharge(0.1));
+    BudgetPool pool(1.0, 100);
+    EXPECT_TRUE(pool.tryCharge(quantaUp(1.0)));
+    EXPECT_FALSE(pool.tryCharge(quantaUp(0.1)));
+    EXPECT_FALSE(pool.advanceTime(99));
+    EXPECT_FALSE(pool.tryCharge(quantaUp(0.1)));
+    EXPECT_TRUE(pool.advanceTime(1));
+    EXPECT_TRUE(pool.tryCharge(quantaUp(0.1)));
     // totalCharged accumulates across epochs.
-    EXPECT_DOUBLE_EQ(pool.totalCharged(), 1.1);
+    EXPECT_EQ(pool.totalCharged(), quantaUp(1.0) + quantaUp(0.1));
 }
 
 TEST(BudgetedSensor, RejectsBadSegments)
 {
-    SharedBudgetPool pool(10.0);
+    BudgetPool pool(10.0);
     FxpMechanismParams p = sensorParams(0.0, 10.0, 1);
-    EXPECT_THROW(BudgetedSensor("s", p, RangeControl::Thresholding,
-                                {}, pool),
+    EXPECT_THROW(BudgetController(p, RangeControl::Thresholding, {},
+                                  pool),
                  FatalError);
+}
+
+TEST(BudgetPool, SharingControllerCannotDriveTimeOrDurability)
+{
+    // A sensor on a borrowed pool must not refill, checkpoint or
+    // journal it: those belong to whoever owns the pool.
+    BudgetPool pool(10.0, 100);
+    FxpMechanismParams p = sensorParams(0.0, 10.0, 1);
+    BudgetController s(p, RangeControl::Thresholding, segmentsFor(p),
+                       pool);
+    EXPECT_THROW(s.advanceTime(100), FatalError);
+    EXPECT_THROW(s.checkpoint(), FatalError);
+    EXPECT_THROW(s.restoreFromCheckpoint(BudgetCheckpoint{}),
+                 FatalError);
+    EXPECT_THROW(s.attachLedger(nullptr), FatalError);
+    EXPECT_EQ(pool.remaining(), quantaDown(10.0));
 }
 
 TEST(BudgetedSensor, TwoSensorsDrainOnePool)
 {
-    SharedBudgetPool pool(5.0);
+    BudgetPool pool(5.0);
     FxpMechanismParams pa = sensorParams(0.0, 10.0, 1);
     FxpMechanismParams pb = sensorParams(-1.0, 1.0, 2);
-    BudgetedSensor accel("accel", pa, RangeControl::Thresholding,
-                         segmentsFor(pa), pool);
-    BudgetedSensor gyro("gyro", pb, RangeControl::Thresholding,
-                        segmentsFor(pb), pool);
+    BudgetController accel(pa, RangeControl::Thresholding,
+                           segmentsFor(pa), pool);
+    BudgetController gyro(pb, RangeControl::Thresholding,
+                          segmentsFor(pb), pool);
 
     // Alternate requests; the combined charges must never exceed the
     // shared pool.
@@ -94,8 +114,9 @@ TEST(BudgetedSensor, TwoSensorsDrainOnePool)
         charged += accel.request(5.0).charged;
         charged += gyro.request(0.3).charged;
     }
-    EXPECT_LE(charged, 5.0 + 1e-9);
-    EXPECT_NEAR(charged, pool.totalCharged(), 1e-12);
+    // Every charge is a whole number of quanta, so the sums are exact.
+    EXPECT_LE(charged, 5.0);
+    EXPECT_EQ(charged, nats(pool.totalCharged()));
     // Both sensors eventually hit the cache.
     EXPECT_GT(accel.cacheHits() + gyro.cacheHits(), 0u);
 }
@@ -105,17 +126,18 @@ TEST(BudgetedSensor, OneGreedySensorStarvesTheOther)
     // The point of sharing: sensor A's requests consume budget that
     // sensor B then cannot spend -- combining streams cannot exceed
     // the pool.
-    SharedBudgetPool pool(3.0);
+    BudgetPool pool(3.0);
     FxpMechanismParams pa = sensorParams(0.0, 10.0, 3);
     FxpMechanismParams pb = sensorParams(0.0, 10.0, 4);
-    BudgetedSensor greedy("greedy", pa, RangeControl::Thresholding,
-                          segmentsFor(pa), pool);
-    BudgetedSensor victim("victim", pb, RangeControl::Thresholding,
-                          segmentsFor(pb), pool);
+    BudgetController greedy(pa, RangeControl::Thresholding,
+                            segmentsFor(pa), pool);
+    BudgetController victim(pb, RangeControl::Thresholding,
+                            segmentsFor(pb), pool);
 
     for (int i = 0; i < 50; ++i)
         greedy.request(5.0);
-    EXPECT_LT(pool.remaining(), 0.8);
+    const double left = nats(pool.remaining());
+    EXPECT_LT(left, 0.8);
 
     BudgetResponse r = victim.request(5.0);
     // With the pool nearly dry the victim's first real report likely
@@ -124,18 +146,18 @@ TEST(BudgetedSensor, OneGreedySensorStarvesTheOther)
     double victim_spend = r.charged;
     for (int i = 0; i < 20; ++i)
         victim_spend += victim.request(5.0).charged;
-    EXPECT_LE(victim_spend, 0.8 + 1e-9);
+    EXPECT_LE(victim_spend, left);
 }
 
 TEST(BudgetedSensor, CacheReplaysOwnValueNotOthers)
 {
-    SharedBudgetPool pool(2.0);
+    BudgetPool pool(2.0);
     FxpMechanismParams pa = sensorParams(0.0, 10.0, 5);
     FxpMechanismParams pb = sensorParams(100.0, 200.0, 6);
-    BudgetedSensor a("a", pa, RangeControl::Thresholding,
-                     segmentsFor(pa), pool);
-    BudgetedSensor b("b", pb, RangeControl::Thresholding,
-                     segmentsFor(pb), pool);
+    BudgetController a(pa, RangeControl::Thresholding,
+                       segmentsFor(pa), pool);
+    BudgetController b(pb, RangeControl::Thresholding,
+                       segmentsFor(pb), pool);
 
     double a_fresh = a.request(5.0).value;
     double b_fresh = b.request(150.0).value;
@@ -157,12 +179,12 @@ TEST(BudgetedSensor, CacheReplaysOwnValueNotOthers)
 
 TEST(BudgetedSensor, ResamplingModeWorks)
 {
-    SharedBudgetPool pool(1e9);
+    BudgetPool pool(1e9);
     FxpMechanismParams p = sensorParams(0.0, 10.0, 7);
     ThresholdCalculator calc(p);
     auto segs = LossSegments::compute(calc, RangeControl::Resampling,
                                       {1.5, 2.0});
-    BudgetedSensor s("s", p, RangeControl::Resampling, segs, pool);
+    BudgetController s(p, RangeControl::Resampling, segs, pool);
     uint64_t samples = 0;
     for (int i = 0; i < 2000; ++i)
         samples += s.request(0.0).samples_drawn;
@@ -172,10 +194,10 @@ TEST(BudgetedSensor, ResamplingModeWorks)
 
 TEST(BudgetedSensor, MidpointBeforeAnyFreshReport)
 {
-    SharedBudgetPool pool(1e-6); // too small for any report
+    BudgetPool pool(1e-6); // too small for any report
     FxpMechanismParams p = sensorParams(0.0, 10.0, 8);
-    BudgetedSensor s("s", p, RangeControl::Thresholding,
-                     segmentsFor(p), pool);
+    BudgetController s(p, RangeControl::Thresholding,
+                       segmentsFor(p), pool);
     BudgetResponse r = s.request(9.0);
     EXPECT_TRUE(r.from_cache);
     EXPECT_DOUBLE_EQ(r.value, 5.0); // range midpoint: data-free
@@ -187,10 +209,10 @@ TEST(BudgetedSensor, HaltedRequestConsumesNoRandomness)
     // advance its URNG or draw samples -- the halted stream stays
     // energy-free and its RNG state stays in lockstep with an
     // untouched twin.
-    SharedBudgetPool pool(1e-6);
+    BudgetPool pool(1e-6);
     FxpMechanismParams p = sensorParams(0.0, 10.0, 9);
-    BudgetedSensor s("s", p, RangeControl::Thresholding,
-                     segmentsFor(p), pool);
+    BudgetController s(p, RangeControl::Thresholding,
+                       segmentsFor(p), pool);
     const Tausworthe &u = s.rng().urng();
     uint32_t s1 = u.s1(), s2 = u.s2(), s3 = u.s3();
 

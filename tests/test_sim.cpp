@@ -140,7 +140,7 @@ makeController(double budget)
 
 TEST(Adversary, ErrorShrinksWithoutBudget)
 {
-    BudgetController ctrl = makeController(1e12); // effectively none
+    BudgetController ctrl = makeController(1e9); // effectively none
     auto curve = AveragingAdversary::attack(
         ctrl, 7.0, {10, 100, 1000, 10000});
     ASSERT_EQ(curve.size(), 4u);
@@ -157,7 +157,7 @@ TEST(Adversary, BudgetCapsAccuracy)
         limited, 7.0, {10, 100, 1000, 10000});
     EXPECT_GT(curve[3].cache_hits, 0u);
 
-    BudgetController unlimited = makeController(1e12);
+    BudgetController unlimited = makeController(1e9);
     auto free_curve = AveragingAdversary::attack(
         unlimited, 7.0, {10, 100, 1000, 10000});
 
