@@ -1,26 +1,26 @@
 #include "rng/batch_sampler.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "rng/laplace_table.h"
+#include "rng/noise_pmf.h"
+#include "rng/tausworthe.h"
 
 namespace ulpdp {
 
 BatchSampler::BatchSampler(
         std::shared_ptr<const LaplaceSampleTable> table,
-        int uniform_bits, int64_t sat_index, bool integrity_checks)
+        int uniform_bits, int64_t /* sat_index */, bool integrity_checks)
     : table_(std::move(table)), uniform_bits_(uniform_bits),
-      sat_index_(sat_index), integrity_checks_(integrity_checks)
+      integrity_checks_(integrity_checks)
 {
     if (table_ == nullptr)
-        fatal("BatchSampler: need an enumerated sampling table");
+        fatal("BatchSampler: need a sampling table");
     if (uniform_bits_ < 1 ||
-        uniform_bits_ > LaplaceSampleTable::kMaxUniformBits)
+        uniform_bits_ > NoisePmf::kMaxUniformBits)
         fatal("BatchSampler: uniform_bits must be in [1, %d], got %d",
-              LaplaceSampleTable::kMaxUniformBits, uniform_bits_);
+              NoisePmf::kMaxUniformBits, uniform_bits_);
     if (table_->states() != uint64_t{1} << uniform_bits_)
-        fatal("BatchSampler: table enumerates %llu states but "
+        fatal("BatchSampler: table holds %llu states but "
               "uniform_bits %d implies %llu",
               static_cast<unsigned long long>(table_->states()),
               uniform_bits_,
@@ -42,18 +42,15 @@ BatchSampler::sampleRect(int64_t *out, size_t trials)
     if (trials == 0)
         return true;
 
-    const uint16_t *direct = table_->directData();
-    const uint32_t mask = (uint32_t{1} << uniform_bits_) - 1u;
-    const int shift = 32 - uniform_bits_;
-    const int64_t sat = sat_index_;
+    const LaplaceSampleTable::View table = table_->view();
 
     // Double-buffered words: while trial t's table entries are being
     // prefetched, the bank already steps trial t+1, so the lookups
     // land on warm lines.
     uint32_t magw[2][TausBank::kMaxLanes];
     uint32_t signw[2][TausBank::kMaxLanes];
-    uint32_t idx[TausBank::kMaxLanes];
-    uint32_t bad = 0;
+    uint64_t rank[TausBank::kMaxLanes];
+    bool ok = true;
 
     bank_.nextWords(magw[0]);
     bank_.nextWords(signw[0]);
@@ -62,11 +59,9 @@ BatchSampler::sampleRect(int64_t *out, size_t trials)
         const uint32_t *mw = magw[cur];
         const uint32_t *sw = signw[cur];
         for (size_t l = 0; l < W; ++l) {
-            // Branchless Eq. (9): the all-zeros word means m = 2^Bu,
-            // and the table stores m at slot m - 1, so the wrap of
-            // (raw - 1) mod 2^Bu lands raw == 0 exactly on that slot.
-            idx[l] = ((mw[l] >> shift) - 1u) & mask;
-            __builtin_prefetch(direct + idx[l], 0, 1);
+            rank[l] = Tausworthe::unitRankOf(mw[l], uniform_bits_);
+            __builtin_prefetch(
+                    table.guide + (rank[l] >> table.shift), 0, 1);
         }
         if (t + 1 < trials) {
             bank_.nextWords(magw[cur ^ 1]);
@@ -74,17 +69,16 @@ BatchSampler::sampleRect(int64_t *out, size_t trials)
         }
         int64_t *row = out + t * W;
         for (size_t l = 0; l < W; ++l) {
-            int64_t k = direct[idx[l]];
             // Deferred comparator: accumulate instead of branching;
             // the caller redoes the block scalar if anything tripped.
-            bad |= static_cast<uint32_t>(k > sat);
+            int64_t k = table.lookupByRank(rank[l], ok);
             // nextSign(): high bit set means +1. Two's-complement
             // select: ~sm is 0 for +k, all-ones for -k.
             int64_t sm = static_cast<int32_t>(sw[l]) >> 31;
             row[l] = (k ^ ~sm) - ~sm;
         }
     }
-    return !(integrity_checks_ && bad != 0);
+    return ok || !integrity_checks_;
 }
 
 bool
@@ -94,75 +88,62 @@ BatchSampler::sampleTruncatedRect(const Window *win, int64_t *out,
     const size_t W = bank_.lanes();
     ULPDP_ASSERT(W > 0);
 
-    const uint16_t *rank = table_->rankData();
-    const uint64_t states = table_->states();
+    const LaplaceSampleTable::View table = table_->view();
 
-    // Hoist the per-lane window constants: acceptance masses, rank
-    // width and the covering-power-of-two shift are fixed per window,
-    // where the scalar path recomputes them every call.
-    uint64_t plus[TausBank::kMaxLanes];
-    uint64_t total[TausBank::kMaxLanes];
-    int rshift[TausBank::kMaxLanes];
+    // Hoist the per-lane rank windows, fixed per window, where the
+    // scalar path recomputes them every call.
+    LaplaceSampleTable::RankWindow rw[TausBank::kMaxLanes];
     for (size_t l = 0; l < W; ++l) {
-        ULPDP_ASSERT(win[l].lo <= 0 && win[l].hi >= 0);
-        uint64_t p = table_->cumulativeCount(win[l].hi);
-        uint64_t m = table_->cumulativeCount(-win[l].lo);
-        if (p > states || m > states) {
-            // Corrupted cumulative array. Hardened configurations
-            // bail to the scalar path (which quarantines); unhardened
-            // ones truncate the rank address like the silicon would.
-            if (integrity_checks_)
-                return false;
-            p = std::min(p, states);
-            m = std::min(m, states);
-        }
-        uint64_t tot = p + m;
-        if (tot == 0)
+        rw[l] = table_->rankWindow(win[l].lo, win[l].hi);
+        // Corrupted bounds: hardened configurations bail to the
+        // scalar path (which quarantines), unhardened ones clamp.
+        if (rw[l].corrupt && integrity_checks_)
+            return false;
+        if (rw[l].total == 0)
             return false; // window without support: scalar warn+clamp
-        int width = 1;
-        while ((uint64_t{1} << width) < tot)
-            ++width;
-        plus[l] = p;
-        total[l] = tot;
-        rshift[l] = 32 - width;
     }
 
     uint32_t words[TausBank::kMaxLanes];
     uint64_t ridx[TausBank::kMaxLanes];
     int64_t neg[TausBank::kMaxLanes];
+    bool ok = true;
     for (size_t t = 0; t < trials; ++t) {
         bank_.nextWords(words);
         for (size_t l = 0; l < W; ++l) {
-            // One covering-width draw per lane; a lane that overshoots
-            // its acceptance count redraws on its own stream only
-            // (scalar single-lane steps), preserving the per-stream
-            // word sequence of the scalar rejection loop exactly.
-            uint64_t r = words[l] >> rshift[l];
-            while (r >= total[l])
-                r = bank_.next32Lane(l) >> rshift[l];
-            uint64_t is_neg =
-                static_cast<uint64_t>(r >= plus[l]);
-            ridx[l] = r - (is_neg ? plus[l] : 0);
+            // One attempt per lane in lockstep; a second word (Bu = 32)
+            // and a redraw step that lane's stream alone, keeping the
+            // scalar rejection loop's word sequence.
+            const LaplaceSampleTable::RankWindow &w = rw[l];
+            uint64_t r;
+            if (w.words() == 1) {
+                r = w.rank(words[l], 0);
+                while (r >= w.total)
+                    r = w.rank(bank_.next32Lane(l), 0);
+            } else {
+                r = w.rank(words[l], bank_.next32Lane(l));
+                while (r >= w.total) {
+                    const uint32_t first = bank_.next32Lane(l);
+                    r = w.rank(first, bank_.next32Lane(l));
+                }
+            }
+            uint64_t is_neg = static_cast<uint64_t>(r >= w.plus);
+            ridx[l] = r - (is_neg ? w.plus : 0);
             neg[l] = static_cast<int64_t>(is_neg);
-            __builtin_prefetch(rank + ridx[l], 0, 1);
+            __builtin_prefetch(
+                    table.guide + (ridx[l] >> table.shift), 0, 1);
         }
         int64_t *row = out + t * W;
         for (size_t l = 0; l < W; ++l) {
-            int64_t k = rank[ridx[l]];
-            // Arithmetic sign select fused with the window the rank
-            // table promised: k for the positive half, -k for the
-            // negative half.
+            int64_t k = table.lookupByRank(ridx[l], ok);
+            // Arithmetic sign select, then the window the boundaries
+            // promised: a draw outside it means corrupted bounds.
             k = (k ^ -neg[l]) + neg[l];
-            if (integrity_checks_ &&
-                (k < win[l].lo || k > win[l].hi)) {
-                // Rank entry escaped its window: corrupted rank
-                // array. The scalar redo quarantines it.
-                return false;
-            }
+            ok &= (k >= win[l].lo) & (k <= win[l].hi);
             row[l] = k;
         }
     }
-    return true;
+    // Any trip: the caller's scalar redo quarantines the table.
+    return ok || !integrity_checks_;
 }
 
 } // namespace ulpdp

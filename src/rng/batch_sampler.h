@@ -8,21 +8,21 @@
  * resulting words index the shared LaplaceSampleTable in blocked,
  * software-prefetched lookups. Every branch that used to sit in the
  * per-draw path -- the m == 0 -> 2^Bu wrap, the sign apply, the
- * truncated-rank sign select -- is an arithmetic select here, so a
- * block of draws is straight-line data flow.
+ * truncated-rank sign select, the comparators -- is an arithmetic
+ * select here, so a block of draws is straight-line data flow.
  *
  * Bit-exactness contract: lane l of a rect is the exact draw sequence
  * a scalar FxpLaplaceRng would produce on the same stream --
  * sampleRect() consumes one magnitude word then one sign word per
  * draw like sampleBatch()/sampleIndexFast(), and
- * sampleTruncatedRect() consumes width-bit rank words with the same
- * rejection rule as sampleIndexTruncated(). The fleet leans on this:
+ * sampleTruncatedRect() spends words on ranks by the table's one
+ * RankWindow rule, like sampleIndexTruncated(). The fleet leans on this:
  * batched and scalar execution produce bit-identical FleetReports.
  *
  * Fault handling is deliberately coarse: the sampler never quarantines
  * anything itself. When an integrity comparator would have tripped
- * (a direct entry above the saturation index, a cumulative count
- * above the state count, a rank entry escaping its window), the batch
+ * (a guide word failing its parity check, a cumulative count above
+ * the state count, a draw escaping its window), the batch
  * call returns false and the caller redoes the affected work on the
  * scalar path, whose per-draw checks then quarantine the table with
  * the exact semantics of FxpLaplaceRng. Because every lane restarts
@@ -48,12 +48,11 @@ class BatchSampler
 {
   public:
     /**
-     * @param table Enumerated sampling table, shared read-only (the
-     *        fleet passes each cohort's prototype table).
-     * @param uniform_bits URNG output width Bu of the pipeline the
-     *        table was enumerated from.
-     * @param sat_index Quantizer saturation index; direct entries
-     *        above it mean table corruption (the hardware comparator).
+     * @param table Sampling table, shared read-only (the fleet passes
+     *        each cohort's prototype table).
+     * @param uniform_bits URNG output width Bu of the table's pipeline.
+     * @param sat_index Quantizer saturation index (unused: the guide
+     *        words carry their own comparator).
      * @param integrity_checks Mirror of
      *        FxpLaplaceConfig::integrity_checks: when false, suspect
      *        entries are served instead of failing the batch, exactly
@@ -103,8 +102,8 @@ class BatchSampler
      * per-call recomputation.
      *
      * @return false on any condition the scalar path would treat
-     *         specially: an integrity fault (cumulative count above
-     *         the state count, rank entry escaping its window) or a
+     *         specially: an integrity fault (a guide word, cumulative
+     *         count or draw out of bounds) or a
      *         window holding no URNG state (the scalar path's
      *         warn-and-clamp overflow). Callers redo on the scalar
      *         path, which reproduces the exact scalar behaviour.
@@ -115,7 +114,6 @@ class BatchSampler
   private:
     std::shared_ptr<const LaplaceSampleTable> table_;
     int uniform_bits_;
-    int64_t sat_index_;
     bool integrity_checks_;
     TausBank bank_;
 };

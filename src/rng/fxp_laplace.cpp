@@ -1,9 +1,9 @@
 #include "rng/fxp_laplace.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
+#include "rng/fxp_laplace_pmf.h"
 #include "rng/laplace_table.h"
 #include "rng/taus_bank.h"
 
@@ -100,8 +100,17 @@ FxpLaplaceRng::fastPathEnabled() const
 const LaplaceSampleTable &
 FxpLaplaceRng::table()
 {
-    if (!table_)
-        table_ = std::make_shared<LaplaceSampleTable>(*this);
+    if (!table_) {
+        if (!LaplaceSampleTable::supports(config_.uniform_bits,
+                                          quantizer_.maxIndex()))
+            fatal("FxpLaplaceRng: no sampling table for uniform_bits "
+                  "%d with max index %lld", config_.uniform_bits,
+                  static_cast<long long>(quantizer_.maxIndex()));
+        // Draws come from the very counts the certifier certified.
+        table_ = std::make_shared<LaplaceSampleTable>(
+                *FxpLaplacePmf::shared(
+                        config_, FxpLaplacePmf::Mode::Enumerated));
+    }
     return *table_;
 }
 
@@ -116,10 +125,8 @@ FxpLaplaceRng::sharedTable()
 LaplaceSampleTable *
 FxpLaplaceRng::mutableTable()
 {
-    if (integrity_fault_)
-        return table_.get();
-    if (ensureTable() == nullptr)
-        return nullptr;
+    if (!integrity_fault_)
+        ensureTable();
     return table_.get();
 }
 
@@ -162,12 +169,13 @@ FxpLaplaceRng::sampleIndexFast()
     ++samples_drawn_;
     uint64_t m = urng_.nextUnitIndex(config_.uniform_bits);
     int sign = urng_.nextSign();
-    int64_t k = t->lookup(m);
-    if (config_.integrity_checks && k > quantizer_.maxIndex()) {
+    bool ok = true;
+    int64_t k = t->view().lookupByRank(t->states() - m, ok);
+    if (config_.integrity_checks && !ok) {
         // The comparator caught a corrupted entry: quarantine the
         // table and recompute this draw through the log datapath
         // (same m and sign, so the sample itself stays sound).
-        noteIntegrityFault("direct entry out of range");
+        noteIntegrityFault("guide word fails its parity check");
         return pipeline(m, sign);
     }
     return sign > 0 ? k : -k;
@@ -176,122 +184,69 @@ FxpLaplaceRng::sampleIndexFast()
 void
 FxpLaplaceRng::sampleBatch(int64_t *out, size_t n)
 {
-    const LaplaceSampleTable *t = ensureTable();
-    if (t == nullptr) {
-        for (size_t i = 0; i < n; ++i)
-            out[i] = sampleIndex();
-        return;
-    }
-    int64_t sat = quantizer_.maxIndex();
-
-    // Bank-backed block path: mirror the single URNG stream into a
-    // one-lane TausBank, draw the whole batch branchlessly, and only
-    // commit (stream state, sample count) when no integrity
-    // comparator tripped. Word consumption is identical to the
-    // per-draw loop below -- one magnitude word then one sign word
-    // per sample -- so the two paths are bit-exchangeable. A hooked
-    // or monitored URNG must stay on the scalar path, where every
-    // word passes through its observation seams.
-    if (urng_.plain() && n > 0) {
-        const uint16_t *direct = t->directData();
-        const uint32_t mask =
-            (uint32_t{1} << config_.uniform_bits) - 1u;
-        const int shift = 32 - config_.uniform_bits;
+    // Mirror the URNG into a one-lane TausBank and commit only when
+    // no comparator tripped: the per-draw loop below consumes the same
+    // words, so a trip redoes them there with the scalar quarantine. A
+    // hooked or monitored URNG stays scalar, past its observation seams.
+    if (n > 0 && urng_.plain() && ensureTable() != nullptr) {
+        const LaplaceSampleTable::View table = table_->view();
         TausBank bank;
         uint32_t b1 = urng_.s1(), b2 = urng_.s2(), b3 = urng_.s3();
         bank.adoptState(&b1, &b2, &b3, 1);
-        bool bad = false;
+        bool ok = true;
         for (size_t i = 0; i < n; ++i) {
             uint32_t mw, sw;
             bank.nextWords(&mw);
             bank.nextWords(&sw);
-            uint32_t idx = ((mw >> shift) - 1u) & mask;
-            int64_t k = direct[idx];
-            if (config_.integrity_checks && k > sat) {
-                // Fall back to the per-draw loop from the original
-                // stream state: it re-derives the same words, detects
-                // the same corrupt entry, and quarantines with the
-                // exact scalar semantics.
-                bad = true;
-                break;
-            }
+            int64_t k = table.lookupByRank(
+                    Tausworthe::unitRankOf(mw, config_.uniform_bits), ok);
             int64_t sm = static_cast<int32_t>(sw) >> 31;
             out[i] = (k ^ ~sm) - ~sm;
         }
-        if (!bad) {
+        if (ok || !config_.integrity_checks) {
             samples_drawn_ += n;
             urng_.setState(bank.s1(0), bank.s2(0), bank.s3(0));
             return;
         }
     }
-    for (size_t i = 0; i < n; ++i) {
-        if (integrity_fault_) {
-            // Table quarantined mid-batch: finish on the log path.
-            out[i] = sampleIndex();
-            continue;
-        }
-        ++samples_drawn_;
-        uint64_t m = urng_.nextUnitIndex(config_.uniform_bits);
-        int sign = urng_.nextSign();
-        int64_t k = t->lookup(m);
-        if (config_.integrity_checks && k > sat) {
-            noteIntegrityFault("direct entry out of range");
-            out[i] = pipeline(m, sign);
-            continue;
-        }
-        out[i] = sign > 0 ? k : -k;
-    }
+    for (size_t i = 0; i < n; ++i)
+        out[i] = sampleIndexFast();
 }
 
 bool
 FxpLaplaceRng::sampleIndexTruncated(int64_t lo, int64_t hi,
                                     int64_t &out)
 {
-    ULPDP_ASSERT(lo <= 0 && hi >= 0);
     ULPDP_ASSERT(fastPathEnabled());
     const LaplaceSampleTable &t = table();
 
-    // Accepted URNG states: sign +1 needs magnitude <= hi, sign -1
-    // needs magnitude <= -lo (magnitude 0 is accepted on both signs,
-    // exactly as accept-reject accepts both sign draws of 0).
-    uint64_t plus = t.cumulativeCount(hi);
-    uint64_t minus = t.cumulativeCount(-lo);
-    if (plus > t.states() || minus > t.states()) {
+    LaplaceSampleTable::RankWindow w = t.rankWindow(lo, hi);
+    if (w.corrupt && config_.integrity_checks) {
         // An intact table can never count more accepted states than
-        // states exist; this is SRAM corruption in the cumulative
-        // array.
-        if (config_.integrity_checks) {
-            noteIntegrityFault("cumulative count exceeds state count");
-            return false;
-        }
-        // Unhardened silicon: the rank address simply truncates.
-        plus = std::min(plus, t.states());
-        minus = std::min(minus, t.states());
+        // states exist; this is SRAM corruption in the boundaries.
+        noteIntegrityFault("cumulative count exceeds state count");
+        return false;
     }
-    uint64_t total = plus + minus;
-    if (total == 0)
+    if (w.total == 0)
         return false;
 
-    // One unbiased uniform rank over the accepted states: draw the
-    // smallest covering power of two and reject overshoot (< 2
-    // expected draws; total <= 2^(Bu+1) so the width fits 32 bits).
-    int width = 1;
-    while ((uint64_t{1} << width) < total)
-        ++width;
+    // One unbiased uniform rank over the accepted states: covering
+    // power of two, overshoot rejected (< 2 expected attempts).
     uint64_t r;
     do {
-        r = urng_.nextBits(width);
-    } while (r >= total);
+        uint32_t first = urng_.next32();
+        r = w.rank(first, w.words() == 2 ? urng_.next32() : 0);
+    } while (r >= w.total);
 
     ++samples_drawn_;
-    if (r < plus)
-        out = t.lookupByRank(r);
-    else
-        out = -t.lookupByRank(r - plus);
-    if (config_.integrity_checks && (out < lo || out > hi)) {
-        // The rank table promised this state lands inside the window;
-        // an entry outside it means the rank array was corrupted.
-        noteIntegrityFault("rank entry escapes the truncation window");
+    bool ok = true;
+    out = r < w.plus ? t.view().lookupByRank(r, ok)
+                     : -t.view().lookupByRank(r - w.plus, ok);
+    if (config_.integrity_checks && (!ok || out < lo || out > hi)) {
+        // The bounds promised a state inside the window: a draw
+        // outside it means they were corrupted.
+        noteIntegrityFault(!ok ? "guide word fails its parity check"
+                               : "rank draw escapes the truncation window");
         return false;
     }
     return true;

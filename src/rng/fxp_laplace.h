@@ -90,9 +90,9 @@ struct FxpLaplaceConfig
 
     /**
      * How samples are served. The pipeline is a fixed map from URNG
-     * words to output indices, so draws can come from a table
-     * enumerated once at configuration time instead of evaluating the
-     * logarithm per draw; both paths are bit-identical.
+     * words to output indices, so draws can come from a table built
+     * once from its exact PMF instead of evaluating the logarithm per
+     * draw; both paths are bit-identical.
      *  - Auto: use the table whenever the configuration supports it
      *    (LaplaceSampleTable::supports), else the naive pipeline.
      *  - Table: require the table; building one for an unsupported
@@ -105,7 +105,7 @@ struct FxpLaplaceConfig
 
     /**
      * Harden table lookups against SRAM corruption: every served
-     * entry is range-checked (a hardware comparator), cumulative
+     * guide word is parity-checked (a hardware comparator), cumulative
      * counts are sanity-checked against the state count, and any
      * mismatch permanently quarantines the table -- the RNG falls
      * back to the log datapath, which computes the same pipeline
@@ -181,8 +181,8 @@ class FxpLaplaceRng
      * Shared handle on the sampling table (built on first use), or
      * nullptr when the fast path is unavailable. The batch sampling
      * layer (rng/batch_sampler.h) takes this handle so fleet workers
-     * and per-block RNG copies all reference one enumeration --
-     * nothing is ever re-enumerated or copied per block.
+     * and per-block RNG copies all reference one table -- nothing is
+     * ever rebuilt or copied per block.
      */
     std::shared_ptr<const LaplaceSampleTable> sharedTable();
 
@@ -194,7 +194,7 @@ class FxpLaplaceRng
     LaplaceSampleTable *mutableTable();
 
     /**
-     * CRC-scrub the sampling table against its enumeration-time
+     * CRC-scrub the sampling table against its build-time
      * signature (the periodic scrub of the hardening logic). Returns
      * false -- and quarantines the table -- on a mismatch; true when
      * the table is intact or was never built.
@@ -254,7 +254,7 @@ class FxpLaplaceRng
     Quantizer quantizer_;
     Tausworthe urng_;
     CordicLog cordic_;
-    /** Shared so copies of a configured RNG reuse the enumeration. */
+    /** Shared so copies of a configured RNG reuse the table. */
     std::shared_ptr<LaplaceSampleTable> table_;
     uint64_t samples_drawn_ = 0;
     bool integrity_fault_ = false;

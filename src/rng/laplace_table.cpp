@@ -1,8 +1,11 @@
 #include "rng/laplace_table.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/fault.h"
 #include "common/logging.h"
-#include "rng/fxp_laplace.h"
+#include "rng/noise_pmf.h"
 
 namespace ulpdp {
 
@@ -10,73 +13,82 @@ bool
 LaplaceSampleTable::supports(int uniform_bits,
                              int64_t max_magnitude_index)
 {
-    return uniform_bits >= 1 && uniform_bits <= kMaxUniformBits &&
+    return uniform_bits >= 1 &&
+           uniform_bits <= NoisePmf::kMaxUniformBits &&
            max_magnitude_index <= kMaxMagnitudeIndex;
 }
 
-LaplaceSampleTable::LaplaceSampleTable(const FxpLaplaceRng &rng)
+LaplaceSampleTable::LaplaceSampleTable(const NoisePmf &pmf)
 {
-    const FxpLaplaceConfig &cfg = rng.config();
-    int64_t sat = rng.quantizer().maxIndex();
-    if (!supports(cfg.uniform_bits, sat))
-        fatal("LaplaceSampleTable: unsupported configuration "
-              "(uniform_bits %d, max index %lld); the table needs "
-              "uniform_bits <= %d and indices <= %lld",
-              cfg.uniform_bits, static_cast<long long>(sat),
-              kMaxUniformBits,
-              static_cast<long long>(kMaxMagnitudeIndex));
+    const uint64_t states = pmf.totalCount();
+    const int64_t max_index = pmf.maxIndex();
+    const int bu = std::countr_zero(states);
+    ULPDP_ASSERT(max_index <= kMaxMagnitudeIndex);
 
-    states_ = uint64_t{1} << cfg.uniform_bits;
-    direct_.resize(static_cast<size_t>(states_));
+    bounds_.resize(static_cast<size_t>(max_index) + 2);
+    for (size_t k = 0; k < bounds_.size(); ++k)
+        bounds_[k] = pmf.tailCount(static_cast<int64_t>(k));
 
-    // One pass of the real pipeline per URNG state; per-index counts
-    // fall out of the same pass.
-    std::vector<uint64_t> counts(static_cast<size_t>(sat) + 1, 0);
-    for (uint64_t m = 1; m <= states_; ++m) {
-        int64_t k = rng.pipeline(m, 1);
-        ULPDP_ASSERT(k >= 0 && k <= sat);
-        direct_[static_cast<size_t>(m - 1)] =
-            static_cast<uint16_t>(k);
-        ++counts[static_cast<size_t>(k)];
+    // Bin k holds ranks [2^Bu - B_k, 2^Bu - B_{k+1}): it fills every
+    // bucket whose first rank falls there. Bit 15 makes each word's
+    // parity even.
+    guide_bits_ = std::min(bu, kMaxGuideBits);
+    const int shift = bu - guide_bits_;
+    guide_.resize(size_t{1} << guide_bits_);
+    size_t j = 0;
+    for (size_t k = 0; k + 1 < bounds_.size(); ++k) {
+        uint64_t end_rank = states - bounds_[k + 1];
+        size_t end = static_cast<size_t>(
+                (end_rank + (uint64_t{1} << shift) - 1) >> shift);
+        std::fill(guide_.begin() + j, guide_.begin() + end,
+                  static_cast<uint16_t>(
+                          k | (static_cast<size_t>(
+                                       __builtin_parity(k)) << 15)));
+        j = end;
     }
-
-    max_index_ = 0;
-    for (int64_t k = sat; k >= 0; --k) {
-        if (counts[static_cast<size_t>(k)] > 0) {
-            max_index_ = k;
-            break;
-        }
-    }
-
-    // cum_[k] = #states with output <= k, for k in [0, max_index_).
-    // cumulativeCount() serves k >= max_index_ as the full state
-    // count, so the array stops one short of the support top.
-    cum_.resize(static_cast<size_t>(max_index_));
-    uint64_t running = 0;
-    for (int64_t k = 0; k < max_index_; ++k) {
-        running += counts[static_cast<size_t>(k)];
-        cum_[static_cast<size_t>(k)] = running;
-    }
-
-    // rank_ inverts cum_: ranks [cum(k-1), cum(k)) map to index k.
-    rank_.resize(static_cast<size_t>(states_));
-    size_t r = 0;
-    for (int64_t k = 0; k <= max_index_; ++k) {
-        for (uint64_t c = counts[static_cast<size_t>(k)]; c > 0; --c)
-            rank_[r++] = static_cast<uint16_t>(k);
-    }
-    ULPDP_ASSERT(r == static_cast<size_t>(states_));
+    view_ = {guide_.data(), bounds_.data(), states, max_index, shift};
 
     crc_ = computeCrc();
+}
+
+int64_t
+LaplaceSampleTable::View::climb(const uint64_t *bounds, int64_t max_index,
+                                int64_t k, uint64_t i)
+{
+    // A corrupted word may exceed max: clamped, B[k + 1] stays in range.
+    k = std::min(k, max_index);
+    while (k < max_index && bounds[k + 1] > i)
+        ++k;
+    return k;
+}
+
+LaplaceSampleTable::RankWindow
+LaplaceSampleTable::rankWindow(int64_t lo, int64_t hi) const
+{
+    ULPDP_ASSERT(lo <= 0 && hi >= 0);
+    // Sign +1 is accepted with magnitude <= hi, sign -1 with
+    // magnitude <= -lo (magnitude 0 on both signs, exactly as
+    // accept-reject accepts both sign draws of 0).
+    RankWindow w;
+    uint64_t plus = cumulativeCount(hi);
+    uint64_t minus = cumulativeCount(-lo);
+    if (plus > view_.states || minus > view_.states) {
+        w.corrupt = true;
+        plus = std::min(plus, view_.states);
+        minus = std::min(minus, view_.states);
+    }
+    w.plus = plus;
+    w.total = plus + minus;
+    while ((uint64_t{1} << w.width) < w.total)
+        ++w.width;
+    return w;
 }
 
 uint32_t
 LaplaceSampleTable::computeCrc() const
 {
-    uint32_t c = crc32(direct_.data(),
-                       direct_.size() * sizeof(uint16_t));
-    c = crc32(rank_.data(), rank_.size() * sizeof(uint16_t), c);
-    return crc32(cum_.data(), cum_.size() * sizeof(uint64_t), c);
+    uint32_t c = crc32(guide_.data(), guide_.size() * sizeof(uint16_t));
+    return crc32(bounds_.data(), bounds_.size() * sizeof(uint64_t), c);
 }
 
 bool
@@ -91,17 +103,13 @@ LaplaceSampleTable::flipBit(size_t byte_offset, int bit)
     ULPDP_ASSERT(bit >= 0 && bit < 8);
     ULPDP_ASSERT(byte_offset < faultableBytes());
 
-    size_t direct_bytes = direct_.size() * sizeof(uint16_t);
-    size_t rank_bytes = rank_.size() * sizeof(uint16_t);
+    size_t guide_bytes = guide_.size() * sizeof(uint16_t);
     uint8_t *base;
-    if (byte_offset < direct_bytes) {
-        base = reinterpret_cast<uint8_t *>(direct_.data());
-    } else if (byte_offset < direct_bytes + rank_bytes) {
-        base = reinterpret_cast<uint8_t *>(rank_.data());
-        byte_offset -= direct_bytes;
+    if (byte_offset < guide_bytes) {
+        base = reinterpret_cast<uint8_t *>(guide_.data());
     } else {
-        base = reinterpret_cast<uint8_t *>(cum_.data());
-        byte_offset -= direct_bytes + rank_bytes;
+        base = reinterpret_cast<uint8_t *>(bounds_.data());
+        byte_offset -= guide_bytes;
     }
     base[byte_offset] ^= static_cast<uint8_t>(1u << bit);
 }
@@ -109,9 +117,8 @@ LaplaceSampleTable::flipBit(size_t byte_offset, int bit)
 size_t
 LaplaceSampleTable::memoryBytes() const
 {
-    return direct_.size() * sizeof(uint16_t) +
-           rank_.size() * sizeof(uint16_t) +
-           cum_.size() * sizeof(uint64_t);
+    return guide_.size() * sizeof(uint16_t) +
+           bounds_.size() * sizeof(uint64_t);
 }
 
 } // namespace ulpdp

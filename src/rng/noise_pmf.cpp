@@ -43,6 +43,13 @@ NoisePmf::magnitudeCount(int64_t k) const
     return idx < counts_.size() ? counts_[idx] : 0;
 }
 
+uint64_t
+NoisePmf::tailCount(int64_t k) const
+{
+    size_t idx = static_cast<size_t>(k);
+    return k >= 0 && idx < tail_.size() ? tail_[idx] : 0;
+}
+
 double
 NoisePmf::pmf(int64_t k) const
 {
@@ -58,9 +65,7 @@ NoisePmf::tailMass(int64_t k) const
 {
     ULPDP_ASSERT(k >= 1);
     double denom = 2.0 * std::ldexp(1.0, uniform_bits_);
-    size_t idx = static_cast<size_t>(k);
-    uint64_t cnt = idx < tail_.size() ? tail_[idx] : 0;
-    return static_cast<double>(cnt) / denom;
+    return static_cast<double>(tailCount(k)) / denom;
 }
 
 double

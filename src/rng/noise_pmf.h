@@ -95,6 +95,10 @@ class NoisePmf
     /** Exact total of the per-bin state counts: always 2^Bu. */
     uint64_t totalCount() const { return tail_[0]; }
 
+    /** Tail boundary B_k: the states with magnitude >= k (k >= 0),
+     *  which a monotone pipeline maps from m in [1, B_k]. */
+    uint64_t tailCount(int64_t k) const;
+
     /** Pr[n = k * Delta] for a signed index k. */
     double pmf(int64_t k) const;
 

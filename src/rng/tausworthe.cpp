@@ -96,11 +96,7 @@ uint64_t
 Tausworthe::nextUnitIndex(int bu)
 {
     ULPDP_ASSERT(bu >= 1 && bu <= 32);
-    uint64_t raw = nextBits(bu);
-    // Map the all-zeros word to 2^bu so m is uniform on {1..2^bu} and
-    // u = m * 2^-bu never hits zero (log(0) does not exist in any
-    // hardware).
-    return raw == 0 ? (uint64_t{1} << bu) : raw;
+    return (uint64_t{1} << bu) - unitRankOf(next32(), bu);
 }
 
 int

@@ -76,6 +76,16 @@ class Tausworthe
      */
     uint64_t nextUnitIndex(int bu);
 
+    /** 2^bu - m, the sampling table's rank, for the URNG index m of one
+     *  word (its top @p bu bits, all-zeros meaning 2^bu, Eq. (9)): the
+     *  one rule by which nextUnitIndex() and every sampler derive m. */
+    static uint32_t
+    unitRankOf(uint32_t word, int bu)
+    {
+        const int shift = 32 - bu;
+        return (0u - (word >> shift)) & (~0u >> shift);
+    }
+
     /** Generate one fair sign: +1 or -1. */
     int nextSign();
 

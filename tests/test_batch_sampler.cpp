@@ -20,9 +20,12 @@
 #include "fleet/fleet.h"
 #include "rng/batch_sampler.h"
 #include "rng/fxp_laplace.h"
+#include "rng/fxp_laplace_pmf.h"
 #include "rng/laplace_table.h"
 #include "rng/taus_bank.h"
 #include "rng/tausworthe.h"
+#include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
 
 namespace ulpdp {
 namespace {
@@ -347,6 +350,75 @@ TEST(BatchSampler, TruncatedRectMatchesScalarDrawsAcrossUniformBits)
     }
 }
 
+TEST(BatchSampler, RectsMatchScalarDrawsAtBu32)
+{
+    // Bu = 32: the magnitude index is the whole word, and a truncated
+    // rank over plus + minus <= 2^33 states needs 33 bits, i.e. two
+    // words per attempt. Odd lanes get windows holding more than 2^32
+    // accepted states, even lanes narrow ones, so one rect mixes both
+    // word counts.
+    FxpLaplaceConfig cfg = tableConfig(32);
+    FxpLaplaceRng proto(cfg, 1);
+    auto table = proto.sharedTable();
+    ASSERT_NE(table, nullptr);
+    EXPECT_EQ(Tausworthe::unitRankOf(0, 32), 0u); // m = 2^32
+    EXPECT_EQ(table->lookup(uint64_t{1} << 32), 0);
+
+    BatchSampler::Window win[kLanes];
+    int two_word_lanes = 0;
+    for (size_t l = 0; l < kLanes; ++l) {
+        const int64_t j = static_cast<int64_t>(l);
+        win[l] = l % 2 ? BatchSampler::Window{-60 - 7 * j, 50 + 5 * j}
+                       : BatchSampler::Window{-4 - j, 3 + j};
+        two_word_lanes +=
+            table->rankWindow(win[l].lo, win[l].hi).words() == 2;
+    }
+    ASSERT_EQ(two_word_lanes, static_cast<int>(kLanes / 2));
+    // A 33-bit rank is the first word then the top bit of the second.
+    LaplaceSampleTable::RankWindow w33 = table->rankWindow(-100, 100);
+    ASSERT_EQ(w33.width, 33);
+    EXPECT_EQ(w33.rank(0u, 0x80000000u), 1u);
+    EXPECT_EQ(w33.rank(0x80000000u, 0x7fffffffu), uint64_t{1} << 32);
+
+    uint64_t seeds[kLanes];
+    TausBank::deriveLaneSeeds(0x3232ULL, seeds, kLanes);
+    constexpr size_t kTrials = 4096;
+    std::vector<int64_t> rect(kTrials * kLanes);
+
+    BatchSampler bs(table, 32, proto.quantizer().maxIndex());
+    bs.seedLanes(seeds, kLanes);
+    ASSERT_TRUE(bs.sampleRect(rect.data(), kTrials));
+    uint64_t mismatches = 0;
+    for (size_t l = 0; l < kLanes; ++l) {
+        FxpLaplaceRng ref(cfg, seeds[l]);
+        for (size_t t = 0; t < kTrials; ++t)
+            mismatches += rect[t * kLanes + l] != ref.sampleIndexFast();
+    }
+    EXPECT_EQ(mismatches, 0u);
+
+    bs.seedLanes(seeds, kLanes);
+    ASSERT_TRUE(bs.sampleTruncatedRect(win, rect.data(), kTrials));
+    for (size_t l = 0; l < kLanes; ++l) {
+        FxpLaplaceRng ref(cfg, seeds[l]);
+        for (size_t t = 0; t < kTrials; ++t) {
+            int64_t want = 0;
+            ASSERT_TRUE(
+                ref.sampleIndexTruncated(win[l].lo, win[l].hi, want));
+            mismatches += rect[t * kLanes + l] != want;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+
+    // The one-lane bank mirror behind FxpLaplaceRng::sampleBatch.
+    FxpLaplaceRng batched(cfg, 99), scalar(cfg, 99);
+    std::vector<int64_t> batch(kTrials);
+    batched.sampleBatch(batch.data(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i)
+        mismatches += batch[i] != scalar.sampleIndexFast();
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(batched.urng().s1(), scalar.urng().s1());
+}
+
 TEST(BatchSampler, ForcedScalarKernelSamplesIdenticalRects)
 {
     // Full sampling path (bank words -> table lookups -> signed
@@ -388,16 +460,12 @@ TEST(BatchSampler, CorruptedTableFailsBatchOnlyWhenChecksOn)
     LaplaceSampleTable *table = proto.mutableTable();
     ASSERT_NE(table, nullptr);
 
-    // Set the high bit of every direct entry and every rank entry:
-    // each served magnitude index jumps above the saturation index
-    // (direct) or escapes any truncation window (rank), so the very
-    // first draw meets a suspect entry.
-    const size_t direct_bytes = static_cast<size_t>(
-        table->states() * sizeof(uint16_t));
-    for (size_t i = 0; i < table->states(); ++i) {
-        table->flipBit(2 * i + 1, 7);
-        table->flipBit(direct_bytes + 2 * i + 1, 7);
-    }
+    // Flip the top magnitude bit of every guide word: each served
+    // magnitude index jumps past the support, for direct and rank
+    // lookups alike, so the very first draw meets a suspect word.
+    const size_t guide_words = size_t{1} << table->guideBits();
+    for (size_t i = 0; i < guide_words; ++i)
+        table->flipBit(2 * i + 1, 6);
 
     uint64_t seeds[kLanes];
     TausBank::deriveLaneSeeds(0xc0ffeeULL, seeds, kLanes);
@@ -437,15 +505,15 @@ TEST(FxpLaplace, BatchedFallbackMatchesPerDrawQuarantine)
     FxpLaplaceRng batched(cfg, 77);
     FxpLaplaceRng per_draw(cfg, 77);
 
-    // Corrupt the same direct-table span in both RNGs' private
-    // tables (half the slots: the stream deterministically meets one
-    // within a couple of draws).
+    // Corrupt the same guide span in both RNGs' private tables (half
+    // the entries -- at Bu = 12 one per state: the stream
+    // deterministically meets one within a couple of draws).
     for (FxpLaplaceRng *rng : {&batched, &per_draw}) {
         rng->table();
         LaplaceSampleTable *t = rng->mutableTable();
         ASSERT_NE(t, nullptr);
         for (size_t i = 1024; i < 3072; ++i)
-            t->flipBit(2 * i + 1, 7);
+            t->flipBit(2 * i + 1, 6);
     }
 
     constexpr size_t kDraws = 4096;
@@ -620,6 +688,79 @@ TEST(FleetBatch, FingerprintImmuneToScalarBlockFallback)
         }
     }
     EXPECT_EQ(batched.fingerprint(), scalar_fp);
+}
+
+/** One Bu = 32 cohort of @p mechanism on the table or naive path. */
+FleetConfig
+bu32Fleet(CohortMechanism mechanism, FxpLaplaceConfig::SamplePath path)
+{
+    FleetConfig fc = batchFleet();
+    CohortConfig c = fc.cohorts[mechanism == CohortMechanism::Resampling
+                                        ? 1
+                                        : 0];
+    c.params.uniform_bits = 32;
+    c.params.sample_path = path;
+    c.nodes = 1500;
+    fc.cohorts = {c};
+    return fc;
+}
+
+/** Same merged report, cohort by cohort and in the fingerprint. */
+void
+expectSameReport(const FleetReport &a, const FleetReport &b)
+{
+    ASSERT_EQ(a.cohorts.size(), b.cohorts.size());
+    for (size_t c = 0; c < a.cohorts.size(); ++c) {
+        EXPECT_EQ(a.cohorts[c].checksum, b.cohorts[c].checksum);
+        EXPECT_EQ(a.cohorts[c].samples_drawn, b.cohorts[c].samples_drawn);
+    }
+    EXPECT_EQ(a.fingerprint(), b.fingerprint());
+}
+
+TEST(FleetBatch, Bu32CohortsRideTheBatchPathBitExactly)
+{
+    // The certified Bu = 32 configuration has a table, so its cohorts
+    // draw through the batch layer and must agree with the reference
+    // paths: a thresholding cohort with the per-draw log datapath
+    // (same words, no table), a resampling cohort with the scalar
+    // block path (same truncated draws, one at a time).
+    const auto table_path = FxpLaplaceConfig::SamplePath::Auto;
+    const auto naive_path = FxpLaplaceConfig::SamplePath::Naive;
+    FleetConfig thr = bu32Fleet(CohortMechanism::Thresholding, table_path);
+    FxpLaplaceRng proto(thr.cohorts[0].params.rngConfig(), 1);
+    ASSERT_TRUE(proto.fastPathEnabled());
+
+    // The table's acceptance masses are the certifier's tail counts.
+    auto pmf = FxpLaplacePmf::shared(proto.config(),
+                                     FxpLaplacePmf::Mode::Enumerated);
+    const LaplaceSampleTable &table = proto.table();
+    for (int64_t k = 0; k <= table.maxIndex(); ++k)
+        ASSERT_EQ(table.cumulativeCount(k),
+                  (uint64_t{1} << 32) - pmf->tailCount(k + 1))
+            << "k=" << k;
+
+    // Count batch bails: a cohort that fell back on every block would
+    // pass the comparisons below without ever batching.
+    telemetry::reset();
+    telemetry::setEnabled(true);
+    Counter &fallbacks = telemetry::registry().counter(
+        "ulpdp_batch_scalar_fallbacks_total", "");
+
+    FleetRunner batched_thr(thr);
+    FleetRunner naive_thr(
+        bu32Fleet(CohortMechanism::Thresholding, naive_path));
+    FleetRunner res(bu32Fleet(CohortMechanism::Resampling, table_path));
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        expectSameReport(batched_thr.run(threads),
+                         naive_thr.run(threads));
+        FleetReport batched = res.run(threads);
+        ScopedScalarBlocks guard;
+        expectSameReport(batched, res.run(threads));
+    }
+    EXPECT_EQ(fallbacks.value(), 0u);
+    telemetry::setEnabled(false);
+    telemetry::reset();
 }
 
 TEST(FleetBatch, FingerprintImmuneToKernelChoice)

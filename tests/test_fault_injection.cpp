@@ -232,18 +232,84 @@ TEST(TableIntegrity, LookupComparatorCatchesWildDirectEntries)
     LaplaceSampleTable *table = rng.mutableTable();
     ASSERT_NE(table, nullptr);
 
-    // Blast the high byte of every direct entry: each lookup now
-    // returns an index far past the quantizer's saturation point,
-    // which the comparator at the table output port must catch.
-    size_t direct_bytes = static_cast<size_t>(table->states()) * 2;
-    for (size_t off = 1; off < direct_bytes; off += 2)
-        table->flipBit(off, 7);
+    // Flip the top magnitude bit of every guide word: each lookup now
+    // returns an index far past the support, which the comparator at
+    // the table output port must catch.
+    size_t guide_bytes = size_t{2} << table->guideBits();
+    for (size_t off = 1; off < guide_bytes; off += 2)
+        table->flipBit(off, 6);
 
     int64_t k = rng.sampleIndexFast();
     EXPECT_TRUE(rng.integrityFault());
     EXPECT_GE(rng.integrityDetections(), 1u);
     // The recovery draw ran through the log datapath: still sound.
     EXPECT_LE(std::llabs(k), rng.quantizer().maxIndex());
+}
+
+TEST(TableIntegrity, FlippedBoundaryCaughtByCrcScrub)
+{
+    // A boundary SEU moves acceptance masses and bin edges without
+    // touching any guide entry; the periodic scrub is what sees it.
+    FxpLaplaceRng rng(testParams().rngConfig(), 1);
+    LaplaceSampleTable *table = rng.mutableTable();
+    ASSERT_NE(table, nullptr);
+    const size_t guide_bytes = size_t{2} << table->guideBits();
+    ASSERT_GT(table->faultableBytes(), guide_bytes);
+
+    // B_1, low bit: the smallest possible change to a live boundary.
+    table->flipBit(guide_bytes + 8, 0);
+    EXPECT_FALSE(table->verify());
+    EXPECT_FALSE(rng.verifyTableIntegrity());
+    EXPECT_TRUE(rng.integrityFault());
+    EXPECT_FALSE(rng.fastPathEnabled());
+}
+
+TEST(TableIntegrity, GuideCorruptionCaughtInEitherDirection)
+{
+    // Every single-bit flip of a guide word moves its magnitude up or
+    // down (bits 0..14) or breaks its parity bit (bit 15); the lookup
+    // comparator must refuse it for every rank the word serves, and
+    // no lookup -- checked or not, one-state or split bucket -- may
+    // address past the boundary array (the sanitizer build watches
+    // the reads).
+    for (int bu : {14, 24}) {
+        FxpMechanismParams p = testParams();
+        p.uniform_bits = bu;
+        FxpLaplaceRng rng(p.rngConfig(), 1);
+        LaplaceSampleTable *table = rng.mutableTable();
+        ASSERT_NE(table, nullptr);
+        const int shift = bu - table->guideBits();
+        const uint64_t span = uint64_t{1} << shift;
+        const uint64_t buckets = uint64_t{1} << table->guideBits();
+
+        uint64_t up = 0, down = 0;
+        for (uint64_t j = 0; j < buckets; j += buckets / 64 + 1) {
+            const uint64_t first = j << shift; // the bucket's first rank
+            const int64_t k = table->lookupByRank(first);
+            for (int bit = 0; bit < 16; ++bit) {
+                table->flipBit(2 * j + bit / 8, bit % 8);
+                int64_t served = bit < 15 ? k ^ (int64_t{1} << bit) : k;
+                up += served > k;
+                down += served < k;
+                for (uint64_t r : {first, first + span / 2,
+                                   first + span - 1}) {
+                    bool ok = true;
+                    int64_t got = table->view().lookupByRank(r, ok);
+                    EXPECT_FALSE(ok) << "Bu=" << bu << " bucket " << j
+                                     << " bit " << bit;
+                    if (shift == 0) {
+                        EXPECT_EQ(got, served);
+                    }
+                    EXPECT_GE(got, 0);
+                    EXPECT_LE(got, LaplaceSampleTable::kMaxMagnitudeIndex);
+                }
+                table->flipBit(2 * j + bit / 8, bit % 8);
+            }
+        }
+        EXPECT_GT(up, 0u);
+        EXPECT_GT(down, 0u);
+        EXPECT_TRUE(table->verify());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -819,8 +885,9 @@ TEST(FaultCampaign, UnhardenedCampaignViolatesInvariants)
 TEST(FaultCampaign, UnhardenedTableCorruptionEscapesTheWindow)
 {
     // Deterministic teeth for the table-SEU site alone: corrupt the
-    // rank array wholesale with integrity checks off and watch an
-    // output escape the analysed support.
+    // guide wholesale with integrity checks off and watch an output
+    // escape the analysed support (truncated draws read the guide at
+    // the state of their rank).
     FxpMechanismParams p = testParams();
     p.rng_integrity_checks = false;
     auto cfg = testConfig(p, RangeControl::Resampling);
@@ -830,10 +897,9 @@ TEST(FaultCampaign, UnhardenedTableCorruptionEscapesTheWindow)
 
     LaplaceSampleTable *table = ctrl.rng().mutableTable();
     ASSERT_NE(table, nullptr);
-    size_t direct_bytes = static_cast<size_t>(table->states()) * 2;
-    size_t rank_bytes = direct_bytes;
-    for (size_t off = 1; off < rank_bytes; off += 2)
-        table->flipBit(direct_bytes + off, 7);
+    size_t guide_bytes = size_t{2} << table->guideBits();
+    for (size_t off = 1; off < guide_bytes; off += 2)
+        table->flipBit(off, 6);
 
     int64_t outer = cfg.segments.back().threshold_index;
     double delta = p.resolvedDelta();

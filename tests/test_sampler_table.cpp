@@ -6,8 +6,11 @@
  * accept-reject conditional distribution.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,8 @@
 #include "rng/fxp_laplace.h"
 #include "rng/fxp_laplace_pmf.h"
 #include "rng/laplace_table.h"
+#include "rng/magnitude_icdf.h"
+#include "pmf_oracle.h"
 
 namespace ulpdp {
 namespace {
@@ -245,12 +250,22 @@ TEST(LaplaceSampleTable, AutoPathResolvesAgainstLimits)
     FxpLaplaceConfig cfg = sweepConfig(14, 10.0 / 32.0);
     EXPECT_TRUE(FxpLaplaceRng(cfg).fastPathEnabled());
 
-    // A URNG too wide to enumerate falls back to the naive pipeline.
+    // Every URNG width the PMF engine counts has a table.
     cfg.uniform_bits = 30;
-    EXPECT_FALSE(FxpLaplaceRng(cfg).fastPathEnabled());
-    EXPECT_FALSE(LaplaceSampleTable::supports(30, 100));
+    EXPECT_TRUE(FxpLaplaceRng(cfg).fastPathEnabled());
+    EXPECT_TRUE(LaplaceSampleTable::supports(30, 100));
+    EXPECT_TRUE(LaplaceSampleTable::supports(32, 100));
+    EXPECT_FALSE(LaplaceSampleTable::supports(33, 100));
 
-    // Demanding the table for it is a configuration error.
+    // An output word whose indices overflow a guide entry falls back
+    // to the naive pipeline...
+    cfg.uniform_bits = 14;
+    cfg.output_bits = 18;
+    ASSERT_GT(FxpLaplaceRng(cfg).quantizer().maxIndex(),
+              LaplaceSampleTable::kMaxMagnitudeIndex);
+    EXPECT_FALSE(FxpLaplaceRng(cfg).fastPathEnabled());
+
+    // ...and demanding the table for it is a configuration error.
     cfg.sample_path = FxpLaplaceConfig::SamplePath::Table;
     FxpLaplaceRng rng(cfg);
     EXPECT_THROW(rng.table(), FatalError);
@@ -262,8 +277,142 @@ TEST(LaplaceSampleTable, ReportsMemoryFootprint)
     FxpLaplaceRng rng(cfg);
     const LaplaceSampleTable &table = rng.table();
     EXPECT_EQ(table.states(), uint64_t{1} << 14);
-    // direct + rank at two bytes a state, plus the cumulative ROM.
-    EXPECT_GE(table.memoryBytes(), 2 * 2 * table.states());
+    EXPECT_EQ(table.guideBits(), 14);
+    // A two-byte guide word per state, plus one eight-byte boundary
+    // per bin and the closing B_{max+1} = 0; no rank or cumulative
+    // array.
+    EXPECT_EQ(table.memoryBytes(),
+              2 * table.states() +
+                      8 * static_cast<size_t>(table.maxIndex() + 2));
+}
+
+TEST(LaplaceSampleTable, GuideWidthIsAFixedRuleOfBu)
+{
+    for (int bu : {8, 20, 21, 32}) {
+        FxpLaplaceRng rng(sweepConfig(bu, 10.0 / 32.0));
+        EXPECT_EQ(rng.table().guideBits(),
+                  std::min(bu, LaplaceSampleTable::kMaxGuideBits))
+            << "Bu=" << bu;
+    }
+}
+
+/** A named full-state oracle configuration. */
+struct OracleCase
+{
+    std::string name;
+    FxpLaplaceConfig config;
+};
+
+/** Reference and CORDIC log, Nearest and Floor rounding, and the
+ *  Gaussian and staircase magnitude ICDFs, at URNG width @p bu. */
+std::vector<OracleCase>
+oracleCases(int bu)
+{
+    std::vector<OracleCase> cases;
+    for (bool cordic : {false, true}) {
+        for (bool floor : {false, true}) {
+            FxpLaplaceConfig cfg = sweepConfig(
+                    bu, 10.0 / 32.0,
+                    cordic ? FxpLaplaceConfig::LogMode::Cordic
+                           : FxpLaplaceConfig::LogMode::Reference);
+            if (floor)
+                cfg.rounding = FxpLaplaceConfig::Rounding::Floor;
+            cases.push_back({std::string(cordic ? "Cordic" : "Reference") +
+                                     (floor ? "/Floor" : "/Nearest"),
+                             cfg});
+        }
+    }
+    // The distribution bench's ICDF stages: range d = 10, By = 14.
+    const double d = 10.0;
+    for (double eps : {0.5, 1.0}) {
+        FxpLaplaceConfig gauss = sweepConfig(bu, 10.0 / 32.0);
+        gauss.output_bits = 14;
+        gauss.icdf = std::make_shared<GaussianMagnitude>(
+                d / eps * std::sqrt(2.0));
+        cases.push_back({"Gaussian eps=" + std::to_string(eps), gauss});
+        FxpLaplaceConfig stair = gauss;
+        stair.icdf = std::make_shared<StaircaseMagnitude>(
+                d, eps, StaircaseMagnitude::optimalGamma(eps));
+        cases.push_back({"Staircase eps=" + std::to_string(eps), stair});
+    }
+    return cases;
+}
+
+TEST(LaplaceSampleTable, EveryLookupMatchesFullStateOracle)
+{
+    // The table is built from boundaries alone, so its agreement with
+    // the pipeline rests on the pipeline's monotonicity. Walk every
+    // URNG state: each lookup must equal the pipeline, and the rank
+    // and cumulative views must equal the walked PMF sorted by
+    // magnitude. A failure here is a certifier bug as much as a
+    // sampler bug: both read the same boundaries.
+    for (int bu : {8, 12, 17, 20}) {
+        for (const OracleCase &c : oracleCases(bu)) {
+            FxpLaplaceRng rng(c.config);
+            const LaplaceSampleTable &table = rng.table();
+            uint64_t mismatches = 0;
+            NoisePmf walk = walkPmf(bu, [&](uint64_t m) {
+                int64_t k = rng.pipeline(m, 1);
+                mismatches += table.lookup(m) != k;
+                return k;
+            });
+            ASSERT_EQ(mismatches, 0u) << c.name << " Bu=" << bu;
+            ASSERT_EQ(table.maxIndex(), walk.maxIndex()) << c.name;
+
+            uint64_t cum = 0;
+            uint64_t rank_mismatches = 0;
+            for (int64_t k = 0; k <= walk.maxIndex(); ++k) {
+                uint64_t next = cum + walk.magnitudeCount(k);
+                ASSERT_EQ(table.cumulativeCount(k), next)
+                    << c.name << " Bu=" << bu << " k=" << k;
+                for (uint64_t r = cum; r < next; ++r)
+                    rank_mismatches += table.lookupByRank(r) != k;
+                cum = next;
+            }
+            ASSERT_EQ(cum, uint64_t{1} << bu);
+            ASSERT_EQ(rank_mismatches, 0u) << c.name << " Bu=" << bu;
+        }
+    }
+}
+
+TEST(LaplaceSampleTable, SplitBucketsMatchPipelineAboveGuideWidth)
+{
+    // Above Bu = 20 a guide bucket spans 2^(Bu - 20) states and the
+    // straddling ones finish with a climb over the boundaries. Check
+    // every state within two of each boundary, where a climb off by
+    // one would show, and a stride through the rest.
+    for (int bu : {24, 32}) {
+        for (auto log_mode : {FxpLaplaceConfig::LogMode::Reference,
+                              FxpLaplaceConfig::LogMode::Cordic}) {
+            FxpLaplaceConfig cfg = sweepConfig(bu, 10.0 / 32.0, log_mode);
+            FxpLaplaceRng rng(cfg);
+            const LaplaceSampleTable &table = rng.table();
+            const uint64_t states = table.states();
+            auto pmf = FxpLaplacePmf::shared(
+                    cfg, FxpLaplacePmf::Mode::Enumerated);
+            uint64_t checked = 0, mismatches = 0;
+            auto check = [&](uint64_t m) {
+                if (m < 1 || m > states)
+                    return;
+                bool ok = true;
+                mismatches += table.view().lookupByRank(states - m, ok) !=
+                              rng.pipeline(m, 1);
+                mismatches += !ok;
+                ++checked;
+            };
+            for (int64_t k = 1; k <= table.maxIndex(); ++k) {
+                uint64_t b = pmf->tailCount(k);
+                for (uint64_t m = b < 2 ? 1 : b - 2; m <= b + 2; ++m)
+                    check(m);
+            }
+            for (uint64_t m = 1; m <= states; m += states / 4099 + 7)
+                check(m);
+            check(states);
+            EXPECT_EQ(mismatches, 0u)
+                << "Bu=" << bu << " log=" << static_cast<int>(log_mode);
+            EXPECT_GT(checked, 4000u);
+        }
+    }
 }
 
 } // anonymous namespace
