@@ -4,15 +4,17 @@
  *
  * Three sections:
  *
- *  1. Pure ingest rate, single thread. The fleet hot loop's entire
- *     per-report aggregation cost is one uint64 increment into a
- *     per-block delta buffer plus an amortized per-block flush
+ *  1. Pure ingest rate, single thread. A collector that counts each
+ *     report as one uint64 increment into a slot-count buffer and
+ *     folds the buffer into its sketch once per block
  *     (CohortSketch::ingestDelta: span total updates into the slot
- *     array, count-min and quantile sketches). This section replays a
- *     precomputed slot stream through exactly that protocol and
- *     reports sustained reports/second -- the number that must beat
- *     the fleet engine's own emission rate for the collector to keep
- *     pace at line rate (floor gated in CI: >= 2e7/s).
+ *     array, count-min and quantile sketches). The fleet itself counts
+ *     every report into per-worker slot x trial arrays and ingests
+ *     them once per epoch; this section replays a precomputed slot
+ *     stream through the per-block protocol and reports sustained
+ *     reports/second -- the rate a standalone collector must beat to
+ *     keep pace with the fleet at line rate (floor gated in CI:
+ *     >= 2e7/s).
  *
  *  2. Population sweep. Fleets of 1e5 / 1e6 / 1e7 nodes (capped by
  *     --nodes-max) with aggregation on vs off at the full thread

@@ -27,9 +27,11 @@
  * "scaling" and a *negative* telemetry overhead):
  *
  *  - every sweep point runs one untimed warmup epoch first (parks the
- *    worker pool at the right width, touches every slab) and then
- *    reports best-of-N over N >= 1 measured epochs (--repeats,
- *    default 3) -- steady-state throughput, not cold-start;
+ *    worker pool at the right width, touches every slab); then N >= 1
+ *    measured rounds (--repeats, default 3) each run every thread
+ *    count once, interleaved as perfbench interleaves its runs, and
+ *    every point reports its median round -- a slow phase of the host
+ *    lands on all thread counts alike instead of on one of them;
  *  - the telemetry comparison interleaves off/on epoch pairs and
  *    compares medians, so drift hits both sides equally; a negative
  *    overhead reading is a noise-floor artifact and is clamped to 0
@@ -41,7 +43,7 @@
  * Flags:
  *   --nodes N     nodes per cohort        (default 200000)
  *   --reports R   reports per node        (default 8)
- *   --repeats N   measured epochs per sweep point, best-of (default 3)
+ *   --repeats N   measured rounds over the sweep, median (default 3)
  *   --json PATH   JSON output path        (default BENCH_fleet.json)
  *   --prom PATH   Prometheus exposition   (default BENCH_fleet.prom)
  */
@@ -152,8 +154,8 @@ main(int argc, char **argv)
     std::printf("\nfleet: 2 cohorts x %llu nodes x %u reports "
                 "(%llu reports total), batch layer: %zu-lane %s "
                 "kernel, hardware threads: %u\n"
-                "protocol: 1 warmup epoch + best-of-%u measured "
-                "epochs per thread count\n\n",
+                "protocol: 1 warmup epoch per thread count + %u "
+                "interleaved rounds, median per thread count\n\n",
                 static_cast<unsigned long long>(nodes), reports,
                 static_cast<unsigned long long>(2 * nodes * reports),
                 TausBank::kMaxLanes, TausBank::kernelName(),
@@ -165,38 +167,45 @@ main(int argc, char **argv)
     table.setHeader({"threads", "seconds", "reports/sec", "speedup",
                      "fingerprint"});
 
-    std::vector<double> rates;
+    auto median = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        size_t n = v.size();
+        return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+    };
+
+    // Untimed warmup per thread count: parks the persistent pool at
+    // that width, faults in every slab, and fixes the fingerprint the
+    // measured epochs must reproduce.
     std::vector<uint64_t> fingerprints;
+    for (unsigned t : sweep)
+        fingerprints.push_back(runner.run(t).fingerprint());
+    // Measured rounds: every thread count once per round.
+    std::vector<std::vector<double>> round_seconds(sweep.size());
     bool deterministic = true;
-    for (unsigned t : sweep) {
-        // Untimed warmup: parks the persistent pool at this width,
-        // faults in every slab, and fixes the fingerprint the
-        // measured epochs must reproduce.
-        FleetReport warm = runner.run(t);
-        uint64_t fp = warm.fingerprint();
-        double best_seconds = warm.seconds;
-        double best_rate = warm.reportsPerSecond();
-        for (uint32_t r = 0; r < repeats; ++r) {
-            FleetReport rep = runner.run(t);
+    for (uint32_t r = 0; r < repeats; ++r) {
+        for (size_t i = 0; i < sweep.size(); ++i) {
+            FleetReport rep = runner.run(sweep[i]);
             deterministic =
-                deterministic && rep.fingerprint() == fp;
-            if (rep.seconds < best_seconds) {
-                best_seconds = rep.seconds;
-                best_rate = rep.reportsPerSecond();
-            }
+                deterministic && rep.fingerprint() == fingerprints[i];
+            round_seconds[i].push_back(rep.seconds);
         }
-        rates.push_back(best_rate);
-        fingerprints.push_back(fp);
+    }
+    const double total_reports = 2.0 * static_cast<double>(nodes) *
+                                 static_cast<double>(reports);
+    std::vector<double> rates;
+    for (size_t i = 0; i < sweep.size(); ++i) {
+        const double seconds = median(round_seconds[i]);
+        rates.push_back(seconds > 0.0 ? total_reports / seconds : 0.0);
         char sec[32], rate[32], speed[32], fpbuf[32];
-        std::snprintf(sec, sizeof sec, "%.3f", best_seconds);
-        std::snprintf(rate, sizeof rate, "%.3g", best_rate);
+        std::snprintf(sec, sizeof sec, "%.3f", seconds);
+        std::snprintf(rate, sizeof rate, "%.3g", rates.back());
         std::snprintf(speed, sizeof speed, "%.2fx",
                       rates.front() > 0.0
-                          ? best_rate / rates.front()
+                          ? rates.back() / rates.front()
                           : 0.0);
         std::snprintf(fpbuf, sizeof fpbuf, "%016llx",
-                      static_cast<unsigned long long>(fp));
-        table.addRow({std::to_string(t), sec, rate, speed, fpbuf});
+                      static_cast<unsigned long long>(fingerprints[i]));
+        table.addRow({std::to_string(sweep[i]), sec, rate, speed, fpbuf});
     }
     table.print(std::cout);
 
@@ -249,11 +258,6 @@ main(int argc, char **argv)
             off.fingerprint() == fingerprints.front() &&
             on.fingerprint() == fingerprints.front();
     }
-    auto median = [](std::vector<double> v) {
-        std::sort(v.begin(), v.end());
-        size_t n = v.size();
-        return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-    };
     double rate_off = median(rates_off);
     double rate_on = median(rates_on);
     double overhead_raw_pct = rate_off > 0.0
@@ -333,6 +337,7 @@ main(int argc, char **argv)
     json.field("hardware_threads", hw);
     json.field("warmup_epochs_per_point", uint64_t{1});
     json.field("measured_epochs_per_point", uint64_t{repeats});
+    json.field("measurement", "interleaved rounds, median per point");
     json.field("simd_kernel", TausBank::kernelName());
     json.field("batch_lanes",
                static_cast<uint64_t>(TausBank::kMaxLanes));

@@ -1,31 +1,16 @@
 /**
  * @file
- * Streaming cohort aggregation state: the per-worker sketch slab the
- * fleet engine's hot loop feeds and the post-epoch merge combines.
+ * Streaming cohort aggregation state: the mergeable sketch of one
+ * cohort's released slot counts.
  *
- * Layout contract with the fleet engine
- * -------------------------------------
- * The mechanisms emit output *grid indices*; the ingest path maps an
- * output index yi to slot yi - outLo() and bumps one uint64 counter in
- * a per-block delta buffer (SoA, trial-major when per-trial capture is
- * on: delta[t * span + s]). A block's delta is flushed into the
- * worker's CohortSketch only when the block completes -- the batch
- * sampler's integrity-bail protocol discards a half-processed block
- * and redoes it scalar, and a flush-on-completion rule means the redo
- * cannot double-count (mirror of the BlockAccum reset).
- *
- * Determinism argument
- * --------------------
- * Every piece of CohortSketch state is an unsigned 64-bit counter:
- * the slot array, the count-min rows, the quantile buckets. Integer
- * addition is associative and commutative, so the merged state is
- * independent of how blocks were partitioned across workers AND of
- * the merge order -- stronger than the fleet's fixed-block-order
- * argument for its floating-point accumulators, and what makes the
- * decoded estimates bit-identical across thread counts: identical
- * integer inputs into a deterministic double-precision decode give
- * identical bits. (The post-epoch merge still walks workers in index
- * order, matching the repo convention.)
+ * The fleet counts each report of a cohort as one uint64 in a
+ * per-worker slot x trial array over the mechanism's output window
+ * (trial-major: [t * span + s]) and, after the epoch, feeds the merged
+ * counts to one CohortSketch. Every piece of sketch state is an
+ * unsigned 64-bit counter, so it is independent of how the reports
+ * were partitioned and merged, and identical integer inputs into the
+ * deterministic decode give bit-identical estimates at any thread
+ * count.
  */
 
 #ifndef ULPDP_AGG_STREAM_H
@@ -101,8 +86,8 @@ class CohortSketch
     /** Trial rows in the slot array. */
     uint32_t trialRows() const { return trial_rows_; }
 
-    /** Slot-array length = span() * trialRows(); the delta buffer the
-     *  hot loop fills must be exactly this long. */
+    /** Slot-array length = span() * trialRows(); the length of the
+     *  count array ingestDelta() takes. */
     size_t slotCells() const { return slots_.size(); }
 
     /** Released value of slot @p s. */
@@ -112,10 +97,9 @@ class CohortSketch
     }
 
     /**
-     * Fold one completed block's slot-count delta (length
-     * slotCells(), trial-major) into the sketch: exact slot counts
-     * cell-wise, count-min and quantile buckets via per-slot totals
-     * summed across trial rows.
+     * Fold a slot-count array (length slotCells(), trial-major) into
+     * the sketch: exact slot counts cell-wise, count-min and quantile
+     * buckets via per-slot totals summed across trial rows.
      */
     void ingestDelta(const uint64_t *delta);
 

@@ -7,18 +7,26 @@
 
 namespace ulpdp {
 
-void
-RunningStats::addRepeated(double x, uint64_t n)
+RunningStats
+RunningStats::fromGrid(const GridSums &g, int64_t origin, double step,
+                       double shift)
 {
-    if (n == 0)
-        return;
-    RunningStats point;
-    point.count_ = n;
-    point.mean_ = x;
-    point.m2_ = 0.0;
-    point.min_ = x;
-    point.max_ = x;
-    merge(point);
+    RunningStats r;
+    if (g.n == 0)
+        return r;
+    const double n = static_cast<double>(g.n);
+    const __int128 total = static_cast<__int128>(origin) * g.n +
+                           static_cast<__int128>(g.sum);
+    r.count_ = g.n;
+    r.mean_ = static_cast<double>(total) / n * step - shift;
+    // n * (sum of squared deviations) in grid units, exact.
+    r.m2_ = static_cast<double>(g.sum_sq * g.n - g.sum * g.sum) / n *
+            step * step;
+    r.min_ = static_cast<double>(origin + static_cast<int64_t>(g.min)) *
+                 step - shift;
+    r.max_ = static_cast<double>(origin + static_cast<int64_t>(g.max)) *
+                 step - shift;
+    return r;
 }
 
 void

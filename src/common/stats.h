@@ -17,6 +17,32 @@
 namespace ulpdp {
 
 /**
+ * Exact integer moments of samples on a grid, each given as its
+ * non-negative offset s from a grid origin. Integer sums are order-free,
+ * and the 128-bit ones stay exact while n * max < 2^64.
+ */
+struct GridSums
+{
+    uint64_t n = 0;
+    unsigned __int128 sum = 0;
+    unsigned __int128 sum_sq = 0;
+    uint64_t min = UINT64_MAX;
+    uint64_t max = 0;
+
+    /** Count offset @p s @p count times. */
+    void add(uint64_t s, uint64_t count = 1)
+    {
+        if (count == 0)
+            return;
+        n += count;
+        sum += static_cast<unsigned __int128>(s) * count;
+        sum_sq += static_cast<unsigned __int128>(s) * s * count;
+        min = std::min(min, s);
+        max = std::max(max, s);
+    }
+};
+
+/**
  * Numerically stable streaming accumulator for count, mean, variance,
  * min and max of a sequence of doubles (Welford's algorithm).
  */
@@ -39,12 +65,12 @@ class RunningStats
     }
 
     /**
-     * Fold @p n copies of sample @p x in O(1) (a merge with a
-     * synthetic zero-variance accumulator). Lets callers replay
-     * weighted slot counts -- e.g. 1e7-node sketch totals -- without
-     * 1e7 add() calls.
+     * The moments of the samples (origin + s) * step - shift for every
+     * offset s counted in @p g, from its exact integer sums: min and
+     * max are bit-identical to add() of each sample.
      */
-    void addRepeated(double x, uint64_t n);
+    static RunningStats fromGrid(const GridSums &g, int64_t origin,
+                                 double step, double shift = 0.0);
 
     /** Merge another accumulator into this one (parallel Welford). */
     void merge(const RunningStats &other);

@@ -103,7 +103,7 @@ struct FleetMetrics
         {0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0});
     Counter &batch_fallbacks = telemetry::registry().counter(
         "ulpdp_batch_scalar_fallbacks_total",
-        "Blocks redone on the scalar path after a batch-sampler bail",
+        "Blocks resumed on the scalar path after a batch-sampler bail",
         "blocks");
     Counter &rng_clones = telemetry::registry().counter(
         "ulpdp_fleet_rng_clones_total",
@@ -165,10 +165,6 @@ publishCohort(const CohortResult &res)
                     "Reports folded into the streaming sketches",
                     "reports", labels)
             .inc(res.agg->sketch.total());
-        reg.counter("ulpdp_agg_dropped_reports_total",
-                    "Reports outside the sketch window (should be 0)",
-                    "reports", labels)
-            .inc(res.agg->dropped);
         reg.gauge("ulpdp_agg_sketch_bytes",
                   "Merged sketch counter footprint",
                   "bytes", labels)
@@ -328,8 +324,11 @@ struct FleetRunner::CohortPlan
             std::llround(cfg.params.range.lo / delta));
         hi_index = static_cast<int64_t>(
             std::llround(cfg.params.range.hi / delta));
-        mid_value = 0.5 * (cfg.params.range.lo + cfg.params.range.hi);
-        mid_index = static_cast<int64_t>(std::llround(mid_value / delta));
+        // The pre-fresh replay is the DP-Box's grid midpoint (Ideal
+        // has no grid).
+        const double mid = 0.5 * (cfg.params.range.lo + cfg.params.range.hi);
+        mid_index = (lo_index + hi_index) / 2;
+        mid_value = mech.ideal ? mid : static_cast<double>(mid_index) * delta;
         lambda = mech.params.lambda();
 
         // Every registered mechanism guarantees the loss_multiple *
@@ -339,6 +338,8 @@ struct FleetRunner::CohortPlan
         threshold = mech.threshold;
         win_lo = lo_index - threshold;
         win_hi = hi_index + threshold;
+        span = static_cast<size_t>(win_hi - win_lo + 1);
+        counted = controlled;
 
         // Worst-case flat charge per fresh report in quanta (never
         // undercharges; the affordable count needs no randomness).
@@ -352,9 +353,7 @@ struct FleetRunner::CohortPlan
                 quantaDown(cfg.budget_per_node) / per_report_charge));
 
         // Synthetic-data shape defaults: centered, range/6 std.
-        data_mean = cfg.data_mean_set
-            ? cfg.data_mean
-            : mid_value;
+        data_mean = cfg.data_mean_set ? cfg.data_mean : mid;
         data_std = cfg.data_std > 0.0
             ? cfg.data_std
             : cfg.params.range.length() / 6.0;
@@ -398,20 +397,21 @@ struct FleetRunner::CohortPlan
             ldp = false;
         }
 
-        // Streaming aggregation: resolve the sketch window from the
-        // mechanism's exact output model and precompute the unbiased
-        // channel-inversion decoder, once, on the main thread.
-        if (cfg.agg.enabled && model) {
+        // Streaming aggregation: precompute the unbiased channel-
+        // inversion decoder once, on the main thread. The sketch is
+        // derived from the slot counts, so its window must be theirs.
+        if (cfg.agg.enabled && counted) {
             decoder =
                 std::make_shared<agg::FrequencyDecoder>(*model);
-            agg_out_lo = lo_index + model->outputLo();
-            agg_span = decoder->numOutputs();
+            ULPDP_ASSERT(lo_index + model->outputLo() == win_lo &&
+                         decoder->numOutputs() == span);
             agg_rows = cfg.agg.per_trial ? cfg.reports_per_node : 1;
             agg_on = true;
         } else if (cfg.agg.enabled) {
             warn("FleetRunner: cohort '%s': streaming aggregation "
-                 "has no output grid under the Ideal mechanism; "
-                 "disabled", cfg.name.c_str());
+                 "has no bounded output window under the %s baseline; "
+                 "disabled", cfg.name.c_str(),
+                 mech.ideal ? "Ideal" : "Naive");
         }
     }
 
@@ -494,8 +494,13 @@ struct FleetRunner::CohortPlan
     int64_t threshold = 0;
     int64_t win_lo = 0;
     int64_t win_hi = 0;
+    /** Output window slots (count rows and sketch). */
+    size_t span = 0;
+    /** Registry-lowered: reports are slot x trial counts (the Ideal
+     *  and Naive baselines accumulate doubles). */
+    bool counted = false;
+    /** Replay value before a node's first fresh report, and its index. */
     double mid_value = 0.0;
-    /** Grid slot of mid_value (a midpoint replay's agg slot). */
     int64_t mid_index = 0;
     double lambda = 1.0;
     double data_mean = 0.0;
@@ -509,12 +514,8 @@ struct FleetRunner::CohortPlan
     double worst_loss = 0.0;
     bool ldp = false;
 
-    /** Streaming aggregation (resolved from cfg.agg; off for Ideal). */
+    /** Streaming aggregation (resolved from cfg.agg; counted only). */
     bool agg_on = false;
-    /** Absolute output grid index of sketch slot 0. */
-    int64_t agg_out_lo = 0;
-    /** Output slots per trial row. */
-    size_t agg_span = 0;
     /** Trial rows in the slot array (reports_per_node if per-trial). */
     uint32_t agg_rows = 1;
     /** Shared precomputed channel pseudo-inverse. */
@@ -621,22 +622,8 @@ struct WorkItem;
  */
 struct alignas(64) FleetRunner::WorkerScratch
 {
-    /**
-     * One cohort's private aggregation shard: the worker's mergeable
-     * sketch plus the per-block slot-count delta buffer the hot loop
-     * bumps. The delta is folded into the sketch only when a block
-     * completes, mirroring the BlockAccum discard protocol -- a batch
-     * integrity bail rezeroes the delta before the scalar redo, so a
-     * redone block can never double-count. Heap-owned per cohort, so
-     * one slab's counters never share a line with another worker's.
-     */
-    struct AggSlab
-    {
-        agg::CohortSketch sketch;
-        std::vector<uint64_t> delta;
-        /** Reports whose output index missed the sketch window. */
-        uint64_t dropped = 0;
-    };
+    /** Epoch stages of the telemetry timers (merge: main thread). */
+    enum Stage { kSeed, kDraw, kAccumulate, kMerge, kStages };
 
     /** Run one block, start to finish, into its private slab. Which
      *  worker runs it (and when) is irrelevant: the result depends
@@ -644,14 +631,26 @@ struct alignas(64) FleetRunner::WorkerScratch
     void processBlock(const CohortPlan &plan, const FleetSeeder &seeder,
                       const WorkItem &item);
 
-    /** The 16-lane path; false when a draw bailed. */
-    bool batchBlock(const CohortPlan &plan, const FleetSeeder &seeder,
-                    const WorkItem &item, ReportSink &sink);
+    /** The 16-lane path; returns the first node it did not emit (the
+     *  block's end, or the first node of the group that bailed). */
+    uint64_t batchBlock(const CohortPlan &plan, const FleetSeeder &seeder,
+                        const WorkItem &item);
 
-    /** The per-draw path: Ideal cohorts, fresh == 0 cohorts,
-     *  tableless configurations, and batch-bail redos. */
+    /** The per-draw path from node @p from: Ideal cohorts, fresh == 0
+     *  cohorts, tableless configurations, and the rest of a block
+     *  whose batch bailed. */
     void scalarBlock(const CohortPlan &plan, const FleetSeeder &seeder,
-                     const WorkItem &item, ReportSink &sink);
+                     const WorkItem &item, uint64_t from);
+
+    /** Telemetry only: charge the time since the last lap to @p s. */
+    void lap(Stage s)
+    {
+        if (!timed)
+            return;
+        auto now = std::chrono::steady_clock::now();
+        stage_seconds[s] += std::chrono::duration<double>(now - mark).count();
+        mark = now;
+    }
 
     std::vector<int64_t> noise;  // scalar path, one node's batch
     std::vector<int64_t> rect;   // batch path, trial-major noise
@@ -659,36 +658,32 @@ struct alignas(64) FleetRunner::WorkerScratch
     uint32_t rng_cohort = 0;
     std::optional<BatchSampler> sampler;
     uint32_t sampler_cohort = 0;
-    /** Per-cohort aggregation shards (null for agg-off cohorts);
-     *  cleared per epoch, merged post-epoch in worker-index order. */
-    std::vector<std::unique_ptr<AggSlab>> agg;
+    /** Per-cohort slot x trial counts (trial-major over the output
+     *  window; empty unless counted), zeroed by the worker each epoch;
+     *  and the report sink's per-group slot buffer. */
+    std::vector<std::vector<uint64_t>> counts;
+    std::vector<uint32_t> group_slots;
     /** Per-epoch telemetry deltas, flushed by the main thread after
      *  the merge (never a shared atomic on the hot path). */
     uint64_t clones = 0;
     uint64_t fallbacks = 0;
+    bool timed = false;
+    std::chrono::steady_clock::time_point mark;
+    double stage_seconds[kStages] = {};
 };
 
 namespace {
 
-/** Private accumulation slab of one block. One thread writes it; the
- *  main thread merges slabs in block-index order afterwards. The
- *  64-byte alignment keeps the hot tail counters of adjacent slabs in
- *  a vector off each other's cache lines -- without it, two workers
+/** Private per-node accumulation slab of one block. One thread writes
+ *  it; the main thread merges slabs in block-index order afterwards.
+ *  The 64-byte alignment keeps the hot tail counters of adjacent slabs
+ *  in a vector off each other's cache lines -- without it, two workers
  *  finishing neighbouring blocks ping-pong the boundary line on every
  *  counter bump. */
 struct alignas(64) BlockAccum
 {
-    BlockAccum(double hist_lo, double hist_hi, size_t bins,
-               uint32_t reports_per_node)
-        : hist(hist_lo, hist_hi, bins),
-          trial_sum(reports_per_node, 0.0)
-    {}
-
-    Histogram hist;
-    RunningStats released;
     RunningStats error;
     RunningStats true_vals;
-    std::vector<double> trial_sum;
     uint64_t samples = 0;
     uint64_t overflows = 0;
     uint64_t fresh = 0;
@@ -698,15 +693,31 @@ struct alignas(64) BlockAccum
     uint64_t checksum = 0;
 };
 
+/** A block's per-report double accumulators under the two uncertified
+ *  baselines, whose releases have no bounded grid window. */
+struct BaselineAccum
+{
+    BaselineAccum(double hist_lo, double hist_hi, size_t bins,
+                  uint32_t reports_per_node)
+        : hist(hist_lo, hist_hi, bins), trial_sum(reports_per_node, 0.0)
+    {}
+
+    Histogram hist;
+    RunningStats released;
+    std::vector<double> trial_sum;
+};
+
 /** One claimable unit of work: a block of consecutive nodes, its
- *  private slab, and the cohort's report matrix (null unless
- *  materialized; each block writes disjoint columns). */
+ *  private slabs (no baseline slab when counted), and the cohort's
+ *  report matrix (null unless materialized; each block writes
+ *  disjoint columns). */
 struct WorkItem
 {
     uint32_t cohort;
     uint64_t node_lo;
     uint64_t node_hi;
     BlockAccum *accum;
+    BaselineAccum *baseline;
     double *matrix;
 };
 
@@ -840,31 +851,50 @@ FleetRunner::forceScalarBlocks(bool on)
     g_force_scalar_blocks.store(on, std::memory_order_relaxed);
 }
 
+LaplaceSampleTable *
+FleetRunner::mutableTable(size_t cohort)
+{
+    return plans_.at(cohort).table ? plans_[cohort].proto.mutableTable()
+                                   : nullptr;
+}
+
 /**
  * The one place a released report is accounted. Both execution paths
  * feed it the same stream -- per node, in node order: begin(), one
  * freshAt()/fresh() per fresh draw in trial order, then finish() --
- * which is the (node, trial) order the Welford updates depend on. It
- * owns the fresh/replay rule and every per-report statistic; the
- * paths only supply draws. The per-report methods are forced inline:
- * they sit on the hot loop, and with a call site per path and draw
- * kind the -O2 inliner would otherwise keep out-of-line copies.
+ * the order the per-node Welford merges depend on. It owns the
+ * fresh/replay rule and every per-report statistic; the paths only
+ * supply draws. A counted cohort's report is one slot x trial count,
+ * the node's integer sums and the checksum. The per-report methods
+ * are forced inline: they sit on the hot loop, and with a call site
+ * per path and draw kind the -O2 inliner would otherwise keep
+ * out-of-line copies.
  */
 struct FleetRunner::ReportSink
 {
-    /** Opens the block: zeroes the worker's agg delta and remembers
-     *  its drop count for discard(). */
+    /** Nodes counted together, row by row: each trial row's stores
+     *  then hit lines and pages already hot. */
+    static constexpr uint32_t kGroup = TausBank::kMaxLanes;
+
+    /** Each path builds its own sink: a sink holds no state across
+     *  nodes except counts it has yet to flush, so a bail undoes
+     *  nothing. */
     ReportSink(const CohortPlan &p, const WorkItem &item,
-               WorkerScratch::AggSlab *agg_slab)
-        : plan(p), acc(*item.accum), matrix(item.matrix),
-          slab(agg_slab), agg_stride(p.agg_rows > 1 ? p.agg_span : 0),
-          dropped_before(agg_slab != nullptr ? agg_slab->dropped : 0)
+               WorkerScratch &ws)
+        : plan(p), acc(*item.accum), base(item.baseline),
+          matrix(item.matrix),
+          counts(p.counted ? ws.counts[item.cohort].data() : nullptr),
+          span(p.span), win_lo(p.win_lo), delta(p.delta),
+          trials(p.cfg.reports_per_node)
     {
-        zeroAggDelta();
+        ws.group_slots.resize(size_t{trials} * kGroup);
+        slots = ws.group_slots.data();
     }
 
-    /** Open a node. Its replay value is the range midpoint (and that
-     *  value's grid slot) until a fresh report replaces it. */
+    ~ReportSink() { flush(); }
+
+    /** Open a node. Its replay value is the range's grid midpoint
+     *  until a fresh report replaces it. */
     [[gnu::always_inline]] void begin(uint64_t node_id, double true_value)
     {
         node = node_id;
@@ -872,8 +902,10 @@ struct FleetRunner::ReportSink
         t = 0;
         last = plan.mid_value;
         last_yi = plan.mid_index;
+        sums = GridSums();
+        digest = 0;
         acc.true_vals.add(x);
-        if (plan.fresh_per_node < plan.cfg.reports_per_node)
+        if (plan.fresh_per_node < trials)
             ++acc.exhausted;
     }
 
@@ -881,81 +913,77 @@ struct FleetRunner::ReportSink
     [[gnu::always_inline]] void freshAt(int64_t yi)
     {
         last_yi = yi;
-        fresh(static_cast<double>(yi) * plan.delta);
+        fresh(static_cast<double>(yi) * delta);
     }
 
     /** A fresh report off the grid (Ideal cohorts). */
     [[gnu::always_inline]] void fresh(double released)
     {
         last = released;
-        ++acc.fresh;
-        emit(released);
+        emit();
     }
 
     /** Close the node: its budget is exhausted, so the remaining
      *  trials replay the last report (a function of already-released
-     *  data; zero additional loss). */
+     *  data; zero additional loss). A counted node folds its error
+     *  moments, exact from its integer sums, into the slab. */
     [[gnu::always_inline]] void finish()
     {
-        while (t < plan.cfg.reports_per_node) {
-            ++acc.replays;
-            emit(last);
-        }
-    }
-
-    /** Fold the completed block's agg delta into the worker sketch. */
-    void commit()
-    {
-        if (slab != nullptr)
-            slab->sketch.ingestDelta(slab->delta.data());
-    }
-
-    /** Throw the whole block away (batch bail): a fresh slab, a zeroed
-     *  agg delta and the drop count the block started from. */
-    void discard()
-    {
-        acc = BlockAccum(plan.hist_lo, plan.hist_hi,
-                         plan.cfg.histogram_bins,
-                         plan.cfg.reports_per_node);
-        zeroAggDelta();
-        if (slab != nullptr)
-            slab->dropped = dropped_before;
+        acc.fresh += t;
+        acc.replays += trials - t;
+        while (t < trials)
+            emit();
+        acc.checksum += digest;
+        if (counts == nullptr)
+            return;
+        acc.error.merge(RunningStats::fromGrid(sums, win_lo, delta, x));
+        if (++lane == kGroup)
+            flush();
     }
 
   private:
-    [[gnu::always_inline]] void emit(double released)
+    [[gnu::always_inline]] void emit()
     {
-        if (slab != nullptr) {
-            size_t s = static_cast<size_t>(last_yi - plan.agg_out_lo);
-            if (s < plan.agg_span) [[likely]]
-                ++slab->delta[static_cast<size_t>(t) * agg_stride + s];
-            else
-                ++slab->dropped;
+        if (counts != nullptr) {
+            // The window is the certified output window: a report
+            // outside it is a broken mechanism, never a drop.
+            const uint64_t s = static_cast<uint64_t>(last_yi - win_lo);
+            ULPDP_ASSERT(s < span);
+            slots[t * kGroup + lane] = static_cast<uint32_t>(s);
+            sums.add(s);
+        } else {
+            base->hist.add(last);
+            base->released.add(last);
+            acc.error.add(last - x);
+            base->trial_sum[t] += last;
         }
-        acc.hist.add(released);
-        acc.released.add(released);
-        acc.error.add(released - x);
-        acc.trial_sum[t] += released;
-        acc.checksum += reportDigest(node, t, released);
+        digest += reportDigest(node, t, last);
         if (matrix != nullptr)
-            matrix[static_cast<uint64_t>(t) * plan.nodes + node] =
-                released;
+            matrix[static_cast<uint64_t>(t) * plan.nodes + node] = last;
         ++t;
     }
 
-    void zeroAggDelta()
+    /** Count the slots of the nodes finished since the last flush. */
+    void flush()
     {
-        if (slab != nullptr)
-            std::fill(slab->delta.begin(), slab->delta.end(),
-                      uint64_t(0));
+        for (uint32_t r = 0; lane > 0 && r < trials; ++r)
+            for (uint32_t l = 0; l < lane; ++l)
+                ++counts[r * span + slots[r * kGroup + l]];
+        lane = 0;
     }
 
     const CohortPlan &plan;
     BlockAccum &acc;
+    BaselineAccum *const base;
     double *const matrix;
-    WorkerScratch::AggSlab *const slab;
-    const size_t agg_stride;
-    const uint64_t dropped_before;
+    uint64_t *const counts;
+    const size_t span;
+    const int64_t win_lo;
+    const double delta;
+    const uint32_t trials;
+    /** Trial-major slots of the group's nodes: [t * kGroup + lane]. */
+    uint32_t *slots;
+    uint32_t lane = 0;
 
     // The open node.
     uint64_t node = 0;
@@ -963,6 +991,8 @@ struct FleetRunner::ReportSink
     uint32_t t = 0;
     double last = 0.0;
     int64_t last_yi = 0;
+    GridSums sums;
+    uint64_t digest = 0;
 };
 
 void
@@ -970,33 +1000,29 @@ FleetRunner::WorkerScratch::processBlock(const CohortPlan &plan,
                                          const FleetSeeder &seeder,
                                          const WorkItem &item)
 {
-    ReportSink sink(plan, item,
-                    plan.agg_on ? agg[item.cohort].get() : nullptr);
+    if (timed)
+        mark = std::chrono::steady_clock::now();
+    uint64_t from = item.node_lo;
     if (plan.batch_ok &&
         !g_force_scalar_blocks.load(std::memory_order_relaxed)) {
-        if (batchBlock(plan, seeder, item, sink)) {
-            sink.commit();
+        from = batchBlock(plan, seeder, item);
+        if (from == item.node_hi)
             return;
-        }
-        // A comparator tripped, or a window holds no URNG state:
-        // discard the whole block (agg delta included) and redo it
-        // scalar. Every node restarts from its seed, so the redo is
-        // bit-identical to never having batched, and the scalar
-        // integrity path quarantines (or clamps) with the exact
-        // per-draw semantics.
-        sink.discard();
+        // A comparator tripped, or a window holds no URNG state: the
+        // scalar path finishes the block from the group that bailed
+        // (the groups emitted are bit-identical to its own), with the
+        // exact per-draw quarantine (or clamp) semantics.
         ++fallbacks;
     }
-    scalarBlock(plan, seeder, item, sink);
-    sink.commit();
+    scalarBlock(plan, seeder, item, from);
 }
 
-bool
+uint64_t
 FleetRunner::WorkerScratch::batchBlock(const CohortPlan &plan,
                                        const FleetSeeder &seeder,
-                                       const WorkItem &item,
-                                       ReportSink &sink)
+                                       const WorkItem &item)
 {
+    ReportSink sink(plan, item, *this);
     constexpr size_t W = TausBank::kMaxLanes;
     // Cohort-cached sampler: constructing one per block copied the
     // table's shared_ptr, and the refcount RMW on that shared
@@ -1032,11 +1058,13 @@ FleetRunner::WorkerScratch::batchBlock(const CohortPlan &plan,
                               plan.win_hi - in[l].xi};
         }
         sampler->seedLanes(seeds, lanes);
+        lap(kSeed);
         bool ok = truncated
             ? sampler->sampleTruncatedRect(windows, rect.data(), fresh)
             : sampler->sampleRect(rect.data(), fresh);
+        lap(kDraw);
         if (!ok)
-            return false;
+            return lo;
         for (size_t l = 0; l < lanes; ++l) {
             sink.begin(lo + l, in[l].x);
             for (uint32_t t = 0; t < fresh; ++t)
@@ -1045,16 +1073,18 @@ FleetRunner::WorkerScratch::batchBlock(const CohortPlan &plan,
             sink.finish();
         }
         item.accum->samples += lanes * fresh;
+        lap(kAccumulate);
     }
-    return true;
+    return item.node_hi;
 }
 
 void
 FleetRunner::WorkerScratch::scalarBlock(const CohortPlan &plan,
                                         const FleetSeeder &seeder,
                                         const WorkItem &item,
-                                        ReportSink &sink)
+                                        uint64_t from)
 {
+    ReportSink sink(plan, item, *this);
     BlockAccum &acc = *item.accum;
     const uint32_t fresh = plan.fresh_per_node;
     const bool fxp = !plan.mech.ideal;
@@ -1071,7 +1101,7 @@ FleetRunner::WorkerScratch::scalarBlock(const CohortPlan &plan,
     const uint64_t integ_before = fxp ? rng->integrityDetections() : 0;
     noise.resize(fresh);
 
-    for (uint64_t node = item.node_lo; node < item.node_hi; ++node) {
+    for (uint64_t node = from; node < item.node_hi; ++node) {
         const CohortPlan::NodeInput in = plan.nodeInput(seeder, node);
         sink.begin(node, in.x);
         if (!fxp) {
@@ -1104,6 +1134,7 @@ FleetRunner::WorkerScratch::scalarBlock(const CohortPlan &plan,
         acc.samples += rng->samplesDrawn() - drawn_before;
         acc.integrity += rng->integrityDetections() - integ_before;
     }
+    lap(kDraw); // draws and sink interleave: all counts as draw time
 }
 
 FleetReport
@@ -1115,25 +1146,28 @@ FleetRunner::run(unsigned num_threads)
     // Per-cohort block slabs, pre-sized so workers never allocate
     // shared state; materialized matrices likewise.
     std::vector<std::vector<BlockAccum>> accums(plans_.size());
+    std::vector<std::vector<BaselineAccum>> baselines(plans_.size());
     std::vector<std::vector<double>> matrices(plans_.size());
     std::vector<WorkItem> items;
     for (size_t c = 0; c < plans_.size(); ++c) {
         CohortPlan &plan = plans_[c];
         uint64_t nblocks = plan.numBlocks(config_.block_nodes);
-        accums[c].reserve(nblocks);
+        accums[c].resize(nblocks);
+        if (!plan.counted)
+            baselines[c].assign(nblocks, BaselineAccum(
+                plan.hist_lo, plan.hist_hi, plan.cfg.histogram_bins,
+                plan.cfg.reports_per_node));
         if (plan.cfg.materialize)
             matrices[c].assign(plan.nodes *
                                    plan.cfg.reports_per_node,
                                0.0);
         for (uint64_t b = 0; b < nblocks; ++b) {
-            accums[c].emplace_back(plan.hist_lo, plan.hist_hi,
-                                   plan.cfg.histogram_bins,
-                                   plan.cfg.reports_per_node);
             uint64_t lo = b * config_.block_nodes;
             uint64_t hi = std::min(plan.nodes,
                                    lo + config_.block_nodes);
             items.push_back(WorkItem{
-                static_cast<uint32_t>(c), lo, hi, &accums[c].back(),
+                static_cast<uint32_t>(c), lo, hi, &accums[c][b],
+                plan.counted ? nullptr : &baselines[c][b],
                 plan.cfg.materialize ? matrices[c].data() : nullptr});
         }
     }
@@ -1160,6 +1194,11 @@ FleetRunner::run(unsigned num_threads)
 
     auto job = [&](unsigned w) {
         WorkerScratch &ws = *scratch_[w];
+        ws.counts.resize(plans_.size());
+        for (size_t c = 0; c < plans_.size(); ++c)
+            ws.counts[c].assign(plans_[c].counted ? plans_[c].span *
+                                    plans_[c].cfg.reports_per_node : 0,
+                                0);
         WorkQueue &own = queues[w];
         for (;;) {
             uint64_t i =
@@ -1201,34 +1240,14 @@ FleetRunner::run(unsigned num_threads)
         pool_.reserve(spawn - 1);
     while (scratch_.size() < spawn)
         scratch_.push_back(std::make_unique<WorkerScratch>());
+    const bool timed = telemetry::enabled();
     for (unsigned w = 0; w < spawn; ++w) {
         WorkerScratch &ws = *scratch_[w];
         ws.fallbacks = 0;
         ws.clones = 0;
-        // Aggregation shards: allocate once per (worker, cohort) --
-        // sized by the plan, so epoch reuse only zeroes counters --
-        // and always reset before the timer starts. Only the first
-        // `spawn` scratch slots are merged below, so slots left over
-        // from a wider earlier epoch cannot leak stale counts.
-        if (ws.agg.size() < plans_.size())
-            ws.agg.resize(plans_.size());
-        for (size_t c = 0; c < plans_.size(); ++c) {
-            const CohortPlan &plan = plans_[c];
-            if (!plan.agg_on)
-                continue;
-            auto &slab = ws.agg[c];
-            if (!slab) {
-                slab = std::make_unique<WorkerScratch::AggSlab>();
-                slab->sketch = agg::CohortSketch(
-                    plan.cfg.agg, plan.agg_span, plan.agg_rows,
-                    static_cast<double>(plan.agg_out_lo) * plan.delta,
-                    plan.delta);
-                slab->delta.assign(slab->sketch.slotCells(), 0);
-            } else {
-                slab->sketch.clear();
-            }
-            slab->dropped = 0;
-        }
+        ws.timed = timed;
+        std::fill(std::begin(ws.stage_seconds),
+                  std::end(ws.stage_seconds), 0.0);
     }
     std::function<void(unsigned)> job_fn = job;
 
@@ -1241,13 +1260,16 @@ FleetRunner::run(unsigned num_threads)
     // every worker's writes).
     uint64_t batch_fallbacks = 0;
     uint64_t rng_clones = 0;
+    double stage_seconds[WorkerScratch::kStages] = {};
     for (unsigned w = 0; w < spawn; ++w) {
         batch_fallbacks += scratch_[w]->fallbacks;
         rng_clones += scratch_[w]->clones;
+        for (int s = 0; s < WorkerScratch::kStages; ++s)
+            stage_seconds[s] += scratch_[w]->stage_seconds[s];
     }
 
     // Merge the block slabs in block-index order -- the fixed merge
-    // tree that makes the floating-point results independent of which
+    // tree that makes the floating-point moments independent of which
     // thread ran which block.
     FleetReport report;
     report.threads = spawn;
@@ -1262,14 +1284,11 @@ FleetRunner::run(unsigned num_threads)
         res.mechanism = plan.mech.mech_enum;
         res.mechanism_label = plan.mech.label;
         res.nodes = plan.nodes;
-        res.trial_estimate.assign(plan.cfg.reports_per_node, 0.0);
+        const uint32_t trials = plan.cfg.reports_per_node;
+        res.trial_estimate.assign(trials, 0.0);
         for (const BlockAccum &acc : accums[c]) {
-            res.released_hist.merge(acc.hist);
-            res.released_stats.merge(acc.released);
             res.error_stats.merge(acc.error);
             res.true_stats.merge(acc.true_vals);
-            for (size_t t = 0; t < res.trial_estimate.size(); ++t)
-                res.trial_estimate[t] += acc.trial_sum[t];
             res.samples_drawn += acc.samples;
             res.resample_overflows += acc.overflows;
             res.fresh_reports += acc.fresh;
@@ -1279,8 +1298,48 @@ FleetRunner::run(unsigned num_threads)
             res.checksum += acc.checksum;
         }
         res.reports = res.fresh_reports + res.cache_replays;
-        for (double &e : res.trial_estimate)
-            e /= static_cast<double>(plan.nodes);
+        for (const BaselineAccum &b : baselines[c]) {
+            res.released_hist.merge(b.hist);
+            res.released_stats.merge(b.released);
+            for (uint32_t t = 0; t < trials; ++t)
+                res.trial_estimate[t] += b.trial_sum[t];
+        }
+        if (!plan.counted)
+            for (double &e : res.trial_estimate)
+                e /= static_cast<double>(plan.nodes);
+        // Counted cohorts: add the worker counts into worker 0's (an
+        // order-free integer merge), then derive the trial means,
+        // histogram and released moments from exact integer sums.
+        uint64_t *counts =
+            plan.counted ? scratch_[0]->counts[c].data() : nullptr;
+        std::vector<uint64_t> totals(plan.counted ? plan.span : 0, 0);
+        for (uint32_t t = 0; plan.counted && t < trials; ++t) {
+            uint64_t *row = counts + t * plan.span;
+            for (unsigned w = 1; w < spawn; ++w) {
+                const uint64_t *other =
+                    scratch_[w]->counts[c].data() + t * plan.span;
+                for (size_t s = 0; s < plan.span; ++s)
+                    row[s] += other[s];
+            }
+            GridSums sums;
+            for (size_t s = 0; s < plan.span; ++s) {
+                sums.add(s, row[s]);
+                totals[s] += row[s];
+            }
+            res.trial_estimate[t] =
+                RunningStats::fromGrid(sums, plan.win_lo, plan.delta).mean();
+        }
+        GridSums all;
+        for (size_t s = 0; s < totals.size(); ++s) {
+            all.add(s, totals[s]);
+            res.released_hist.add(
+                static_cast<double>(plan.win_lo + static_cast<int64_t>(s)) *
+                    plan.delta,
+                totals[s]);
+        }
+        if (plan.counted)
+            res.released_stats =
+                RunningStats::fromGrid(all, plan.win_lo, plan.delta);
 
         RunningStats abs_err;
         for (double e : res.trial_estimate)
@@ -1293,25 +1352,18 @@ FleetRunner::run(unsigned num_threads)
         res.matrix = std::move(matrices[c]);
         report.total_reports += res.reports;
 
-        // Streaming aggregation: merge the worker shards (worker
-        // index order by repo convention, though the all-integer
-        // sketch state makes the merge order-free), scan the heavy
-        // hitters, and run the unbiased channel-inversion decode.
-        // Main thread, post-parallel-section: the decode never sits
-        // on the ingest hot path.
+        // Streaming aggregation: one ingest of the merged counts
+        // (every sketch component is linear in them), the heavy-hitter
+        // scan, and the unbiased channel-inversion decode. Main
+        // thread, post-parallel-section: none of it is on the hot loop.
         if (plan.agg_on) {
             auto ar = std::make_shared<CohortAggResult>();
             ar->sketch = agg::CohortSketch(
-                plan.cfg.agg, plan.agg_span, plan.agg_rows,
-                static_cast<double>(plan.agg_out_lo) * plan.delta,
+                plan.cfg.agg, plan.span, plan.agg_rows,
+                static_cast<double>(plan.win_lo) * plan.delta,
                 plan.delta);
-            for (unsigned w = 0; w < spawn; ++w) {
-                const auto &slab = scratch_[w]->agg[c];
-                if (slab) {
-                    ar->sketch.merge(slab->sketch);
-                    ar->dropped += slab->dropped;
-                }
-            }
+            ar->sketch.ingestDelta(plan.agg_rows > 1 ? counts
+                                                     : totals.data());
             if (plan.cfg.agg.heavy_hitters > 0) {
                 ar->heavy = agg::topK(ar->sketch.cm(),
                                       ar->sketch.span(),
@@ -1363,6 +1415,17 @@ FleetRunner::run(unsigned num_threads)
         // merged result, not about which path produced it.
         m.batch_fallbacks.inc(batch_fallbacks);
         m.rng_clones.inc(rng_clones);
+        stage_seconds[WorkerScratch::kMerge] =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - t1).count();
+        const char *stages[] = {"seed", "draw", "accumulate", "merge"};
+        for (int s = 0; s < WorkerScratch::kStages; ++s)
+            telemetry::registry().histogram(
+                "ulpdp_fleet_stage_seconds",
+                "Seconds per fleet epoch stage, summed over workers",
+                "seconds", {1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0},
+                std::string("stage=\"") + stages[s] + "\"")
+                .observe(stage_seconds[s]);
     }
     return report;
 }

@@ -16,18 +16,23 @@
  *  - Every node owns an independent Tausworthe stream derived from
  *    (master seed, cohort, node id) by FleetSeeder, so which thread
  *    simulates a node cannot change what the node does.
+ *  - A registry-lowered cohort releases every report on the Delta grid
+ *    inside its output window: a report is one uint64 count in the
+ *    worker's private slot x trial array. The main thread adds the
+ *    arrays (integer sums: any order) and derives the histogram,
+ *    released moments, trial means and agg sketch from them.
  *  - Work is sharded into fixed-size *blocks* of consecutive nodes.
  *    The block size is a configuration constant, not a function of
- *    the thread count; each block accumulates into its own private,
- *    cache-line-aligned histogram / Welford / counter slab (no locks,
- *    no atomics, no sharing on the hot path -- the only
+ *    the thread count; each block folds its nodes' true readings and
+ *    error moments into its own private, cache-line-aligned slab (no
+ *    locks, no atomics, no sharing on the hot path -- the only
  *    synchronisation is the relaxed claim RMW on a per-worker work
  *    queue, plus occasional steals from a drained worker).
  *  - At the end the main thread merges the block slabs in block-index
- *    order. Integer counters and histogram bins are trivially
- *    order-independent; Welford merges and trial sums are *not*
- *    floating-point-associative, which is exactly why the merge tree
- *    is fixed by block index rather than by completion order.
+ *    order: Welford merges are *not* floating-point-associative, so
+ *    this fixed merge tree, which serves only the per-node moments
+ *    (and the Ideal and Naive baselines' doubles), never follows
+ *    completion order.
  *
  * The hot path rides the batch sampling layer (rng/batch_sampler.h):
  * workers fill a 16-lane Tausworthe bank with consecutive nodes'
@@ -37,8 +42,8 @@
  * acceptance mass out of the trial loop. Lane l is bit-identical to
  * node l's scalar stream, so the batched accumulation (still strictly
  * in (node, trial) order) produces the exact report values of the
- * scalar path; any batch-layer integrity bail falls back to redoing
- * the whole block through the per-draw scalar code. The per-cohort
+ * scalar path; a batch-layer integrity bail resumes the block on the
+ * per-draw scalar code from the group that bailed. The per-cohort
  * sampling table is enumerated once on the main thread and shared
  * read-only by every worker.
  */
@@ -183,17 +188,17 @@ struct CohortConfig
     bool analyze_loss = true;
 
     /**
-     * Streaming aggregation (src/agg): per-worker mergeable sketch
-     * slabs ride the block hot loop and the post-epoch merge decodes
-     * them with the unbiased channel-inversion estimator. Off by
-     * default -- enabling it extends the fingerprint with the sketch
-     * state, so existing baselines are untouched until a cohort opts
-     * in. Ignored for Ideal cohorts (no output grid to sketch on).
+     * Streaming aggregation (src/agg): the epoch's merged slot counts
+     * feed one sketch, decoded by the unbiased channel-inversion
+     * estimator. Off by default -- enabling it extends the fingerprint
+     * with the sketch state. Ignored (with a warning) for the Ideal
+     * and Naive baselines: no bounded output window to sketch.
      */
     agg::AggConfig agg;
 };
 
 class BudgetLedger;
+class LaplaceSampleTable;
 
 /** Fleet-wide configuration. */
 struct FleetConfig
@@ -203,10 +208,9 @@ struct FleetConfig
 
     /**
      * Nodes per scheduling/merge block. Results depend on this
-     * constant (it fixes the Welford merge tree) but never on the
-     * thread count. The default keeps per-block slabs cache-friendly
-     * while giving a 1M-node fleet ~1000 blocks to balance across
-     * threads.
+     * constant (it fixes the merge tree of the per-node moments) but
+     * never on the thread count. The default gives a 1M-node fleet
+     * ~1000 blocks to balance across threads.
      */
     uint32_t block_nodes = 1024;
 
@@ -258,9 +262,8 @@ struct CohortAggResult
     double input_value0 = 0.0;
     double delta = 0.0;
 
-    /** Reports whose output index fell outside the sketch window
-     *  (should be 0; a defensive counter, folded into the
-     *  fingerprint so a drop can never pass silently). */
+    /** Reports outside the sketch window: always 0 (the sketch window
+     *  is the output window, and a report outside it is fatal). */
     uint64_t dropped = 0;
 
     /** Wall-clock seconds of the post-merge decode (not part of the
@@ -292,10 +295,11 @@ struct CohortResult
     /** Histogram of every released value. */
     Histogram released_hist;
 
-    /** Welford moments of every released value. */
+    /** Moments of every released value (from the integer slot counts;
+     *  Welford for the Ideal and Naive baselines). */
     RunningStats released_stats;
 
-    /** Welford moments of (released - true) per report. */
+    /** Moments of (released - true) per report (merged per node). */
     RunningStats error_stats;
 
     /** Welford moments of the true per-node readings. */
@@ -406,13 +410,15 @@ struct FleetReport
  *    blocks from the fullest-looking victim, which balances ragged
  *    cohorts without perturbing the block-to-slab mapping.
  *  - Per-worker scratch (RNG clones, batch samplers holding a
- *    raw-pointer view of the cohort table, noise rects) persists
- *    across blocks *and epochs*, so the hot loop never allocates and
- *    never touches the shared table's shared_ptr control block.
+ *    raw-pointer view of the cohort table, noise rects, slot counts)
+ *    persists across blocks *and epochs*, so the hot loop never
+ *    allocates and never touches the shared table's shared_ptr
+ *    control block.
  *
  * None of this can move a bit of the FleetReport: block -> accumulator
  * slab is a static mapping, every block's content depends only on
- * (master seed, cohort, node id), and the merge order is block index.
+ * (master seed, cohort, node id), the per-node slabs merge in block
+ * index order, and the slot counts merge by integer addition.
  * Work-stealing changes *when* a block runs and on *which* thread --
  * two dimensions the result provably does not depend on.
  */
@@ -448,6 +454,10 @@ class FleetRunner
      * by flipping this switch. Never set in production code.
      */
     static void forceScalarBlocks(bool on);
+
+    /** Fault-injection surface: cohort @p cohort's shared sampling
+     *  table (nullptr without one). Production code never calls it. */
+    LaplaceSampleTable *mutableTable(size_t cohort);
 
   private:
     struct CohortPlan;

@@ -494,11 +494,15 @@ TEST(AggFleet, AggOffFingerprintUnchanged)
 
 TEST(AggFleet, IdealCohortSkipsAggregation)
 {
+    // Neither uncertified baseline has a bounded output window.
     FleetConfig fc = aggFleet();
     fc.cohorts[0].mechanism = CohortMechanism::Ideal;
+    fc.cohorts.push_back(fc.cohorts[1]);
+    fc.cohorts[2].mechanism = CohortMechanism::Naive;
     FleetReport report = FleetRunner(fc).run(2);
     EXPECT_TRUE(report.cohorts[0].agg == nullptr);
     EXPECT_TRUE(report.cohorts[1].agg != nullptr);
+    EXPECT_TRUE(report.cohorts[2].agg == nullptr);
 }
 
 TEST(AggFleet, BoundaryUnbiasingBeatsRawMeanNearClamp)

@@ -624,6 +624,12 @@ TEST(MechanismBatch, ResamplingMatchesLoopedNoise)
 // Fleet fingerprint immunity to every batch-layer switch
 // ---------------------------------------------------------------------
 
+/** Guide words of batchFleet()'s thresholding table that only node
+ *  320 onward meets: the fifth 16-lane group of the block at node 256
+ *  (block_nodes 256) bails. */
+constexpr size_t kCorruptWordLo = 70000;
+constexpr size_t kCorruptWords = 64;
+
 FleetConfig
 batchFleet()
 {
@@ -759,6 +765,56 @@ TEST(FleetBatch, Bu32CohortsRideTheBatchPathBitExactly)
         expectSameReport(batched, res.run(threads));
     }
     EXPECT_EQ(fallbacks.value(), 0u);
+    telemetry::setEnabled(false);
+    telemetry::reset();
+}
+
+TEST(FleetBatch, MidBlockBailResumesScalarBitExactly)
+{
+    // Corrupt guide words of the thresholding cohort's shared table
+    // that only a later 16-lane group of a block draws from: the batch
+    // path emits the groups before it, bails at that group, and the
+    // scalar path finishes the block (and quarantines). The result
+    // must equal routing every block through the scalar path.
+    FleetConfig fc = batchFleet();
+    fc.cohorts.resize(2);
+    for (CohortConfig &c : fc.cohorts) {
+        c.agg.enabled = true;
+        c.agg.per_trial = true;
+    }
+    FleetRunner runner(fc);
+    LaplaceSampleTable *table = runner.mutableTable(0);
+    ASSERT_NE(table, nullptr);
+    for (size_t i = kCorruptWordLo; i < kCorruptWordLo + kCorruptWords;
+         ++i)
+        table->flipBit(2 * i + 1, 6);
+
+    telemetry::reset();
+    telemetry::setEnabled(true);
+    Counter &fallbacks = telemetry::registry().counter(
+        "ulpdp_batch_scalar_fallbacks_total", "");
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        const uint64_t before = fallbacks.value();
+        FleetReport batched = runner.run(threads);
+        EXPECT_GE(fallbacks.value(), before + 1);
+        FleetReport scalar = [&] {
+            ScopedScalarBlocks guard;
+            return runner.run(threads);
+        }();
+        expectSameReport(batched, scalar);
+        EXPECT_GT(batched.cohorts[0].rng_integrity_detections, 0u);
+        for (size_t c = 0; c < batched.cohorts.size(); ++c) {
+            const CohortResult &a = batched.cohorts[c];
+            const CohortResult &b = scalar.cohorts[c];
+            EXPECT_EQ(a.fresh_reports, b.fresh_reports);
+            EXPECT_EQ(a.cache_replays, b.cache_replays);
+            EXPECT_EQ(a.rng_integrity_detections,
+                      b.rng_integrity_detections);
+            ASSERT_TRUE(a.agg && b.agg);
+            EXPECT_EQ(a.agg->sketch.slots(), b.agg->sketch.slots());
+        }
+    }
     telemetry::setEnabled(false);
     telemetry::reset();
 }

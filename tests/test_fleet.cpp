@@ -404,40 +404,184 @@ TEST(FleetEngine, DatasetReplayUsesProvidedValues)
     EXPECT_DOUBLE_EQ(r.true_stats.max(), 8.0);
 }
 
+/** Grid sums of the matrix cells [lo, hi) through llround(v / delta),
+ *  as offsets from @p origin. */
+GridSums
+matrixSums(const std::vector<double> &m, size_t lo, size_t hi,
+           int64_t origin, double delta)
+{
+    GridSums g;
+    for (size_t i = lo; i < hi; ++i)
+        g.add(static_cast<uint64_t>(std::llround(m[i] / delta) - origin));
+    return g;
+}
+
+/** @p h plus every value of @p xs, added one at a time. */
+Histogram
+plusEach(Histogram h, const std::vector<double> &xs)
+{
+    h.addAll(xs);
+    return h;
+}
+
+/** Bins of @p twice are exactly double those of @p once: the values
+ *  added on top bin exactly as the ones @p once already holds. */
+void
+expectDoubledBins(const Histogram &twice, const Histogram &once)
+{
+    for (size_t i = 0; i < once.numBins(); ++i)
+        EXPECT_EQ(twice.count(i), 2 * once.count(i)) << "bin " << i;
+    EXPECT_EQ(twice.underflow(), 2 * once.underflow());
+    EXPECT_EQ(twice.overflow(), 2 * once.overflow());
+}
+
 TEST(FleetEngine, MaterializedMatrixMatchesStreamingAggregates)
 {
     FleetConfig fc = smallFleet();
     fc.cohorts.resize(1);
     CohortConfig &c = fc.cohorts[0];
-    c.nodes = 1500;
+    const size_t nodes = 1500;
+    c.values.resize(nodes);
+    for (size_t i = 0; i < nodes; ++i)
+        c.values[i] = 10.0 * static_cast<double>((i * 37) % nodes) / nodes;
     c.reports_per_node = 3;
     c.budget_per_node = 0.0;
     c.materialize = true;
+    const double delta = c.params.delta;
 
     FleetRunner runner(fc);
     FleetReport rep = runner.run();
     const CohortResult &r = rep.cohorts[0];
-    ASSERT_EQ(r.matrix.size(), 1500u * 3u);
+    ASSERT_EQ(r.matrix.size(), nodes * 3u);
 
-    for (uint32_t t = 0; t < 3; ++t) {
-        std::vector<double> row = r.trialReports(t);
-        ASSERT_EQ(row.size(), 1500u);
-        double sum = 0.0;
-        for (double v : row)
-            sum += v;
-        // The streaming trial estimate merges block partial sums in
-        // block order; summing the materialized row in node order can
-        // differ only by rounding.
-        EXPECT_NEAR(sum / 1500.0, r.trial_estimate[t], 1e-9);
+    // Every cell was written, on its grid point (all values are in
+    // the clamp window, far from the 0.0 fill).
+    int64_t origin = INT64_MAX;
+    for (double v : r.matrix) {
+        const int64_t i = std::llround(v / delta);
+        ASSERT_EQ(bits(v), bits(static_cast<double>(i) * delta));
+        origin = std::min(origin, i);
     }
 
-    // Every matrix cell was written (all values are in the clamp
-    // window, far from the 0.0 fill).
-    RunningStats from_matrix;
-    for (double v : r.matrix)
-        from_matrix.add(v);
-    EXPECT_EQ(from_matrix.count(), r.released_stats.count());
-    EXPECT_NEAR(from_matrix.mean(), r.released_stats.mean(), 1e-9);
+    // The derived aggregates equal the same exact integer formula over
+    // the matrix bit for bit, and the histogram equals per-report
+    // binning of the matrix.
+    for (uint32_t t = 0; t < 3; ++t) {
+        RunningStats row = RunningStats::fromGrid(
+            matrixSums(r.matrix, t * nodes, (t + 1) * nodes, origin,
+                       delta),
+            origin, delta);
+        EXPECT_EQ(bits(r.trial_estimate[t]), bits(row.mean()));
+    }
+    RunningStats all = RunningStats::fromGrid(
+        matrixSums(r.matrix, 0, r.matrix.size(), origin, delta), origin,
+        delta);
+    EXPECT_EQ(bits(r.released_stats.mean()), bits(all.mean()));
+    EXPECT_EQ(bits(r.released_stats.variance()), bits(all.variance()));
+    expectDoubledBins(plusEach(r.released_hist, r.matrix),
+                      r.released_hist);
+
+    // A per-report Welford oracle, in (node, trial) order.
+    RunningStats released, error;
+    for (size_t n = 0; n < nodes; ++n) {
+        for (uint32_t t = 0; t < 3; ++t) {
+            const double v = r.matrix[t * nodes + n];
+            released.add(v);
+            error.add(v - c.values[n]);
+        }
+    }
+    EXPECT_EQ(r.released_stats.count(), released.count());
+    EXPECT_EQ(bits(r.released_stats.min()), bits(released.min()));
+    EXPECT_EQ(bits(r.released_stats.max()), bits(released.max()));
+    EXPECT_EQ(r.error_stats.count(), error.count());
+    EXPECT_EQ(bits(r.error_stats.min()), bits(error.min()));
+    EXPECT_EQ(bits(r.error_stats.max()), bits(error.max()));
+    // Means to 1e-12 of the range length (an error mean sits near 0),
+    // variances to 1e-12 relative.
+    const double kRel = 1e-12;
+    EXPECT_NEAR(r.released_stats.mean(), released.mean(), kRel * 10.0);
+    EXPECT_NEAR(r.error_stats.mean(), error.mean(), kRel * 10.0);
+    EXPECT_NEAR(r.released_stats.variance(), released.variance(),
+                kRel * released.variance());
+    EXPECT_NEAR(r.error_stats.variance(), error.variance(),
+                kRel * error.variance());
+}
+
+TEST(FleetEngine, GridMomentsExactAtPopulationScale)
+{
+    // 1e7 nodes x 256 trials, half the reports on each edge of the
+    // reference window: the largest offset at the largest count. The
+    // 128-bit sums stay exact, so the moments are the closed forms.
+    FleetConfig fc = smallFleet();
+    fc.cohorts.resize(1);
+    fc.cohorts[0].agg.enabled = true;
+    FleetReport rep = FleetRunner(fc).run(1);
+    const agg::CohortSketch &sk = rep.cohorts[0].agg->sketch;
+    const double delta = fc.cohorts[0].params.delta;
+    const int64_t origin = std::llround(sk.slotValue(0) / delta);
+    const uint64_t top = sk.span() - 1;
+    const uint64_t n = uint64_t{10000000} * 256;
+
+    GridSums edges;
+    edges.add(0, n / 2);
+    edges.add(top, n / 2);
+    RunningStats r = RunningStats::fromGrid(edges, origin, delta);
+    const double a = static_cast<double>(origin) * delta;
+    const double b =
+        static_cast<double>(origin + static_cast<int64_t>(top)) * delta;
+    EXPECT_EQ(r.count(), n);
+    EXPECT_EQ(bits(r.min()), bits(a));
+    EXPECT_EQ(bits(r.max()), bits(b));
+    EXPECT_DOUBLE_EQ(r.mean(), 0.5 * (a + b));
+    EXPECT_DOUBLE_EQ(r.variance(), 0.25 * (b - a) * (b - a));
+
+    GridSums at_top;
+    at_top.add(top, n);
+    RunningStats t = RunningStats::fromGrid(at_top, origin, delta);
+    EXPECT_EQ(bits(t.mean()), bits(b));
+    EXPECT_EQ(t.variance(), 0.0);
+}
+
+TEST(FleetEngine, OffGridMidpointReplaysOnTheGrid)
+{
+    // Range [0, 33 Delta]: the midpoint 16.5 Delta is off the grid.
+    // Before its first fresh report a node replays the grid midpoint
+    // (the DP-Box's (lo + hi) / 2 index), so every release is on the
+    // grid and the agg slots are exactly the released histogram.
+    FleetConfig fc = smallFleet();
+    const double delta = fc.cohorts[0].params.delta;
+    for (CohortConfig &c : fc.cohorts) {
+        c.params.range = SensorRange(0.0, 33 * delta);
+        c.nodes = 600;
+        c.reports_per_node = 3;
+        c.materialize = true;
+        c.agg.enabled = true;
+    }
+    fc.cohorts[0].budget_per_node = 0.1; // below one charge: no fresh
+    FleetReport rep = FleetRunner(fc).run(2);
+    EXPECT_EQ(rep.cohorts[0].fresh_reports, 0u);
+    for (double v : rep.cohorts[0].matrix)
+        ASSERT_EQ(bits(v), bits(16 * delta));
+
+    for (const CohortResult &r : rep.cohorts) {
+        SCOPED_TRACE(r.name);
+        ASSERT_TRUE(r.agg != nullptr);
+        const agg::CohortSketch &sk = r.agg->sketch;
+        const int64_t origin = std::llround(sk.slotValue(0) / delta);
+        std::vector<uint64_t> from_matrix(sk.span(), 0);
+        for (double v : r.matrix) {
+            const int64_t i = std::llround(v / delta);
+            ASSERT_EQ(bits(v), bits(static_cast<double>(i) * delta));
+            ++from_matrix.at(static_cast<size_t>(i - origin));
+        }
+        EXPECT_EQ(sk.slotTotals(), from_matrix);
+        std::vector<double> slot_values;
+        for (size_t s = 0; s < sk.span(); ++s)
+            slot_values.insert(slot_values.end(), sk.slotTotals()[s],
+                               sk.slotValue(s));
+        expectDoubledBins(plusEach(r.released_hist, slot_values),
+                          r.released_hist);
+    }
 }
 
 TEST(FleetEngine, IdealCohortIsLdpAtEpsilon)

@@ -147,39 +147,48 @@ TEST(BatchStats, MeanAbsError)
     EXPECT_DOUBLE_EQ(batch::meanAbsError({}, {}), 0.0);
 }
 
-TEST(RunningStats, AddRepeatedMatchesLoop)
+TEST(RunningStats, FromGridMatchesLoop)
 {
+    // 1000 samples at 3.25 and one at -1.5, on the 0.25 grid from -1.5.
     RunningStats looped;
     for (int i = 0; i < 1000; ++i)
         looped.add(3.25);
     looped.add(-1.5);
-    RunningStats weighted;
-    weighted.addRepeated(3.25, 1000);
-    weighted.add(-1.5);
-    EXPECT_EQ(weighted.count(), looped.count());
-    EXPECT_DOUBLE_EQ(weighted.mean(), looped.mean());
-    EXPECT_NEAR(weighted.variance(), looped.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(weighted.min(), looped.min());
-    EXPECT_DOUBLE_EQ(weighted.max(), looped.max());
+    GridSums g;
+    g.add(19, 1000);
+    g.add(0);
+    RunningStats counted = RunningStats::fromGrid(g, -6, 0.25);
+    EXPECT_EQ(counted.count(), looped.count());
+    EXPECT_DOUBLE_EQ(counted.mean(), looped.mean());
+    EXPECT_NEAR(counted.variance(), looped.variance(), 1e-9);
+    EXPECT_EQ(counted.min(), looped.min());
+    EXPECT_EQ(counted.max(), looped.max());
+
+    // A shift moves the samples, not their spread.
+    RunningStats shifted = RunningStats::fromGrid(g, -6, 0.25, 1.0);
+    EXPECT_DOUBLE_EQ(shifted.mean(), looped.mean() - 1.0);
+    EXPECT_EQ(shifted.variance(), counted.variance());
+    EXPECT_EQ(shifted.min(), -2.5);
 }
 
 TEST(RunningStats, CountSurvivesPastFourBillion)
 {
     // A 1e7-node fleet at hundreds of reports per node exceeds
-    // uint32; the accumulator must count in 64 bits. Weighted adds
-    // make the boundary reachable in O(1).
-    RunningStats s;
-    s.addRepeated(1.0, (uint64_t{1} << 32) + 5);
-    s.addRepeated(3.0, (uint64_t{1} << 32) + 5);
+    // uint32; the accumulator must count in 64 bits. Grid counts make
+    // the boundary reachable in O(1).
+    GridSums g;
+    g.add(0, (uint64_t{1} << 32) + 5);
+    g.add(2, (uint64_t{1} << 32) + 5);
+    RunningStats s = RunningStats::fromGrid(g, 1, 1.0);
     EXPECT_EQ(s.count(), (uint64_t{1} << 33) + 10);
     EXPECT_DOUBLE_EQ(s.mean(), 2.0);
     EXPECT_NEAR(s.variance(), 1.0, 1e-9);
 
     // Merging two half-populations crosses the boundary the same way.
-    RunningStats a, b;
-    a.addRepeated(5.0, uint64_t{3} << 31);
-    b.addRepeated(5.0, uint64_t{3} << 31);
-    a.merge(b);
+    GridSums half;
+    half.add(0, uint64_t{3} << 31);
+    RunningStats a = RunningStats::fromGrid(half, 5, 1.0);
+    a.merge(RunningStats::fromGrid(half, 5, 1.0));
     EXPECT_EQ(a.count(), uint64_t{3} << 32);
     EXPECT_DOUBLE_EQ(a.mean(), 5.0);
 }

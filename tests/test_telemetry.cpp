@@ -533,6 +533,17 @@ TEST(GlobalTelemetry, FleetRunPublishesCohortCounters)
         "cohort=\"witness\"");
     EXPECT_EQ(reports.value(), rep.cohorts[0].reports);
     EXPECT_EQ(reports.value(), 200u * 3u);
+
+    // One observation per stage per epoch; the batch path times all
+    // three worker stages.
+    for (const char *stage : {"seed", "draw", "accumulate", "merge"}) {
+        LatencyHistogram &h = telemetry::registry().histogram(
+            "ulpdp_fleet_stage_seconds", "", "",
+            {1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0},
+            std::string("stage=\"") + stage + "\"");
+        EXPECT_EQ(h.count(), 1u) << stage;
+        EXPECT_GT(h.sum(), 0.0) << stage;
+    }
 }
 
 // ---------------------------------------------------------------------
