@@ -23,7 +23,9 @@
  *     the decoded mean's absolute error against the true population
  *     mean next to the raw released mean's error (the boundary
  *     unbiasing headline: the cohort data are pinned off-center at
- *     data_mean 7.5 so the thresholding clamp actually bites).
+ *     data_mean 7.5 so the thresholding clamp actually bites), plus
+ *     the error of the maximum-likelihood (EM) decode's mean over the
+ *     same merged slot counts, computed after every timed region.
  *
  *  3. Determinism. At the smallest population the agg-on fleet runs
  *     at 1, 2 and hw threads plus the forced-scalar path; every
@@ -225,7 +227,7 @@ main(int argc, char **argv)
     TextTable table;
     table.setHeader({"nodes", "agg-on rep/s", "overhead", "decode us",
                      "B/node", "raw |err|", "decoded |err|",
-                     "fingerprint"});
+                     "ML |err|", "fingerprint"});
 
     struct SweepRow
     {
@@ -240,6 +242,7 @@ main(int argc, char **argv)
         double bytes_per_node = 0.0;
         double raw_err = 0.0;
         double decoded_err = 0.0;
+        double ml_err = 0.0;
         uint64_t fingerprint = 0;
     };
     std::vector<SweepRow> sweep;
@@ -268,7 +271,7 @@ main(int argc, char **argv)
         row.below_noise = row.overhead_raw_pct < 0.0;
         row.overhead_pct = std::max(0.0, row.overhead_raw_pct);
 
-        double decode_s = 0.0, raw = 0.0, dec = 0.0;
+        double decode_s = 0.0, raw = 0.0, dec = 0.0, ml = 0.0;
         size_t agg_cohorts = 0;
         for (const CohortResult &c : on.report.cohorts) {
             if (!c.agg)
@@ -293,12 +296,23 @@ main(int argc, char **argv)
             double truth = c.trueMean();
             raw += std::abs(c.released_stats.mean() - truth);
             dec += std::abs(c.agg->decoded.mean - truth);
+            // The EM estimate's mean, untimed and outside the
+            // fingerprint: 300 iterations over the same totals.
+            std::vector<double> pi =
+                c.agg->decoder->maximumLikelihood(totals, 300);
+            double ml_mean = 0.0;
+            for (size_t i = 0; i < pi.size(); ++i)
+                ml_mean += pi[i] * (c.agg->input_value0 +
+                                    static_cast<double>(i) *
+                                        c.agg->delta);
+            ml += std::abs(ml_mean - truth);
         }
         if (agg_cohorts > 0) {
             row.ns_per_decode =
                 decode_s * 1e9 / static_cast<double>(agg_cohorts);
             row.raw_err = raw / static_cast<double>(agg_cohorts);
             row.decoded_err = dec / static_cast<double>(agg_cohorts);
+            row.ml_err = ml / static_cast<double>(agg_cohorts);
         }
         row.bytes_per_node =
             static_cast<double>(row.sketch_bytes) /
@@ -306,7 +320,7 @@ main(int argc, char **argv)
         sweep.push_back(row);
 
         char on_s[32], ovh[32], dus[32], bpn[32], rerr[32], derr[32],
-            fp[32];
+            merr[32], fp[32];
         std::snprintf(on_s, sizeof on_s, "%.3g", row.on_rate);
         std::snprintf(ovh, sizeof ovh, "%.2f%%%s", row.overhead_pct,
                       row.below_noise ? "*" : "");
@@ -315,11 +329,12 @@ main(int argc, char **argv)
         std::snprintf(bpn, sizeof bpn, "%.4f", row.bytes_per_node);
         std::snprintf(rerr, sizeof rerr, "%.5f", row.raw_err);
         std::snprintf(derr, sizeof derr, "%.5f", row.decoded_err);
+        std::snprintf(merr, sizeof merr, "%.5f", row.ml_err);
         std::snprintf(fp, sizeof fp, "%016llx",
                       static_cast<unsigned long long>(
                           row.fingerprint));
         table.addRow({std::to_string(nodes), on_s, ovh, dus, bpn,
-                      rerr, derr, fp});
+                      rerr, derr, merr, fp});
     }
     std::printf("\n2 cohorts (thresholding + resampling) x %u "
                 "reports/node, data mean 7.5 on [0, 10], %u threads, "
@@ -328,7 +343,8 @@ main(int argc, char **argv)
     std::printf("\n* = raw overhead reading negative (below the "
                 "host's noise floor), clamped to 0.\n'raw |err|' = "
                 "|released mean - true mean|; 'decoded |err|' = same "
-                "for the channel-inverted\ndecode. The raw mean "
+                "for the channel-inverted\ndecode; 'ML |err|' = same "
+                "for the maximum-likelihood (EM) decode. The raw mean\n"
                 "carries a systematic clamp/truncation bias; the "
                 "decode is\nunbiased but pays inversion variance, so "
                 "in noise-dominated regimes the two are\ncomparable "
@@ -383,6 +399,7 @@ main(int argc, char **argv)
         json.field("sketch_bytes_per_node", row.bytes_per_node);
         json.field("raw_mean_abs_error", row.raw_err);
         json.field("decoded_mean_abs_error", row.decoded_err);
+        json.field("ml_mean_abs_error", row.ml_err);
         char fp[32];
         std::snprintf(fp, sizeof fp, "%016llx",
                       static_cast<unsigned long long>(

@@ -14,12 +14,12 @@
 #include <cstdio>
 #include <iostream>
 
+#include "agg/decode.h"
 #include "bench_util.h"
 #include "common/table.h"
 #include "core/threshold_calc.h"
 #include "core/thresholding_mechanism.h"
 #include "data/generators.h"
-#include "query/histogram_query.h"
 
 int
 main()
@@ -35,7 +35,7 @@ main()
     int64_t t = calc.exactIndex(RangeControl::Thresholding, 2.0);
     ThresholdingMechanism mech(p, t);
     ThresholdingOutputModel model(calc.pmf(), calc.span(), t);
-    HistogramEstimator est(model, 400);
+    agg::FrequencyDecoder decoder(model);
 
     // True input histogram on the mechanism grid.
     std::vector<double> truth(static_cast<size_t>(calc.span()) + 1,
@@ -53,9 +53,12 @@ main()
                 mech.loIndex());
         }
     }
-    // The estimator expects absolute model indices; inputs above were
-    // shifted so index 0 = range lower limit, matching the model.
-    auto pi = est.estimate(reports);
+    // Reports above were shifted so index 0 = range lower limit,
+    // matching the model; slot s holds output index outputLo() + s.
+    std::vector<uint64_t> slot_counts(decoder.numOutputs(), 0);
+    for (int64_t j : reports)
+        ++slot_counts[static_cast<size_t>(j - decoder.outputLo())];
+    auto pi = decoder.maximumLikelihood(slot_counts, 400);
 
     TextTable table;
     table.setHeader({"range bin (m)", "true mass", "recovered",

@@ -9,10 +9,9 @@
  * materialized count vector: each report is one count-min add keyed
  * by category, the observed counts are read back as count-min point
  * estimates, and the frequencies come from agg::decodeKaryRR -- the
- * same closed-form unbiased inversion KaryRandomizedResponse's batch
- * estimator uses (it is that estimator, shared; the paper tables and
- * the streaming path decode identically). A heavy-hitter scan over
- * the same sketch reports the modal category per cell.
+ * one closed-form unbiased inversion, shared by the batch examples
+ * and the streaming path. A heavy-hitter scan over the same sketch
+ * reports the modal category per cell.
  */
 
 #include <cmath>
@@ -74,15 +73,12 @@ main()
             std::mt19937_64 gen(n * 13 + k);
             std::discrete_distribution<int> draw(truth.begin(),
                                                  truth.end());
-            double p = rr.truthProbability();
-            double q = rr.lieProbability();
             double err_sum = 0.0;
             for (int t = 0; t < kTrials; ++t) {
                 // Streaming ingest: one count-min add per response.
                 // 4 x 1024 counters make row collisions among <= 16
                 // live categories vanishingly unlikely, so the point
-                // estimates match exact counts (and the decode below
-                // matches the batch estimator bit for bit).
+                // estimates match exact counts.
                 agg::CountMinSketch cm(4, 10);
                 std::vector<double> true_counts(
                     static_cast<size_t>(k), 0.0);
@@ -96,7 +92,7 @@ main()
                 for (int c = 0; c < k; ++c)
                     observed[static_cast<size_t>(c)] =
                         cm.estimate(static_cast<uint64_t>(c));
-                auto est = agg::decodeKaryRR(observed, p, q);
+                auto est = agg::decodeKaryRR(rr, observed);
                 double mae = 0.0;
                 for (int c = 0; c < k; ++c)
                     mae += std::abs(est[static_cast<size_t>(c)] -

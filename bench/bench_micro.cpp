@@ -12,13 +12,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include "agg/decode.h"
 #include "core/ideal_laplace_mechanism.h"
 #include "core/privacy_loss.h"
 #include "core/resampling_mechanism.h"
 #include "core/threshold_calc.h"
 #include "core/thresholding_mechanism.h"
 #include "dpbox/driver.h"
-#include "query/histogram_query.h"
 #include "rng/batch_sampler.h"
 #include "rng/cordic.h"
 #include "rng/fxp_laplace.h"
@@ -229,11 +229,13 @@ BM_HistogramDeconvolution(benchmark::State &state)
     auto pmf = std::make_shared<FxpLaplacePmf>(
         benchParams().rngConfig());
     ThresholdingOutputModel model(pmf, 32, 200);
-    HistogramEstimator est(model,
-                           static_cast<int>(state.range(0)));
-    std::vector<uint64_t> counts(est.numOutputs(), 3);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(est.estimateFromCounts(counts));
+    agg::FrequencyDecoder decoder(model);
+    std::vector<uint64_t> counts(decoder.numOutputs(), 3);
+    const int iterations = static_cast<int>(state.range(0));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            decoder.maximumLikelihood(counts, iterations));
+    }
 }
 BENCHMARK(BM_HistogramDeconvolution)->Arg(50)->Arg(300);
 

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "agg/decode.h"
 #include "common/stats.h"
 #include "core/constant_time.h"
 #include "core/kary_randomized_response.h"
@@ -156,7 +157,7 @@ main()
                 "reports exist -- coarse\n   estimates are the "
                 "privacy guarantee working, not a bug)\n");
 
-    auto act_est = activity_rr.estimateCounts(act_observed);
+    auto act_est = agg::decodeKaryRR(activity_rr, act_observed);
     std::printf("  activity minutes (true -> estimated):\n");
     const char *names[4] = {"resting", "walking", "running",
                             "cycling"};

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "core/kary_randomized_response.h"
 
 namespace ulpdp {
 namespace agg {
@@ -216,19 +217,76 @@ FrequencyDecoder::decode(const std::vector<uint64_t> &slot_counts,
 }
 
 std::vector<double>
-decodeKaryRR(const std::vector<uint64_t> &observed, double truth_prob,
-             double lie_prob)
+FrequencyDecoder::maximumLikelihood(
+        const std::vector<uint64_t> &slot_counts, int iterations) const
 {
-    if (!(truth_prob > lie_prob)) {
-        fatal("k-ary RR decode needs p > q (got p=%g, q=%g)",
-              truth_prob, lie_prob);
+    if (iterations < 1)
+        fatal("maximum-likelihood decode: iterations must be "
+              "positive, got %d", iterations);
+    if (slot_counts.size() != outputs_) {
+        fatal("maximum-likelihood decode: %zu slot counts for a "
+              "%zu-output channel", slot_counts.size(), outputs_);
+    }
+
+    double total = 0.0;
+    for (uint64_t c : slot_counts)
+        total += static_cast<double>(c);
+    if (total <= 0.0)
+        fatal("maximum-likelihood decode: no reports");
+
+    // Richardson-Lucy EM: pi <- pi * M^T (r / (M pi)); the fixed
+    // point is the multinomial ML estimate.
+    std::vector<double> pi(inputs_, 1.0 / static_cast<double>(inputs_));
+    std::vector<double> predicted(outputs_);
+    std::vector<double> next(inputs_);
+    for (int it = 0; it < iterations; ++it) {
+        for (size_t j = 0; j < outputs_; ++j) {
+            double p = 0.0;
+            const double *row = &kernel_[j * inputs_];
+            for (size_t i = 0; i < inputs_; ++i)
+                p += row[i] * pi[i];
+            predicted[j] = p;
+        }
+        for (size_t i = 0; i < inputs_; ++i)
+            next[i] = 0.0;
+        for (size_t j = 0; j < outputs_; ++j) {
+            if (slot_counts[j] == 0 || predicted[j] <= 0.0)
+                continue;
+            double ratio = static_cast<double>(slot_counts[j]) /
+                           total / predicted[j];
+            const double *row = &kernel_[j * inputs_];
+            for (size_t i = 0; i < inputs_; ++i)
+                next[i] += row[i] * ratio;
+        }
+        double norm = 0.0;
+        for (size_t i = 0; i < inputs_; ++i) {
+            pi[i] *= next[i];
+            norm += pi[i];
+        }
+        if (norm <= 0.0)
+            fatal("maximum-likelihood decode: EM collapsed (all mass "
+                  "on impossible outputs?)");
+        for (auto &v : pi)
+            v /= norm;
+    }
+    return pi;
+}
+
+std::vector<double>
+decodeKaryRR(const KaryRandomizedResponse &rr,
+             const std::vector<uint64_t> &observed)
+{
+    if (observed.size() != static_cast<size_t>(rr.numCategories())) {
+        fatal("k-ary RR decode: %zu counts for %d categories",
+              observed.size(), rr.numCategories());
     }
     uint64_t n = 0;
     for (uint64_t c : observed)
         n += c;
     std::vector<double> est(observed.size(), 0.0);
     double nd = static_cast<double>(n);
-    double denom = truth_prob - lie_prob;
+    double lie_prob = rr.lieProbability();
+    double denom = rr.truthProbability() - lie_prob;
     for (size_t i = 0; i < observed.size(); ++i) {
         double raw =
             (static_cast<double>(observed[i]) - nd * lie_prob) / denom;

@@ -1,16 +1,16 @@
 /**
  * @file
- * Unbiased frequency decoding for streamed LDP report counts.
+ * Analyst-side inversion of the privacy channel: the one module that
+ * turns released LDP report counts back into input-distribution
+ * estimates. Post-processing already-released reports costs no
+ * additional privacy (Section II-B of the paper).
  *
- * The batch query layer inverts the privacy channel per report
- * (closed-form mean corrections, EM deconvolution over a materialized
- * histogram). The streaming layer cannot afford either: what arrives
- * from the sketch shards is a single vector of per-output-slot counts
- * r, and the decoder has to turn it into input-distribution estimates
- * in one shot.
+ * Every estimator takes a single vector of per-output-slot counts r,
+ * whether it was merged from the fleet's sketch shards or tallied by
+ * the caller from report indices (slot = index - outputLo()).
  *
- * The estimator is the classic matrix-inversion frequency decoder.
- * With M the mechanism's conditional channel matrix (M[j][i] =
+ * decode() is the classic matrix-inversion frequency decoder. With
+ * M the mechanism's conditional channel matrix (M[j][i] =
  * Pr[output j | input i], exact, from DiscreteOutputModel -- not
  * Monte Carlo), the observed counts satisfy E[r] = M c where c is the
  * true per-input count vector. The least-squares unbiased estimate is
@@ -31,12 +31,16 @@
  * and expected boundary fractions so callers can see how much mass the
  * correction moved.
  *
- * For k-ary randomized response the channel is the symmetric
- * p/q matrix and the inversion collapses to the textbook closed form
- * c_hat_i = (r_i - n q) / (p - q); decodeKaryRR() implements exactly
- * that, matching KaryRandomizedResponse::estimateCounts bit for bit
- * (verified by test) so the paper tables and the streaming path share
- * one estimator.
+ * The same exact channel also serves maximumLikelihood():
+ * Richardson-Lucy EM over M, which converges to the multinomial
+ * maximum-likelihood input distribution. It is biased where the
+ * least-squares decode is not, but it is always a valid distribution
+ * (non-negative, summing to 1), which is what histogram and shape
+ * queries want.
+ *
+ * For k-ary randomized response the channel is the symmetric p/q
+ * matrix and the inversion collapses to the closed form
+ * decodeKaryRR(), the one copy of it in the repo.
  */
 
 #ifndef ULPDP_AGG_DECODE_H
@@ -48,6 +52,9 @@
 #include "core/output_model.h"
 
 namespace ulpdp {
+
+class KaryRandomizedResponse;
+
 namespace agg {
 
 /** Result of one decode pass over a slot-count vector. */
@@ -127,6 +134,23 @@ class FrequencyDecoder
     DecodedFrequencies decode(const std::vector<uint64_t> &slot_counts,
                               double input_value0, double delta) const;
 
+    /**
+     * Maximum-likelihood input distribution by Richardson-Lucy EM
+     * over the exact channel: pi <- pi * M^T (r / (M pi)), started
+     * from the uniform distribution.
+     *
+     * @param slot_counts Observed count per output slot, as decode().
+     * @param iterations EM iterations (>= 1), each O(inputs * outputs).
+     * @return Estimated input probabilities over input indices
+     *         0..span, non-negative and summing to 1.
+     *
+     * Fatal on a non-positive iteration count, a wrongly sized count
+     * vector, no reports, or an EM step that leaves no mass.
+     */
+    std::vector<double>
+    maximumLikelihood(const std::vector<uint64_t> &slot_counts,
+                      int iterations) const;
+
   private:
     size_t inputs_ = 0;
     size_t outputs_ = 0;
@@ -135,24 +159,22 @@ class FrequencyDecoder
      *  (pinv_[j * inputs_ + a]) so decode() reads each nonzero slot's
      *  coefficients contiguously. */
     std::vector<double> pinv_;
-    /** Forward channel M, outputs_ x inputs_ row-major (boundary-mass
-     *  expectation and test round trips). */
+    /** Forward channel M, outputs_ x inputs_ row-major (EM,
+     *  boundary-mass expectation and test round trips). */
     std::vector<double> kernel_;
 };
 
 /**
  * Closed-form unbiased k-ary randomized-response frequency decode:
- * c_hat_i = (r_i - n q) / (p - q), clamped to [0, n].
+ * for n total reports, c_hat_i = (r_i - n q') / (p' - q'), clamped to
+ * [0, n], with (p', q') the probabilities @p rr actually implements.
  *
- * Identical arithmetic to KaryRandomizedResponse::estimateCounts so
- * streamed sketch counts and the batch path decode to the same bits.
- *
- * @param observed Per-category observed counts (r).
- * @param truth_prob Pr[report own category] (p).
- * @param lie_prob Pr[report one specific other category] (q).
+ * @param rr The mechanism that produced the reports.
+ * @param observed Per-category observed counts (r), size
+ *        rr.numCategories(); fatal otherwise.
  */
-std::vector<double> decodeKaryRR(const std::vector<uint64_t> &observed,
-                                 double truth_prob, double lie_prob);
+std::vector<double> decodeKaryRR(const KaryRandomizedResponse &rr,
+                                 const std::vector<uint64_t> &observed);
 
 /**
  * Estimated count of inputs with value >= threshold, from the raw

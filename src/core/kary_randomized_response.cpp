@@ -35,6 +35,15 @@ KaryRandomizedResponse::KaryRandomizedResponse(int num_categories,
         threshold = 1;
     if (threshold > max_threshold)
         threshold = max_threshold;
+    // p' > q' <=> t / 2^Bu > (1 - t / 2^Bu) / (k - 1) <=> t k > 2^Bu.
+    if (threshold * static_cast<uint64_t>(k_) <=
+        (uint64_t{1} << uniform_bits_))
+        fatal("KaryRandomizedResponse: k = %d, epsilon = %g, Bu = %d "
+              "rounds p' to %g, not above q' = %g; use more uniform "
+              "bits", k_, epsilon, uniform_bits_,
+              static_cast<double>(threshold) / total,
+              (total - static_cast<double>(threshold)) / total /
+                  (static_cast<double>(k_) - 1.0));
     truth_threshold_ = threshold;
 }
 
@@ -75,34 +84,6 @@ KaryRandomizedResponse::respond(int category)
     int other = static_cast<int>(urng_.next32() %
                                  static_cast<uint32_t>(k_ - 1));
     return other >= category ? other + 1 : other;
-}
-
-std::vector<double>
-KaryRandomizedResponse::estimateCounts(
-        const std::vector<uint64_t> &observed_counts) const
-{
-    if (observed_counts.size() != static_cast<size_t>(k_))
-        fatal("KaryRandomizedResponse: got %zu counts for %d "
-              "categories", observed_counts.size(), k_);
-
-    uint64_t n = 0;
-    for (uint64_t c : observed_counts)
-        n += c;
-
-    double p = truthProbability();
-    double q = lieProbability();
-    std::vector<double> est(observed_counts.size());
-    for (size_t i = 0; i < est.size(); ++i) {
-        double raw = (static_cast<double>(observed_counts[i]) -
-                      static_cast<double>(n) * q) /
-                     (p - q);
-        if (raw < 0.0)
-            raw = 0.0;
-        if (raw > static_cast<double>(n))
-            raw = static_cast<double>(n);
-        est[i] = raw;
-    }
-    return est;
 }
 
 } // namespace ulpdp

@@ -21,14 +21,14 @@
  * report, compared against fixed-point thresholds. Because the
  * thresholds are quantized to 2^-Bu, the implemented (p', q') differ
  * from ideal by at most 2^-Bu; exactLoss() reports the implemented
- * ratio so the guarantee is stated for what actually runs.
+ * ratio so the guarantee is stated for what actually runs. Reports
+ * decode through agg::decodeKaryRR().
  */
 
 #ifndef ULPDP_CORE_KARY_RANDOMIZED_RESPONSE_H
 #define ULPDP_CORE_KARY_RANDOMIZED_RESPONSE_H
 
 #include <cstdint>
-#include <vector>
 
 #include "rng/tausworthe.h"
 
@@ -43,6 +43,11 @@ class KaryRandomizedResponse
      * @param epsilon Privacy parameter (> 0).
      * @param uniform_bits URNG width used per draw (4..32).
      * @param seed Tausworthe seed.
+     *
+     * Fatal when the threshold rounded to 2^-uniform_bits gives
+     * p' <= q': the reports would then be independent of the
+     * category or, worse, favour a lie, and log(p'/q') would no
+     * longer be the loss.
      */
     KaryRandomizedResponse(int num_categories, double epsilon,
                            int uniform_bits = 17, uint64_t seed = 1);
@@ -70,17 +75,6 @@ class KaryRandomizedResponse
 
     /** Randomize one category (0 <= category < k). */
     int respond(int category);
-
-    /**
-     * Debias observed per-category counts into unbiased estimates of
-     * the true counts: for n total reports,
-     * c_true[i] = (c_obs[i] - n q') / (p' - q').
-     * Estimates are clamped to [0, n].
-     *
-     * @param observed_counts Per-category observed counts (size k).
-     */
-    std::vector<double>
-    estimateCounts(const std::vector<uint64_t> &observed_counts) const;
 
   private:
     int k_;

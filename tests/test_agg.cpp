@@ -4,7 +4,8 @@
  * algebra (associative, commutative, partition-independent), the
  * deterministic heavy-hitter scan, quantile grid exactness, the
  * channel-inversion frequency decoder (including the thresholding
- * boundary-mass correction), and the fleet integration's bit-identity
+ * boundary-mass correction), its maximum-likelihood (EM) decode, the
+ * k-ary RR closed form, and the fleet integration's bit-identity
  * contract across thread counts and batch/scalar paths.
  */
 
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,9 +22,12 @@
 #include "agg/decode.h"
 #include "agg/sketch.h"
 #include "agg/stream.h"
+#include "common/logging.h"
 #include "core/kary_randomized_response.h"
 #include "core/output_model.h"
 #include "core/threshold_calc.h"
+#include "core/thresholding_mechanism.h"
+#include "rng/magnitude_icdf.h"
 #include "fleet/fleet.h"
 
 namespace ulpdp {
@@ -240,18 +245,32 @@ TEST(AggSketch, CohortSketchMergeEqualsCombinedIngest)
 
 TEST(AggDecode, KaryRRMatchesBatchEstimatorBitForBit)
 {
-    // The streamed decode and KaryRandomizedResponse::estimateCounts
-    // must be the same arithmetic, not merely close.
+    // decodeKaryRR is the one k-ary RR inverse: the batch examples
+    // and the streamed sketch counts both decode through it, so it
+    // must be the textbook estimator c_hat_i = (r_i - n q') /
+    // (p' - q') clamped to [0, n], over the mechanism's implemented
+    // (p', q'), to the bit.
     for (int k : {2, 5, 16}) {
         KaryRandomizedResponse rr(k, 1.0);
         std::vector<uint64_t> observed(static_cast<size_t>(k));
-        for (int c = 0; c < k; ++c)
+        uint64_t n = 0;
+        for (int c = 0; c < k; ++c) {
             observed[static_cast<size_t>(c)] =
                 static_cast<uint64_t>(37 * (c + 1) % 101);
-        auto batch = rr.estimateCounts(observed);
-        auto streamed = agg::decodeKaryRR(
-            observed, rr.truthProbability(), rr.lieProbability());
-        EXPECT_TRUE(sameBits(batch, streamed)) << "k = " << k;
+            n += observed[static_cast<size_t>(c)];
+        }
+        double p = rr.truthProbability();
+        double q = rr.lieProbability();
+        std::vector<double> batch;
+        for (uint64_t r : observed) {
+            double raw = (static_cast<double>(r) -
+                          static_cast<double>(n) * q) /
+                         (p - q);
+            batch.push_back(std::clamp(raw, 0.0,
+                                       static_cast<double>(n)));
+        }
+        EXPECT_TRUE(sameBits(batch, agg::decodeKaryRR(rr, observed)))
+            << "k = " << k;
     }
 }
 
@@ -351,6 +370,220 @@ TEST(AggDecode, CountAboveSumsGridTail)
     EXPECT_NEAR(agg::decodedCountAbove(d, 0.0, 1.0, 3.0), 40.0, 1e-12);
     EXPECT_NEAR(agg::decodedCountAbove(d, 0.0, 1.0, -1.0), 100.0,
                 1e-12);
+}
+
+// ---------------------------------------------------------------------
+// Maximum-likelihood (EM) decode
+// ---------------------------------------------------------------------
+
+/** Light noise (eps = 2, Bu = 14) on [0, 10] keeps EM samples small. */
+FxpMechanismParams
+emParams()
+{
+    FxpMechanismParams p;
+    p.range = SensorRange(0.0, 10.0);
+    p.epsilon = 2.0;
+    p.uniform_bits = 14;
+    p.output_bits = 12;
+    p.delta = 10.0 / 32.0;
+    return p;
+}
+
+std::shared_ptr<const FxpLaplacePmf>
+emPmf()
+{
+    return std::make_shared<FxpLaplacePmf>(emParams().rngConfig());
+}
+
+/** Count slot of report @p y of @p mech on @p decoder's window. */
+size_t
+reportSlot(const agg::FrequencyDecoder &decoder,
+           const ThresholdingMechanism &mech, double y)
+{
+    int64_t yi = static_cast<int64_t>(std::llround(y / mech.delta()));
+    return static_cast<size_t>(yi - decoder.outputLo());
+}
+
+/** FNV-1a over the bit patterns of @p v. */
+uint64_t
+hashBits(const std::vector<double> &v)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (double x : v) {
+        uint64_t b = bits(x);
+        for (int i = 0; i < 8; ++i) {
+            h ^= (b >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+TEST(AggDecode, MaximumLikelihoodRejectsBadArgs)
+{
+    ThresholdingOutputModel model(emPmf(), 32, 50);
+    agg::FrequencyDecoder dec(model);
+    std::vector<uint64_t> counts(dec.numOutputs(), 1);
+    EXPECT_THROW(dec.maximumLikelihood(counts, 0), FatalError);
+    EXPECT_THROW(dec.maximumLikelihood({1, 2, 3}, 300), FatalError);
+    std::vector<uint64_t> empty(dec.numOutputs(), 0);
+    EXPECT_THROW(dec.maximumLikelihood(empty, 300), FatalError);
+}
+
+TEST(AggDecode, MaximumLikelihoodIsAProbabilityVector)
+{
+    ThresholdingOutputModel model(emPmf(), 32, 50);
+    agg::FrequencyDecoder dec(model);
+    std::vector<uint64_t> counts(dec.numOutputs(), 1);
+    auto pi = dec.maximumLikelihood(counts, 50);
+    ASSERT_EQ(pi.size(), 33u);
+    double sum = 0.0;
+    for (double v : pi) {
+        EXPECT_GE(v, 0.0);
+        sum += v;
+    }
+    EXPECT_NEAR(sum, 1.0, 1e-9);
+}
+
+TEST(AggDecode, MaximumLikelihoodRecoversPointMass)
+{
+    // All inputs equal: the ML histogram should concentrate near
+    // that input even though every report is noised.
+    int64_t t = 60;
+    ThresholdingMechanism mech(emParams(), t);
+    ThresholdingOutputModel model(emPmf(), 32, t);
+    agg::FrequencyDecoder dec(model);
+
+    std::vector<uint64_t> counts(dec.numOutputs(), 0);
+    for (int i = 0; i < 60000; ++i)
+        ++counts[reportSlot(dec, mech, mech.noise(5.0).value)];
+    auto pi = dec.maximumLikelihood(counts, 400);
+
+    // Mass within +-3 bins of the true input (index 16).
+    double near = 0.0;
+    for (int64_t i = 13; i <= 19; ++i)
+        near += pi[static_cast<size_t>(i)];
+    EXPECT_GT(near, 0.8);
+}
+
+TEST(AggDecode, MaximumLikelihoodRecoversBimodalShape)
+{
+    int64_t t = 60;
+    ThresholdingMechanism mech(emParams(), t);
+    ThresholdingOutputModel model(emPmf(), 32, t);
+    agg::FrequencyDecoder dec(model);
+
+    // True inputs: half at 2.5 (index 8), half at 7.5 (index 24).
+    std::vector<uint64_t> counts(dec.numOutputs(), 0);
+    for (int i = 0; i < 80000; ++i) {
+        double x = (i % 2 == 0) ? 2.5 : 7.5;
+        ++counts[reportSlot(dec, mech, mech.noise(x).value)];
+    }
+    auto pi = dec.maximumLikelihood(counts, 400);
+
+    auto mass_near = [&](int64_t center) {
+        double m = 0.0;
+        for (int64_t i = center - 3; i <= center + 3; ++i)
+            m += pi[static_cast<size_t>(i)];
+        return m;
+    };
+    EXPECT_GT(mass_near(8), 0.3);
+    EXPECT_GT(mass_near(24), 0.3);
+    // Valley between the modes stays low.
+    EXPECT_LT(pi[16], 0.1);
+}
+
+TEST(AggDecode, MaximumLikelihoodBeatsRawOutputHistogram)
+{
+    // The EM histogram must be closer to the truth than the raw
+    // clipped output histogram is.
+    int64_t t = 60;
+    ThresholdingMechanism mech(emParams(), t);
+    ThresholdingOutputModel model(emPmf(), 32, t);
+    agg::FrequencyDecoder dec(model);
+
+    std::mt19937_64 rng(5);
+    std::uniform_int_distribution<int> pick(0, 2);
+    std::vector<double> truth(33, 0.0);
+    std::vector<uint64_t> counts(dec.numOutputs(), 0);
+    std::vector<double> raw(33, 0.0);
+    const int n = 80000;
+    for (int i = 0; i < n; ++i) {
+        int64_t xi = pick(rng) == 0 ? 6 : 26; // 1/3 low, 2/3 high
+        truth[static_cast<size_t>(xi)] += 1.0 / n;
+        double y = mech.noise(static_cast<double>(xi) *
+                              mech.delta()).value;
+        size_t slot = reportSlot(dec, mech, y);
+        ++counts[slot];
+        int64_t clipped = std::clamp<int64_t>(
+            dec.outputLo() + static_cast<int64_t>(slot), 0, 32);
+        raw[static_cast<size_t>(clipped)] += 1.0 / n;
+    }
+    auto pi = dec.maximumLikelihood(counts, 400);
+
+    // Deconvolving wide Laplace noise is ill-posed bin-by-bin (the
+    // ML solution smears point masses over nearby neighbours), so
+    // ask the coarse question the analyst actually cares about: how
+    // much mass sits in the lower vs upper half of the range? The
+    // estimator must both beat the raw output histogram and land
+    // near the true 1/3 : 2/3 split.
+    auto lower_half = [](const std::vector<double> &v) {
+        double m = 0.0;
+        for (size_t i = 0; i < v.size() / 2; ++i)
+            m += v[i];
+        return m;
+    };
+    double true_low = lower_half(truth);
+    EXPECT_LT(std::abs(lower_half(pi) - true_low),
+              std::abs(lower_half(raw) - true_low) + 0.02);
+    EXPECT_NEAR(lower_half(pi), true_low, 0.1);
+}
+
+TEST(AggDecode, MaximumLikelihoodWorksWithResamplingModel)
+{
+    ResamplingOutputModel model(emPmf(), 32, 60);
+    agg::FrequencyDecoder dec(model);
+    std::vector<uint64_t> counts(dec.numOutputs(), 0);
+    counts[dec.numOutputs() / 2] = 1000;
+    auto pi = dec.maximumLikelihood(counts, 100);
+    double sum = 0.0;
+    for (double v : pi)
+        sum += v;
+    EXPECT_NEAR(sum, 1.0, 1e-9);
+}
+
+TEST(AggDecode, MaximumLikelihoodPinnedBitForBit)
+{
+    // EM over three channels: eps = 2 thresholding and resampling at
+    // T = 60, and eps = 1 Gaussian (sigma 3) thresholding at T = 40,
+    // on a fixed count pattern with zero slots. The hashes were
+    // recorded from the standalone EM estimator this method replaced,
+    // so every estimate is unchanged by the move.
+    auto pattern = [](size_t n) {
+        std::vector<uint64_t> c(n);
+        for (size_t j = 0; j < n; ++j)
+            c[j] = (j * 7919 + 13) % 61;
+        return c;
+    };
+    FxpMechanismParams g = emParams();
+    g.epsilon = 1.0;
+    g.icdf = std::make_shared<GaussianMagnitude>(3.0);
+    auto gauss_pmf = std::make_shared<const FxpLaplacePmf>(
+        g.rngConfig(), FxpLaplacePmf::Mode::Enumerated);
+
+    agg::FrequencyDecoder thr(ThresholdingOutputModel(emPmf(), 32, 60));
+    agg::FrequencyDecoder res(ResamplingOutputModel(emPmf(), 32, 60));
+    agg::FrequencyDecoder gauss(
+        ThresholdingOutputModel(gauss_pmf, 32, 40));
+    EXPECT_EQ(hashBits(thr.maximumLikelihood(
+                  pattern(thr.numOutputs()), 400)),
+              0xfbc4f204afd24f84ull);
+    EXPECT_EQ(hashBits(res.maximumLikelihood(
+                  pattern(res.numOutputs()), 100)),
+              0x6f5e217324848aa7ull);
+    EXPECT_EQ(hashBits(gauss.maximumLikelihood(
+                  pattern(gauss.numOutputs()), 300)),
+              0xffa99cb5b7b65628ull);
 }
 
 // ---------------------------------------------------------------------

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "agg/decode.h"
 #include "core/kary_randomized_response.h"
 #include "core/privacy_loss.h"
 #include "core/budget.h"
@@ -18,7 +19,6 @@
 #include "dpbox/driver.h"
 #include "dpbox/provisioning.h"
 #include "dpbox/trace.h"
-#include "query/histogram_query.h"
 #include "sim/sensor_adc.h"
 
 namespace ulpdp {
@@ -60,9 +60,9 @@ TEST(IntegrationExt, ProvisionedDevicePassesTraceAudit)
 
 TEST(IntegrationExt, GaussianMechanismDeconvolvesToo)
 {
-    // The histogram estimator is distribution-agnostic: feed it the
-    // exact model of a *Gaussian* fixed-point mechanism and recover
-    // a point mass.
+    // The maximum-likelihood decode is distribution-agnostic: feed
+    // it the exact model of a *Gaussian* fixed-point mechanism and
+    // recover a point mass.
     FxpMechanismParams p;
     p.range = SensorRange(0.0, 10.0);
     p.epsilon = 1.0;
@@ -77,15 +77,15 @@ TEST(IntegrationExt, GaussianMechanismDeconvolvesToo)
     auto pmf = std::make_shared<const FxpLaplacePmf>(
         p.rngConfig(), FxpLaplacePmf::Mode::Enumerated);
     ThresholdingOutputModel model(pmf, 32, t);
-    HistogramEstimator est(model, 300);
+    agg::FrequencyDecoder decoder(model);
 
-    std::vector<int64_t> reports;
+    std::vector<uint64_t> slot_counts(decoder.numOutputs(), 0);
     for (int i = 0; i < 40000; ++i) {
         double y = mech.noise(7.5).value;
-        reports.push_back(
-            static_cast<int64_t>(std::llround(y / mech.delta())));
+        int64_t yi = static_cast<int64_t>(std::llround(y / mech.delta()));
+        ++slot_counts[static_cast<size_t>(yi - decoder.outputLo())];
     }
-    auto pi = est.estimate(reports);
+    auto pi = decoder.maximumLikelihood(slot_counts, 300);
     double near = 0.0;
     for (int64_t i = 21; i <= 27; ++i) // true index 24
         near += pi[static_cast<size_t>(i)];

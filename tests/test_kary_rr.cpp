@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "agg/decode.h"
 #include "common/logging.h"
 #include "core/kary_randomized_response.h"
 
@@ -20,6 +21,20 @@ TEST(KaryRR, RejectsBadConfig)
     EXPECT_THROW(KaryRandomizedResponse(4, 0.0), FatalError);
     EXPECT_THROW(KaryRandomizedResponse(4, 1.0, 2), FatalError);
     EXPECT_THROW(KaryRandomizedResponse(4, 1.0, 40), FatalError);
+}
+
+TEST(KaryRR, RejectsRoundedTruthNotAboveLie)
+{
+    // Too few URNG bits for so small an eps: rounding the truth
+    // threshold to 2^-4 leaves p' = q' = 1/2 (k = 2, whose loss would
+    // read 0 and whose decode would divide by zero) or p' = 5/16 <
+    // q' = 11/32 (k = 3, whose log(p'/q') would read negative while
+    // the real loss is positive).
+    EXPECT_THROW(KaryRandomizedResponse(2, 0.1, 4), FatalError);
+    EXPECT_THROW(KaryRandomizedResponse(3, 0.01, 4), FatalError);
+    // More bits resolve both.
+    EXPECT_GT(KaryRandomizedResponse(2, 0.1, 17).exactLoss(), 0.0);
+    EXPECT_GT(KaryRandomizedResponse(3, 0.01, 17).exactLoss(), 0.0);
 }
 
 TEST(KaryRR, ProbabilitiesMatchGrrFormula)
@@ -114,7 +129,7 @@ TEST(KaryRR, EstimateCountsDebiases)
         observed[i] = static_cast<uint64_t>(
             std::llround(truth[i] * p + others * q));
     }
-    auto est = rr.estimateCounts(observed);
+    auto est = agg::decodeKaryRR(rr, observed);
     for (size_t i = 0; i < 3; ++i)
         EXPECT_NEAR(est[i], truth[i], 2.0) << "i=" << i;
 }
@@ -123,7 +138,7 @@ TEST(KaryRR, EstimateCountsClampsToValidRange)
 {
     KaryRandomizedResponse rr(3, 1.0, 20);
     // All observations in one bucket: other estimates clamp at 0.
-    auto est = rr.estimateCounts({100, 0, 0});
+    auto est = agg::decodeKaryRR(rr, {100, 0, 0});
     EXPECT_DOUBLE_EQ(est[1], 0.0);
     EXPECT_DOUBLE_EQ(est[2], 0.0);
     EXPECT_LE(est[0], 100.0);
@@ -132,7 +147,7 @@ TEST(KaryRR, EstimateCountsClampsToValidRange)
 TEST(KaryRR, EstimateCountsRejectsWrongSize)
 {
     KaryRandomizedResponse rr(3, 1.0);
-    EXPECT_THROW(rr.estimateCounts({1, 2}), FatalError);
+    EXPECT_THROW(agg::decodeKaryRR(rr, {1, 2}), FatalError);
 }
 
 TEST(KaryRR, EndToEndFrequencyEstimation)
@@ -146,7 +161,7 @@ TEST(KaryRR, EndToEndFrequencyEstimation)
         int cat = r < 0.5 ? 0 : r < 0.8 ? 1 : r < 0.95 ? 2 : 3;
         ++observed[static_cast<size_t>(rr.respond(cat))];
     }
-    auto est = rr.estimateCounts(observed);
+    auto est = agg::decodeKaryRR(rr, observed);
     for (size_t i = 0; i < 4; ++i)
         EXPECT_NEAR(est[i] / n, truth[i], 0.02) << "i=" << i;
 }

@@ -33,12 +33,12 @@ segmentsFor(const FxpMechanismParams &p)
                                  {1.5, 2.0});
 }
 
-TEST(SharedBudgetPool, RejectsBadBudget)
+TEST(SharedPool, RejectsBadBudget)
 {
     EXPECT_THROW(BudgetPool(0.0), FatalError);
 }
 
-TEST(SharedBudgetPool, ChargesUntilEmpty)
+TEST(SharedPool, ChargesUntilEmpty)
 {
     BudgetPool pool(1.0);
     EXPECT_TRUE(pool.tryCharge(quantaUp(0.6)));
@@ -51,7 +51,7 @@ TEST(SharedBudgetPool, ChargesUntilEmpty)
     EXPECT_EQ(pool.totalCharged(), quantaDown(1.0));
 }
 
-TEST(SharedBudgetPool, FailedChargeLeavesPoolIntact)
+TEST(SharedPool, FailedChargeLeavesPoolIntact)
 {
     BudgetPool pool(1.0);
     EXPECT_FALSE(pool.tryCharge(quantaUp(2.0)));
@@ -59,7 +59,7 @@ TEST(SharedBudgetPool, FailedChargeLeavesPoolIntact)
     EXPECT_EQ(pool.totalCharged(), 0u);
 }
 
-TEST(SharedBudgetPool, Replenishes)
+TEST(SharedPool, Replenishes)
 {
     BudgetPool pool(1.0, 100);
     EXPECT_TRUE(pool.tryCharge(quantaUp(1.0)));
@@ -72,7 +72,7 @@ TEST(SharedBudgetPool, Replenishes)
     EXPECT_EQ(pool.totalCharged(), quantaUp(1.0) + quantaUp(0.1));
 }
 
-TEST(BudgetedSensor, RejectsBadSegments)
+TEST(PoolSensor, RejectsBadSegments)
 {
     BudgetPool pool(10.0);
     FxpMechanismParams p = sensorParams(0.0, 10.0, 1);
@@ -97,7 +97,7 @@ TEST(BudgetPool, SharingControllerCannotDriveTimeOrDurability)
     EXPECT_EQ(pool.remaining(), quantaDown(10.0));
 }
 
-TEST(BudgetedSensor, TwoSensorsDrainOnePool)
+TEST(PoolSensor, TwoSensorsDrainOnePool)
 {
     BudgetPool pool(5.0);
     FxpMechanismParams pa = sensorParams(0.0, 10.0, 1);
@@ -121,7 +121,7 @@ TEST(BudgetedSensor, TwoSensorsDrainOnePool)
     EXPECT_GT(accel.cacheHits() + gyro.cacheHits(), 0u);
 }
 
-TEST(BudgetedSensor, OneGreedySensorStarvesTheOther)
+TEST(PoolSensor, OneGreedySensorStarvesTheOther)
 {
     // The point of sharing: sensor A's requests consume budget that
     // sensor B then cannot spend -- combining streams cannot exceed
@@ -149,7 +149,7 @@ TEST(BudgetedSensor, OneGreedySensorStarvesTheOther)
     EXPECT_LE(victim_spend, left);
 }
 
-TEST(BudgetedSensor, CacheReplaysOwnValueNotOthers)
+TEST(PoolSensor, CacheReplaysOwnValueNotOthers)
 {
     BudgetPool pool(2.0);
     FxpMechanismParams pa = sensorParams(0.0, 10.0, 5);
@@ -177,7 +177,7 @@ TEST(BudgetedSensor, CacheReplaysOwnValueNotOthers)
     (void)b_fresh;
 }
 
-TEST(BudgetedSensor, ResamplingModeWorks)
+TEST(PoolSensor, ResamplingModeWorks)
 {
     BudgetPool pool(1e9);
     FxpMechanismParams p = sensorParams(0.0, 10.0, 7);
@@ -192,7 +192,7 @@ TEST(BudgetedSensor, ResamplingModeWorks)
     EXPECT_EQ(s.freshReports(), 2000u);
 }
 
-TEST(BudgetedSensor, MidpointBeforeAnyFreshReport)
+TEST(PoolSensor, MidpointBeforeAnyFreshReport)
 {
     BudgetPool pool(1e-6); // too small for any report
     FxpMechanismParams p = sensorParams(0.0, 10.0, 8);
@@ -203,7 +203,7 @@ TEST(BudgetedSensor, MidpointBeforeAnyFreshReport)
     EXPECT_DOUBLE_EQ(r.value, 5.0); // range midpoint: data-free
 }
 
-TEST(BudgetedSensor, HaltedRequestConsumesNoRandomness)
+TEST(PoolSensor, HaltedRequestConsumesNoRandomness)
 {
     // Halt-then-serve: a sensor the pool cannot afford must not
     // advance its URNG or draw samples -- the halted stream stays
