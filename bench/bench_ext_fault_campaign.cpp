@@ -4,9 +4,10 @@
  * transaction chaos campaigns against the budget-controlled device
  * with every fault site firing (URNG bit flips and stuck-at faults,
  * sampler-table SEUs, sensor-bus NACK/timeout/corruption, power loss
- * with checkpoint corruption) and tabulates injected vs detected
- * faults and the empirical worst-case privacy loss of every released
- * report, computed by whole-support enumeration of the output model.
+ * between transactions and mid-program on the flash budget ledger)
+ * and tabulates injected vs detected faults and the empirical
+ * worst-case privacy loss of every released report, computed by
+ * whole-support enumeration of the output model.
  * The same campaign with hardening disabled shows the invariant
  * violations the hardening exists to prevent.
  */
@@ -101,8 +102,20 @@ runCampaign(uint64_t seed, bool hardened, uint64_t transactions)
     fc.bus_timeout_rate = 0.01;
     fc.bus_corrupt_rate = 0.02;
     fc.power_loss_rate = 0.001;
-    fc.checkpoint_corrupt_rate = 0.25;
+    fc.flash_program_loss_rate = 0.005;
     FaultInjector injector(fc);
+
+    // The hardened device journals its budget to a NOR part that
+    // persists across boots; a cut program is a power loss.
+    FlashGeometry geom;
+    geom.block_count = 4;
+    geom.block_size = 256;
+    NorFlashModel flash(geom);
+    flash.attachFaultHook(&injector);
+    BudgetLedgerConfig lcfg;
+    lcfg.initial_budget = cfg.initial_budget;
+    lcfg.max_record_loss = 2.0; // >= the outermost segment charge
+    BudgetLedger ledger(flash, lcfg);
 
     SensorBus bus(16e6, 400e3);
     RngHealthMonitor health;
@@ -118,26 +131,37 @@ runCampaign(uint64_t seed, bool hardened, uint64_t transactions)
         if (hardened) {
             ctrl->rng().urng().attachHealthMonitor(&health);
             ctrl->attachHealthMonitor(&health);
+            // Remount until the mount itself survives (power can die
+            // inside a format) or the journal halts fail-secure.
+            flash.powerCycle();
+            while (!ledger.mount() && !ledger.halted())
+                flash.powerCycle();
+            ctrl->attachLedger(&ledger);
         }
         return ctrl;
     };
 
     auto ctrl = boot(0);
-    BudgetCheckpoint cp = ctrl->checkpoint();
     uint64_t refills_possible = 1;
     uint64_t ticks_accumulated = 0;
+    // Budget the released reports left since the device's last
+    // refill: no remount may restore more.
+    double true_remaining = cfg.initial_budget;
 
     for (uint64_t t = 0; t < transactions; ++t) {
         injector.tick();
 
-        if (injector.powerLossPending()) {
+        // Unhardened silicon keeps its budget in volatile registers
+        // and reboots at full budget; the hardened one remounts its
+        // ledger, which must never come back richer than the truth.
+        bool power_lost = injector.powerLossPending();
+        power_lost |= !flash.alive();
+        if (power_lost) {
             device += ctrl->faultStats();
             ++report.boots;
             ctrl = boot(report.boots);
-            if (hardened) {
-                injector.corruptCheckpointMaybe(&cp, sizeof cp);
-                ctrl->restoreFromCheckpoint(cp);
-            }
+            if (hardened && ctrl->remainingBudget() > true_remaining)
+                ++report.violations; // budget resurrected by a reboot
         }
 
         LaplaceSampleTable *table = ctrl->rng().mutableTable();
@@ -170,18 +194,21 @@ runCampaign(uint64_t seed, bool hardened, uint64_t transactions)
             ++report.violations; // escaped the analysed support
             continue;
         }
+        true_remaining -= resp.charged;
 
         // Device time advances; one refill is legal per
         // replenish_period ticks. The unhardened device additionally
         // replays its budget on every reboot, which the spend cap
         // below exposes.
+        const double before = ctrl->remainingBudget();
         ctrl->advanceTime(10);
+        if (ctrl->remainingBudget() > before)
+            true_remaining = ctrl->remainingBudget(); // refilled
         ticks_accumulated += 10;
         if (ticks_accumulated >= cfg.replenish_period) {
             ticks_accumulated -= cfg.replenish_period;
             ++refills_possible;
         }
-        cp = ctrl->checkpoint();
 
         if (resp.from_cache) {
             ++report.cached;

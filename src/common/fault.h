@@ -82,7 +82,7 @@ struct FaultStats
     /** Out-of-range sampler-table entries caught at lookup time. */
     uint64_t table_bounds_faults = 0;
 
-    /** Budget checkpoints rejected at restore (bad CRC/magic). */
+    /** Attaches of an unrecoverable (halted) budget ledger. */
     uint64_t checkpoint_restore_failures = 0;
 
     /** Replenishment-timer misfires rejected by the shadow counter. */

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
-#include <cstring>
 
 #include "common/logging.h"
 #include "core/budget_ledger.h"
@@ -68,7 +66,7 @@ scaledQuanta(double nats, const char *what)
         fatal("%s: %g nats is outside [0, %g], the range loss quanta "
               "(2^-%d nats) represent exactly", what, nats,
               kMaxExactNats, kLossFracBits);
-    return std::ldexp(nats, kLossFracBits);
+    return nats * (uint64_t{1} << kLossFracBits); // exact: a power of 2
 }
 
 } // anonymous namespace
@@ -210,13 +208,14 @@ SegmentTable::widestAffordable(const BudgetPool &pool) const
 }
 
 void
-requireRecordable(const BudgetLedger *ledger, double loss,
+requireRecordable(const BudgetLedger *ledger, LossQuanta loss,
                   const char *who)
 {
-    if (ledger != nullptr && loss > ledger->config().max_record_loss)
+    if (ledger != nullptr &&
+        nats(loss) > ledger->config().max_record_loss)
         fatal("%s: a spend of %g nats exceeds the ledger's "
               "max_record_loss %g (a torn record of it would be "
-              "under-counted at recovery)", who, loss,
+              "under-counted at recovery)", who, nats(loss),
               ledger->config().max_record_loss);
 }
 
@@ -278,20 +277,6 @@ LossSegments::centralLoss(const ThresholdCalculator &calc,
         fatal("LossSegments: central outputs already have unbounded "
               "loss; the RNG resolution is too coarse for this range");
     return loss;
-}
-
-uint32_t
-BudgetCheckpoint::computeCrc() const
-{
-    // Every field before `crc`, in declaration order, no padding
-    // (four 32/64-bit fields on natural alignment).
-    return crc32(this, offsetof(BudgetCheckpoint, crc));
-}
-
-bool
-BudgetCheckpoint::valid() const
-{
-    return magic == kMagic && crc == computeCrc();
 }
 
 BudgetController::BudgetController(const FxpMechanismParams &params,
@@ -490,81 +475,29 @@ BudgetController::requireOwnPool(const char *what) const
               "durability belong to the pool's owner", what);
 }
 
-void
+bool
 BudgetController::attachLedger(BudgetLedger *ledger)
 {
     requireOwnPool("attachLedger");
-    requireRecordable(ledger, nats(table_.outermost().charge),
+    ULPDP_ASSERT(ledger != nullptr);
+    requireRecordable(ledger, table_.outermost().charge,
                       "BudgetController");
     ledger_ = ledger;
-}
-
-BudgetCheckpoint
-BudgetController::checkpoint() const
-{
-    requireOwnPool("checkpoint");
-    BudgetCheckpoint cp;
-    cp.magic = BudgetCheckpoint::kMagic;
-    cp.flags = cache_.has_value() ? 1u : 0u;
-    double budget = nats(pool_->remaining());
-    std::memcpy(&cp.budget_bits, &budget, sizeof budget);
-    double cached = cache_.value_or(0.0);
-    std::memcpy(&cp.cache_bits, &cached, sizeof cached);
-    cp.ticks_since_replenish = pool_->ticksSinceReplenish();
-    cp.crc = cp.computeCrc();
-    return cp;
-}
-
-bool
-BudgetController::restore(bool valid, double saved,
-                          std::optional<double> cached, uint64_t ticks,
-                          const char *why)
-{
-    if (!valid) {
+    if (ledger_->halted()) {
         ++fault_stats_.checkpoint_restore_failures;
-        warn("BudgetController: %s; restoring to zero remaining "
-             "budget", why);
+        warn("BudgetController: ledger unrecoverable; restoring to "
+             "zero remaining budget");
         pool_->restoreAtMost(0, 0);
         cache_.reset();
         return false;
     }
-    // NaN or negative collapses to zero; above-initial clamps down.
-    // Then min() with the live value: a stale record (power cut after
-    // a spend it never recorded) can only *reduce* spendable budget,
-    // never hand back what was already used. Likewise a restore can
-    // delay the replenishment timer but never advance it.
-    if (!(saved >= 0.0))
-        saved = 0.0;
-    pool_->restoreAtMost(
-        quantaDown(std::min(saved, nats(pool_->initial()))), ticks);
-    if (cached.has_value() && std::isfinite(*cached))
-        cache_ = cached;
+    // min() with the live value: a stale record (power cut after a
+    // spend it never recorded) can only *reduce* spendable budget,
+    // never hand back what was already used.
+    pool_->restoreAtMost(quantaDown(ledger_->remaining()));
+    if (ledger_->cache().has_value())
+        cache_ = ledger_->cache();
     return true;
-}
-
-bool
-BudgetController::restoreFromCheckpoint(const BudgetCheckpoint &cp)
-{
-    requireOwnPool("restoreFromCheckpoint");
-    double saved, cached;
-    std::memcpy(&saved, &cp.budget_bits, sizeof saved);
-    std::memcpy(&cached, &cp.cache_bits, sizeof cached);
-    return restore(cp.valid(), saved,
-                   (cp.flags & 1u) ? std::optional<double>(cached)
-                                   : std::nullopt,
-                   cp.ticks_since_replenish,
-                   cp.magic == BudgetCheckpoint::kMagic
-                       ? "checkpoint rejected (bad CRC)"
-                       : "checkpoint rejected (bad magic)");
-}
-
-bool
-BudgetController::restoreFromLedger()
-{
-    if (ledger_ == nullptr)
-        return false;
-    return restore(!ledger_->halted(), ledger_->remaining(),
-                   ledger_->cache(), UINT64_MAX, "ledger unrecoverable");
 }
 
 bool

@@ -180,9 +180,9 @@ class SegmentTable
 };
 
 /** fatal() when @p ledger (may be null) cannot journal one spend of
- *  @p loss nats by @p who: recovery charges a torn record only the
+ *  @p loss quanta by @p who: recovery charges a torn record only the
  *  ledger's max_record_loss, so a larger one could come back short. */
-void requireRecordable(const BudgetLedger *ledger, double loss,
+void requireRecordable(const BudgetLedger *ledger, LossQuanta loss,
                        const char *who);
 
 /**
@@ -213,53 +213,6 @@ class LossSegments
      */
     static double centralLoss(const ThresholdCalculator &calc,
                               RangeControl kind);
-};
-
-/**
- * CRC-protected image of the budget state a device persists across
- * power cycles (in FRAM/flash on a real MSP430-class node).
- *
- * The danger of persisting budget is *replay*: an adversary who can
- * cut power after spending budget but before the spend is recorded
- * gets the device to re-release fresh reports against budget it
- * already used. The restore path is therefore monotone by
- * construction -- see BudgetController::restoreFromCheckpoint():
- * remaining budget after restore is min(initial, checkpointed), so a
- * replayed or stale checkpoint can only make the device *more*
- * conservative, and a corrupted one (bad CRC or magic) restores to
- * zero remaining budget with an empty cache -- the device serves the
- * range midpoint (a constant) until a legitimate replenishment.
- */
-struct BudgetCheckpoint
-{
-    /** Layout tag, so a blank or wrong-format FRAM page never parses. */
-    static constexpr uint32_t kMagic = 0x42504331; // "BPC1"
-
-    uint32_t magic = 0;
-
-    /** Bit 0: cache_bits holds a cached report. */
-    uint32_t flags = 0;
-
-    /** Remaining budget in nats (a whole number of loss quanta, so
-     *  exact), as the raw IEEE-754 bit pattern (bitwise storage keeps
-     *  the CRC meaningful; value semantics would not round-trip NaNs
-     *  and signed zeros). */
-    uint64_t budget_bits = 0;
-
-    /** Cached previous report (bit pattern; valid when flags bit 0). */
-    uint64_t cache_bits = 0;
-
-    /** Device ticks since the last replenishment. */
-    uint64_t ticks_since_replenish = 0;
-
-    /** CRC-32 over every preceding byte of this struct. */
-    uint32_t crc = 0;
-
-    /** Compute the CRC the preceding fields imply. */
-    uint32_t computeCrc() const;
-
-    /** Magic and CRC both check out. */
-    bool valid() const;
 };
 
 /** Outcome of one data request served by the controller. */
@@ -340,8 +293,8 @@ class BudgetController
     /**
      * One sensor charging @p pool, shared with other sensors (Section
      * IV; must outlive the controller). Time and durability belong to
-     * the pool's owner: advanceTime(), the checkpoints and
-     * attachLedger() fatal() here.
+     * the pool's owner: advanceTime() and attachLedger() fatal()
+     * here.
      */
     BudgetController(const FxpMechanismParams &params, RangeControl kind,
                      std::vector<BudgetSegment> segments,
@@ -361,19 +314,6 @@ class BudgetController
     /** Advance device time by @p ticks (drives replenishment). */
     void advanceTime(uint64_t ticks);
 
-    /** Snapshot the budget state for persistence across power loss. */
-    BudgetCheckpoint checkpoint() const;
-
-    /**
-     * Restore from a persisted checkpoint after a reset. Monotone:
-     * the remaining budget becomes min(current, checkpointed) and is
-     * clamped into [0, initial], so neither a stale nor a corrupted
-     * checkpoint can ever *increase* spendable budget (no replay).
-     * An invalid checkpoint (CRC/magic) restores to zero remaining
-     * budget and an empty cache. Returns false in that case.
-     */
-    bool restoreFromCheckpoint(const BudgetCheckpoint &cp);
-
     /**
      * Attach a continuous health monitor on the noise URNG (borrowed
      * pointer; must outlive the controller). The controller checks
@@ -387,26 +327,25 @@ class BudgetController
     }
 
     /**
-     * Attach the durable budget ledger (borrowed pointer; must
-     * outlive the controller and be mounted). From then on every
-     * fresh report's loss is journaled to flash *before* the value is
-     * released: if the append cannot complete (power dying, device
-     * dead, ledger halted) the transaction is withheld -- the cached
-     * report is served instead and the controller latches fail-secure.
-     * The persisted record is therefore always at least as pessimistic
-     * as what left the device. See requireRecordable().
+     * Attach the durable budget ledger, the one record of budget
+     * state that survives a reset (borrowed pointer; must outlive the
+     * controller and be mounted), and adopt its recovered state.
+     * The restore is monotone: remaining budget becomes
+     * min(current, ledger), so a stale record can never *increase*
+     * spendable budget, and the cached report is the one of the
+     * ledger's latest checkpoint. A halted (unrecoverable) ledger
+     * restores zero remaining budget and an empty cache, counts a
+     * checkpoint_restore_failures and returns false.
+     *
+     * From then on every fresh report's loss is journaled to flash
+     * *before* the value is released: if the append cannot complete
+     * (power dying, device dead, ledger halted) the transaction is
+     * withheld -- the cached report is served instead and the
+     * controller latches fail-secure. The persisted record is
+     * therefore always at least as pessimistic as what left the
+     * device. See requireRecordable().
      */
-    void attachLedger(BudgetLedger *ledger);
-
-    /**
-     * Adopt the attached ledger's recovered state after a mount:
-     * remaining budget becomes min(current, ledger) -- the same
-     * monotone rule as restoreFromCheckpoint() -- and the cached
-     * report is taken from the ledger's latest checkpoint. A halted
-     * (unrecoverable) ledger restores to zero remaining budget with
-     * an empty cache and returns false.
-     */
-    bool restoreFromLedger();
+    bool attachLedger(BudgetLedger *ledger);
 
     /**
      * Commit the controller's authoritative state to the attached
@@ -459,11 +398,6 @@ class BudgetController
 
     /** fatal() unless the pool is owned: @p what is the owner's. */
     void requireOwnPool(const char *what) const;
-
-    /** The monotone restore of both persistence paths; an invalid
-     *  record (@p why) restores zero budget and an empty cache. */
-    bool restore(bool valid, double saved, std::optional<double> cached,
-                 uint64_t ticks, const char *why);
 
     FxpMechanismParams params_;
     BudgetControllerConfig config_;

@@ -1,9 +1,12 @@
 #include "core/budget_ledger.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -21,6 +24,7 @@ constexpr uint8_t kTypeCheckpoint = 2;
 constexpr uint8_t kFlagCacheValid = 1;
 constexpr uint8_t kCommitByte = 0xC3;
 constexpr uint8_t kSupersededByte = 0x00;
+constexpr uint64_t kNoRecord = ~uint64_t{0};
 
 // Record slot offsets (see budget_ledger.h file comment).
 constexpr uint32_t kOffMagic = 0;
@@ -70,22 +74,6 @@ get64(const uint8_t *p)
     return v;
 }
 
-uint64_t
-doubleBits(double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    return bits;
-}
-
-double
-bitsDouble(uint64_t bits)
-{
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-}
-
 /** The ledger's exported telemetry surface (docs/METRICS.md). */
 struct LedgerMetrics
 {
@@ -109,10 +97,6 @@ struct LedgerMetrics
         "ulpdp_ledger_torn_records_total",
         "Torn/corrupt records rejected and charged fail-secure",
         "records");
-    Counter &unrecoverable = telemetry::registry().counter(
-        "ulpdp_ledger_unrecoverable_mounts_total",
-        "Mounts that halted with zero remaining budget",
-        "mounts");
     Counter &journal_bytes = telemetry::registry().counter(
         "ulpdp_ledger_journal_bytes_total",
         "Bytes programmed into the flash journal",
@@ -128,6 +112,16 @@ ledgerMetrics()
 {
     static LedgerMetrics m;
     return m;
+}
+
+/** Unrecoverable mounts of one DESIGN.md section 13 resolution row. */
+Counter &
+unrecoverableMounts(const char *cause)
+{
+    return telemetry::registry().counter(
+        "ulpdp_ledger_unrecoverable_mounts_total",
+        "Mounts that halted with zero remaining budget, by cause",
+        "mounts", std::string("cause=\"") + cause + "\"");
 }
 
 } // anonymous namespace
@@ -153,7 +147,9 @@ struct BudgetLedger::ParsedRecord
 
 BudgetLedger::BudgetLedger(FlashDevice &flash,
                            const BudgetLedgerConfig &config)
-    : flash_(flash), config_(config)
+    : flash_(flash), config_(config),
+      initial_(quantaDown(config.initial_budget)),
+      max_record_(quantaUp(config.max_record_loss))
 {
     const FlashGeometry &g = flash_.geometry();
     if (g.block_count < 2)
@@ -161,11 +157,40 @@ BudgetLedger::BudgetLedger(FlashDevice &flash,
     if (g.block_size < kHeaderSize + 2 * kRecordSize)
         fatal("BudgetLedger: block size %u cannot hold a header and "
               "two records", g.block_size);
-    if (!(config_.initial_budget > 0.0))
-        fatal("BudgetLedger: initial budget must be positive");
-    if (!(config_.max_record_loss > 0.0))
+    if (initial_ == 0)
+        fatal("BudgetLedger: initial budget must be at least one loss "
+              "quantum (2^-%d nats), got %g", kLossFracBits,
+              config_.initial_budget);
+    if (max_record_ == 0)
         fatal("BudgetLedger: max_record_loss must be positive (it is "
               "the fail-secure charge for an ambiguous record)");
+}
+
+uint64_t
+BudgetLedger::blockBase(uint32_t block) const
+{
+    return static_cast<uint64_t>(block) * flash_.geometry().block_size;
+}
+
+bool
+BudgetLedger::readErased(uint64_t addr, std::span<uint8_t> buf,
+                         size_t from) const
+{
+    flash_.read(addr, buf.data(), buf.size());
+    return std::all_of(buf.begin() + from, buf.end(),
+                       [](uint8_t b) { return b == 0xFF; });
+}
+
+uint32_t
+BudgetLedger::firstDirtyBlock(uint32_t from) const
+{
+    const FlashGeometry &g = flash_.geometry();
+    std::vector<uint8_t> blk(g.block_size);
+    for (uint32_t b = 0; b < g.block_count; ++b) {
+        if (!readErased(blockBase(b), blk, from))
+            return b;
+    }
+    return g.block_count;
 }
 
 bool
@@ -180,41 +205,97 @@ BudgetLedger::programCounted(uint64_t addr, const void *src,
 }
 
 bool
-BudgetLedger::writeRecordAt(uint64_t addr, uint8_t type,
-                            uint8_t flags, uint64_t seq,
-                            uint64_t payload, uint64_t aux)
+BudgetLedger::writeHeader(uint32_t block)
+{
+    uint8_t hdr[kHeaderSize];
+    std::memset(hdr, 0xFF, sizeof hdr);
+    put32(hdr + kHdrOffMagic, kHeaderMagic);
+    put64(hdr + kHdrOffAllocSeq, next_alloc_seq_);
+    put32(hdr + kHdrOffCrc, crc32(hdr, kHdrOffCrc));
+    if (!programCounted(blockBase(block), hdr, sizeof hdr))
+        return false;
+    ++next_alloc_seq_;
+    current_block_ = block;
+    append_off_ = kHeaderSize;
+    return true;
+}
+
+bool
+BudgetLedger::appendRecord(uint8_t type, uint8_t flags,
+                           uint64_t payload, uint64_t aux)
 {
     uint8_t body[kBodySize];
     std::memset(body, 0xFF, sizeof body);
     put32(body + kOffMagic, kRecordMagic);
     body[kOffType] = type;
     body[kOffFlags] = flags;
-    put64(body + kOffSeq, seq);
+    put64(body + kOffSeq, next_seq_);
     put64(body + kOffPayload, payload);
     put64(body + kOffAux, aux);
     put32(body + kOffCrc, crc32(body, kOffCrc));
 
-    if (!programCounted(addr, body, sizeof body))
-        return false;
+    const uint64_t addr = blockBase(current_block_) + append_off_;
     uint8_t commit = kCommitByte;
-    return programCounted(addr + kOffCommit, &commit, 1);
+    if (!programCounted(addr, body, sizeof body) ||
+        !programCounted(addr + kOffCommit, &commit, 1))
+        return false;
+    ++next_seq_;
+    append_off_ += kRecordSize;
+    return true;
+}
+
+bool
+BudgetLedger::writeCheckpoint(bool rotation)
+{
+    const uint64_t addr = blockBase(current_block_) + append_off_;
+    if (!appendRecord(kTypeCheckpoint,
+                      cache_.has_value() ? kFlagCacheValid : 0,
+                      remaining_,
+                      std::bit_cast<uint64_t>(cache_.value_or(0.0))))
+        return false;
+    ++stats_.checkpoints_committed;
+    if (rotation)
+        ++stats_.rotations;
+    if (telemetry::enabled()) {
+        LedgerMetrics &m = ledgerMetrics();
+        m.checkpoints.inc();
+        if (rotation) {
+            m.rotations.inc();
+            const FlashGeometry &g = flash_.geometry();
+            uint64_t worst = 0;
+            for (uint32_t b = 0; b < g.block_count; ++b)
+                worst = std::max(worst, flash_.eraseCount(b));
+            m.max_wear.set(static_cast<double>(worst));
+        }
+    }
+
+    const uint64_t old_cp = std::exchange(live_cp_addr_, addr);
+    if (old_cp == kNoRecord)
+        return true;
+    uint8_t dead = kSupersededByte;
+    return programCounted(old_cp + kOffSupersede, &dead, 1);
+}
+
+bool
+BudgetLedger::format()
+{
+    remaining_ = initial_;
+    next_seq_ = 1;
+    next_alloc_seq_ = 1;
+    // A cut leaves a torn header or genesis checkpoint, which the
+    // next mount resolves (see mount()).
+    if (!writeHeader(0) || !writeCheckpoint(false))
+        return false;
+    mounted_ = true;
+    return true;
 }
 
 BudgetLedger::ParsedRecord
 BudgetLedger::parseSlot(uint64_t addr) const
 {
     uint8_t slot[kRecordSize];
-    flash_.read(addr, slot, sizeof slot);
-
     ParsedRecord rec;
-    bool all_erased = true;
-    for (uint8_t b : slot) {
-        if (b != 0xFF) {
-            all_erased = false;
-            break;
-        }
-    }
-    if (all_erased)
+    if (readErased(addr, slot))
         return rec; // Free
 
     if (get32(slot + kOffMagic) != kRecordMagic ||
@@ -236,10 +317,10 @@ BudgetLedger::parseSlot(uint64_t addr) const
 }
 
 void
-BudgetLedger::charge(double loss)
+BudgetLedger::charge(LossQuanta q)
 {
-    spent_lifetime_ += loss;
-    remaining_ = std::max(0.0, remaining_ - loss);
+    spent_lifetime_ += q;
+    remaining_ -= std::min(remaining_, q);
 }
 
 bool
@@ -249,9 +330,9 @@ BudgetLedger::mount()
     mounted_ = false;
     halted_ = false;
     cache_.reset();
-    remaining_ = 0.0;
-    spent_lifetime_ = 0.0;
-    live_cp_addr_ = ~uint64_t{0};
+    remaining_ = 0;
+    spent_lifetime_ = 0;
+    live_cp_addr_ = kNoRecord;
 
     if (!flash_.alive()) {
         warn("BudgetLedger: mount on a powered-down device");
@@ -267,23 +348,13 @@ BudgetLedger::mount()
         uint64_t alloc_seq;
     };
     std::vector<BlockInfo> order;
-    bool any_data = false;
+    bool any_header_bits = false;
     uint64_t max_alloc = 0;
     for (uint32_t b = 0; b < g.block_count; ++b) {
         uint8_t hdr[kHeaderSize];
-        flash_.read(static_cast<uint64_t>(b) * g.block_size, hdr,
-                    sizeof hdr);
-        bool erased_hdr = true;
-        for (uint8_t byte : hdr) {
-            if (byte != 0xFF) {
-                erased_hdr = false;
-                break;
-            }
-        }
-        if (!erased_hdr)
-            any_data = true;
-        if (erased_hdr)
+        if (readErased(blockBase(b), hdr))
             continue;
+        any_header_bits = true;
         if (get32(hdr + kHdrOffMagic) == kHeaderMagic &&
             get32(hdr + kHdrOffCrc) == crc32(hdr, kHdrOffCrc)) {
             uint64_t alloc = get64(hdr + kHdrOffAllocSeq);
@@ -291,99 +362,46 @@ BudgetLedger::mount()
             max_alloc = std::max(max_alloc, alloc);
         }
     }
-    if (!any_data) {
-        // Headers were erased; the data area might still hold bits
-        // (e.g. a block whose header was never written). Check.
-        std::vector<uint8_t> blk(g.block_size);
-        for (uint32_t b = 0; b < g.block_count && !any_data; ++b) {
-            flash_.read(static_cast<uint64_t>(b) * g.block_size,
-                        blk.data(), blk.size());
-            for (uint8_t byte : blk) {
-                if (byte != 0xFF) {
-                    any_data = true;
-                    break;
-                }
-            }
-        }
-    }
 
-    auto failSecureHalt = [&](const char *why) {
+    // Resolution rows of DESIGN.md section 13 that end unrecoverable;
+    // @p cause labels the telemetry series.
+    auto failSecureHalt = [&](const char *cause, const char *why) {
         warn("BudgetLedger: %s; halting with zero remaining budget",
              why);
         halted_ = true;
-        remaining_ = 0.0;
-        spent_lifetime_ = config_.initial_budget;
+        remaining_ = 0;
+        spent_lifetime_ = initial_;
         mounted_ = true;
         ++stats_.unrecoverable_mounts;
         if (telemetry::enabled())
-            ledgerMetrics().unrecoverable.inc();
+            unrecoverableMounts(cause).inc();
         return false;
     };
 
     if (order.empty()) {
-        if (any_data) {
+        // Headers are blank or invalid; the data area might still
+        // hold bits (e.g. a block whose header was never written).
+        if (any_header_bits || firstDirtyBlock(0) < g.block_count) {
             // Bits on flash but no valid block header. The one benign
-            // shape is a power loss that cut the very first format:
-            // a torn *header* with every record slot still erased --
-            // no spend can have been journaled, because spends only
+            // shape is a power loss that cut the very first format: a
+            // torn *header* with every record slot still erased -- no
+            // spend can have been journaled, because spends only
             // append after the header commits. Anything in a record
-            // slot could be a spend, so that stays unrecoverable.
-            bool slot_bits = false;
-            std::vector<uint8_t> blk(g.block_size);
-            for (uint32_t b = 0; b < g.block_count && !slot_bits;
-                 ++b) {
-                flash_.read(static_cast<uint64_t>(b) * g.block_size,
-                            blk.data(), blk.size());
-                for (uint32_t off = kHeaderSize; off < g.block_size;
-                     ++off) {
-                    if (blk[off] != 0xFF) {
-                        slot_bits = true;
-                        break;
-                    }
-                }
-            }
-            if (slot_bits) {
-                // Could be a foreign image, a header shot by stuck-at
-                // faults, or erased spends -- unknowable, fail secure.
-                return failSecureHalt("no valid block header over a "
+            // slot could be a spend (a foreign image, a header shot by
+            // stuck-at faults, or erased spends): unknowable, so
+            // fail secure.
+            if (firstDirtyBlock(kHeaderSize) < g.block_count)
+                return failSecureHalt("no_header",
+                                      "no valid block header over a "
                                       "non-empty journal");
-            }
             // Scrub the torn header(s) and fall through to format.
             for (uint32_t b = 0; b < g.block_count; ++b) {
                 uint8_t hdr[kHeaderSize];
-                flash_.read(static_cast<uint64_t>(b) * g.block_size,
-                            hdr, sizeof hdr);
-                bool dirty = false;
-                for (uint8_t byte : hdr)
-                    dirty |= byte != 0xFF;
-                if (dirty && !flash_.erase(b))
+                if (!readErased(blockBase(b), hdr) && !flash_.erase(b))
                     return false; // cut again; retry next boot
             }
         }
-        // Factory-fresh part: format and seed the genesis checkpoint.
-        remaining_ = config_.initial_budget;
-        current_block_ = 0;
-        append_off_ = kHeaderSize;
-        next_seq_ = 1;
-        next_alloc_seq_ = 1;
-        uint8_t hdr[kHeaderSize];
-        std::memset(hdr, 0xFF, sizeof hdr);
-        put32(hdr + kHdrOffMagic, kHeaderMagic);
-        put64(hdr + kHdrOffAllocSeq, next_alloc_seq_);
-        put32(hdr + kHdrOffCrc, crc32(hdr, kHdrOffCrc));
-        if (!programCounted(0, hdr, sizeof hdr))
-            return false; // power lost during format; retry next boot
-        ++next_alloc_seq_;
-        uint64_t cp_addr = append_off_;
-        if (!writeRecordAt(cp_addr, kTypeCheckpoint, 0, next_seq_,
-                           doubleBits(remaining_), 0))
-            return false;
-        live_cp_addr_ = cp_addr;
-        ++next_seq_;
-        append_off_ += kRecordSize;
-        ++stats_.checkpoints_committed;
-        mounted_ = true;
-        return true;
+        return format();
     }
 
     std::sort(order.begin(), order.end(),
@@ -402,7 +420,7 @@ BudgetLedger::mount()
     std::vector<Seen> valid;
     uint64_t torn = 0;
     for (const BlockInfo &bi : order) {
-        uint64_t base = static_cast<uint64_t>(bi.block) * g.block_size;
+        const uint64_t base = blockBase(bi.block);
         for (uint32_t off = kHeaderSize;
              off + kRecordSize <= g.block_size; off += kRecordSize) {
             ParsedRecord rec = parseSlot(base + off);
@@ -423,12 +441,12 @@ BudgetLedger::mount()
     // its phases still resolves to the newer state.
     const Seen *best_cp = nullptr;
     uint64_t live_cps = 0;
+    uint64_t max_seq = 0;
+    uint64_t spend_count = 0;
     for (const Seen &s : valid) {
-        if (s.rec.type != kTypeCheckpoint)
-            continue;
-        double rem = bitsDouble(s.rec.payload);
-        if (!std::isfinite(rem) || rem < 0.0) {
-            ++torn; // checkpoint with impossible content
+        max_seq = std::max(max_seq, s.rec.seq);
+        if (s.rec.type == kTypeSpend) {
+            ++spend_count;
             continue;
         }
         if (!s.rec.superseded)
@@ -440,14 +458,6 @@ BudgetLedger::mount()
         ++stats_.dual_checkpoint_recoveries;
 
     uint64_t cp_seq = 0;
-    uint64_t max_seq = 0;
-    uint64_t spend_count = 0;
-    for (const Seen &s : valid) {
-        max_seq = std::max(max_seq, s.rec.seq);
-        if (s.rec.type == kTypeSpend)
-            ++spend_count;
-    }
-
     if (best_cp == nullptr) {
         // No checkpoint anchors the journal. The only benign shape is
         // a crash during format: a lone header, at most one torn
@@ -456,17 +466,17 @@ BudgetLedger::mount()
         // checkpoint -- unknowable, so unrecoverable.
         if (spend_count > 0 || torn > 1) {
             stats_.torn_records += torn;
-            return failSecureHalt("journal holds records but no "
-                                  "valid checkpoint");
+            return failSecureHalt("no_checkpoint",
+                                  "journal holds records but no valid "
+                                  "checkpoint");
         }
-        remaining_ = config_.initial_budget;
+        remaining_ = initial_;
     } else {
-        remaining_ = std::min(bitsDouble(best_cp->rec.payload),
-                              config_.initial_budget);
+        remaining_ = std::min(best_cp->rec.payload, initial_);
         cp_seq = best_cp->rec.seq;
         live_cp_addr_ = best_cp->addr;
         if (best_cp->rec.flags & kFlagCacheValid) {
-            double cached = bitsDouble(best_cp->rec.aux);
+            double cached = std::bit_cast<double>(best_cp->rec.aux);
             if (std::isfinite(cached))
                 cache_ = cached;
         }
@@ -487,15 +497,18 @@ BudgetLedger::mount()
             ++stats_.duplicate_records;
         if (!s.rec.committed)
             ++stats_.uncommitted_accepted;
-        double loss = bitsDouble(s.rec.payload);
-        if (!std::isfinite(loss) || loss < 0.0) {
-            ++torn; // spend with impossible content
+        // journalSpend() writes a loss in [0, max_record_loss]; a
+        // CRC-valid payload outside it is charged like a torn record,
+        // and above kMaxExactNats it is charged that much.
+        double loss = std::bit_cast<double>(s.rec.payload);
+        if (!(loss >= 0.0)) {
+            ++torn;
             continue;
         }
-        charge(loss);
+        charge(quantaUp(std::min(loss, kMaxExactNats)));
     }
     for (uint64_t i = 0; i < torn; ++i)
-        charge(config_.max_record_loss);
+        charge(max_record_);
     stats_.torn_records += torn;
 
     next_seq_ = std::max(max_seq, cp_seq) + 1;
@@ -505,8 +518,7 @@ BudgetLedger::mount()
     // the last non-free one. A torn slot is consumed (its bits are
     // gone); a full block rotates on the next append.
     current_block_ = order.back().block;
-    uint64_t base =
-        static_cast<uint64_t>(current_block_) * g.block_size;
+    const uint64_t base = blockBase(current_block_);
     append_off_ = kHeaderSize;
     for (uint32_t off = kHeaderSize;
          off + kRecordSize <= g.block_size; off += kRecordSize) {
@@ -545,73 +557,12 @@ BudgetLedger::rotate()
             victim = b;
     }
 
-    uint64_t base = static_cast<uint64_t>(victim) * g.block_size;
     std::vector<uint8_t> blk(g.block_size);
-    flash_.read(base, blk.data(), blk.size());
-    bool clean = std::all_of(blk.begin(), blk.end(),
-                             [](uint8_t b) { return b == 0xFF; });
-    if (!clean && !flash_.erase(victim))
+    if (!readErased(blockBase(victim), blk) && !flash_.erase(victim))
         return false;
-
-    uint8_t hdr[kHeaderSize];
-    std::memset(hdr, 0xFF, sizeof hdr);
-    put32(hdr + kHdrOffMagic, kHeaderMagic);
-    put64(hdr + kHdrOffAllocSeq, next_alloc_seq_);
-    put32(hdr + kHdrOffCrc, crc32(hdr, kHdrOffCrc));
-    if (!programCounted(base, hdr, sizeof hdr))
-        return false;
-    ++next_alloc_seq_;
-
-    current_block_ = victim;
-    append_off_ = kHeaderSize;
-
     // Fresh checkpoint first: from this instant the old segments are
     // garbage and any of them may be the next victim.
-    uint8_t flags = cache_.has_value() ? kFlagCacheValid : 0;
-    uint64_t cp_addr = base + append_off_;
-    if (!writeRecordAt(cp_addr, kTypeCheckpoint, flags, next_seq_,
-                       doubleBits(remaining_),
-                       doubleBits(cache_.value_or(0.0))))
-        return false;
-    ++next_seq_;
-    append_off_ += kRecordSize;
-    ++stats_.rotations;
-    ++stats_.checkpoints_committed;
-    if (telemetry::enabled()) {
-        LedgerMetrics &m = ledgerMetrics();
-        m.rotations.inc();
-        m.checkpoints.inc();
-        uint64_t worst = 0;
-        for (uint32_t b = 0; b < g.block_count; ++b)
-            worst = std::max(worst, flash_.eraseCount(b));
-        m.max_wear.set(static_cast<double>(worst));
-    }
-
-    uint64_t old_cp = live_cp_addr_;
-    live_cp_addr_ = cp_addr;
-    if (old_cp != ~uint64_t{0}) {
-        uint8_t dead = kSupersededByte;
-        if (!programCounted(old_cp + kOffSupersede, &dead, 1))
-            return false;
-    }
-    return true;
-}
-
-bool
-BudgetLedger::appendRecord(uint8_t type, uint8_t flags,
-                           uint64_t payload, uint64_t aux)
-{
-    const FlashGeometry &g = flash_.geometry();
-    if (append_off_ + kRecordSize > g.block_size && !rotate())
-        return false;
-    uint64_t addr =
-        static_cast<uint64_t>(current_block_) * g.block_size +
-        append_off_;
-    if (!writeRecordAt(addr, type, flags, next_seq_, payload, aux))
-        return false;
-    ++next_seq_;
-    append_off_ += kRecordSize;
-    return true;
+    return writeHeader(victim) && writeCheckpoint(true);
 }
 
 bool
@@ -619,14 +570,17 @@ BudgetLedger::journalSpend(double loss)
 {
     if (!mounted_ || halted_)
         return false;
-    ULPDP_ASSERT(std::isfinite(loss) && loss >= 0.0);
     // A torn record is charged max_record_loss at recovery, so a
     // larger spend could come back under-counted: refuse it.
     if (loss > config_.max_record_loss)
         return false;
-    if (!appendRecord(kTypeSpend, 0, doubleBits(loss), 0))
+    const LossQuanta q = quantaUp(loss); // fatal() on NaN or < 0
+    if (append_off_ + kRecordSize > flash_.geometry().block_size &&
+        !rotate())
         return false;
-    charge(loss);
+    if (!appendRecord(kTypeSpend, 0, std::bit_cast<uint64_t>(loss), 0))
+        return false;
+    charge(q);
     ++stats_.spends_journaled;
     if (telemetry::enabled())
         ledgerMetrics().spends.inc();
@@ -639,40 +593,13 @@ BudgetLedger::commitCheckpoint(double remaining,
 {
     if (!mounted_ || halted_)
         return false;
-    if (!(remaining >= 0.0))
-        remaining = 0.0;
-    remaining_ = std::min(remaining, config_.initial_budget);
+    remaining_ = std::min(quantaDown(remaining), initial_);
     cache_ = cache;
-
-    const FlashGeometry &g = flash_.geometry();
-    if (append_off_ + kRecordSize > g.block_size) {
-        // Rotation writes the checkpoint itself (it must: from the
-        // erase on, the new block is the only anchor).
+    // Rotation writes the checkpoint itself (it must: from the erase
+    // on, the new block is the only anchor).
+    if (append_off_ + kRecordSize > flash_.geometry().block_size)
         return rotate();
-    }
-
-    uint8_t flags = cache_.has_value() ? kFlagCacheValid : 0;
-    uint64_t cp_addr =
-        static_cast<uint64_t>(current_block_) * g.block_size +
-        append_off_;
-    if (!writeRecordAt(cp_addr, kTypeCheckpoint, flags, next_seq_,
-                       doubleBits(remaining_),
-                       doubleBits(cache_.value_or(0.0))))
-        return false;
-    ++next_seq_;
-    append_off_ += kRecordSize;
-    ++stats_.checkpoints_committed;
-    if (telemetry::enabled())
-        ledgerMetrics().checkpoints.inc();
-
-    uint64_t old_cp = live_cp_addr_;
-    live_cp_addr_ = cp_addr;
-    if (old_cp != ~uint64_t{0}) {
-        uint8_t dead = kSupersededByte;
-        if (!programCounted(old_cp + kOffSupersede, &dead, 1))
-            return false;
-    }
-    return true;
+    return writeCheckpoint(false);
 }
 
 uint64_t

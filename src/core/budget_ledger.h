@@ -6,11 +6,14 @@
  * The paper's worst-case loss bound n*eps (Eq. 4) rests entirely on
  * the spent-budget counter surviving resets: a power loss that rolls
  * the counter back lets an adversary re-spend budget it already used,
- * and the bound is void. PR 2 hardened the checkpoint *image*
- * (CRC + monotone restore); this layer hardens the *medium*. Every
- * spend is journaled to flash before the mechanism releases its
- * output, so the persisted record is always at least as pessimistic
- * as reality, whatever instant the power dies.
+ * and the bound is void. The ledger is the one record of budget state
+ * that survives a reset. Every spend is journaled to flash before the
+ * mechanism releases its output, so the persisted record is always at
+ * least as pessimistic as reality, whatever instant the power dies.
+ * The meter counts integer loss quanta (core/budget.h), like every
+ * BudgetPool: a spend is charged quantaUp() of its loss, live and at
+ * replay alike, and the checkpointed remaining budget is the exact
+ * quanta count.
  *
  * On-flash layout (all fields little-endian, CRC-32 sealed):
  *
@@ -20,6 +23,12 @@
  *   record: magic "ULDR" | type (spend / checkpoint) | flags |
  *           seq (monotone across all records) | payload | aux |
  *           crc over the body | commit byte | supersede byte | pad
+ *
+ *   spend payload:      the journaled loss, IEEE-754 binary64 nats
+ *                       (bit-exact; replay charges quantaUp of it)
+ *   checkpoint payload: remaining budget in loss quanta
+ *   checkpoint aux:     cached report, binary64 (valid when flags
+ *                       bit 0 is set)
  *
  * Commit protocol (exploiting NOR 1 -> 0 semantics; nothing is ever
  * updated in place):
@@ -43,8 +52,8 @@
  *
  * Recovery resolves every ambiguity fail-secure:
  *
- *  - torn / CRC-invalid record  => charged max_record_loss (counted
- *    as spent -- the record *might* have been a spend);
+ *  - torn / CRC-invalid record  => charged quantaUp(max_record_loss)
+ *    (counted as spent -- the record *might* have been a spend);
  *  - duplicate or out-of-order sequence numbers => every copy is
  *    charged (over-counting is safe) and the anomaly is counted;
  *  - no valid checkpoint over a non-empty journal => the ledger is
@@ -57,7 +66,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
+#include "core/budget.h"
 #include "core/flash_device.h"
 
 namespace ulpdp {
@@ -65,7 +76,8 @@ namespace ulpdp {
 /** Static configuration of a BudgetLedger. */
 struct BudgetLedgerConfig
 {
-    /** Total privacy budget B the remaining counter starts from. */
+    /** Total privacy budget B the remaining counter starts from, in
+     *  nats (rounded down to quanta, as in BudgetPool). */
     double initial_budget = 5.0;
 
     /**
@@ -144,35 +156,38 @@ class BudgetLedger
     /**
      * Mount: scan the journal, replay records, resolve ambiguities
      * fail-secure. Formats fully erased flash. Returns false when
-     * the ledger is unrecoverable -- remaining() is then 0 and
-     * halted() is latched.
+     * power died during the mount, or when the ledger is
+     * unrecoverable -- remaining() is then 0 and halted() is latched.
      */
     bool mount();
 
     /**
-     * Durably journal one spend of @p loss *before* the caller
-     * releases the corresponding output. Returns false when the
-     * append could not complete (power lost mid-program, device
-     * dead, or ledger halted) or @p loss exceeds max_record_loss (a
-     * torn record of it would be under-counted) -- the caller must
-     * NOT release the output in that case.
+     * Durably journal one spend of @p loss nats *before* the caller
+     * releases the corresponding output; the meter is charged
+     * quantaUp(@p loss). Returns false when the append could not
+     * complete (power lost mid-program, device dead, or ledger
+     * halted) or @p loss exceeds max_record_loss (a torn record of it
+     * would be under-counted) -- the caller must NOT release the
+     * output in that case.
      */
     bool journalSpend(double loss);
 
     /**
      * Two-phase checkpoint commit of the caller's authoritative
-     * state: remaining budget and the cached report. Returns false
+     * state: remaining budget in nats (rounded down to quanta, capped
+     * at the initial budget) and the cached report. Returns false
      * when either phase was cut by a power loss.
      */
     bool commitCheckpoint(double remaining,
                           const std::optional<double> &cache);
 
-    /** Remaining budget per the ledger (recovered or live). */
-    double remaining() const { return remaining_; }
+    /** Remaining budget per the ledger (recovered or live), in nats
+     *  (exact quanta). */
+    double remaining() const { return nats(remaining_); }
 
     /** Lifetime loss charged through this ledger instance, including
-     *  fail-secure charges for ambiguous records. */
-    double spentLifetime() const { return spent_lifetime_; }
+     *  fail-secure charges for ambiguous records, in nats. */
+    double spentLifetime() const { return nats(spent_lifetime_); }
 
     /** Cached report recovered from the latest checkpoint. */
     const std::optional<double> &cache() const { return cache_; }
@@ -200,36 +215,56 @@ class BudgetLedger
   private:
     struct ParsedRecord;
 
+    /** Byte address of @p block's header. */
+    uint64_t blockBase(uint32_t block) const;
+
+    /** Read @p buf.size() bytes at @p addr into @p buf; true when
+     *  bytes [@p from, end) all sense erased. */
+    bool readErased(uint64_t addr, std::span<uint8_t> buf,
+                    size_t from = 0) const;
+
+    /** First block whose bytes from offset @p from on are not all
+     *  erased (reads whole blocks in order); block_count if none. */
+    uint32_t firstDirtyBlock(uint32_t from) const;
+
     /** Program bytes and account them; false on power loss. */
     bool programCounted(uint64_t addr, const void *src, size_t len);
 
+    /** Program the header that opens @p block and make it current. */
+    bool writeHeader(uint32_t block);
+
     /** Append one record (body then commit byte) at the current
-     *  append offset; rotates first when the block is full. */
+     *  append offset with the next sequence number. */
     bool appendRecord(uint8_t type, uint8_t flags, uint64_t payload,
                       uint64_t aux);
+
+    /** Write-new-then-supersede-old: append a checkpoint of the
+     *  meter and cache, then supersede the previous checkpoint.
+     *  @p rotation counts it as the first record of a new block. */
+    bool writeCheckpoint(bool rotation);
+
+    /** Format a factory-fresh part: header and genesis checkpoint. */
+    bool format();
 
     /** Erase the least-worn non-current block, write its header and
      *  a fresh checkpoint, supersede the old one. */
     bool rotate();
 
-    /** Serialize + program one record body and commit byte at
-     *  @p addr. */
-    bool writeRecordAt(uint64_t addr, uint8_t type, uint8_t flags,
-                       uint64_t seq, uint64_t payload, uint64_t aux);
-
     /** Parse the slot at @p addr. */
     ParsedRecord parseSlot(uint64_t addr) const;
 
-    /** Charge @p loss against the remaining counter. */
-    void charge(double loss);
+    /** Charge @p q quanta against the remaining counter. */
+    void charge(LossQuanta q);
 
     FlashDevice &flash_;
     BudgetLedgerConfig config_;
+    LossQuanta initial_;
+    LossQuanta max_record_;
 
     bool mounted_ = false;
     bool halted_ = false;
-    double remaining_ = 0.0;
-    double spent_lifetime_ = 0.0;
+    LossQuanta remaining_ = 0;
+    LossQuanta spent_lifetime_ = 0;
     std::optional<double> cache_;
 
     uint64_t next_seq_ = 1;

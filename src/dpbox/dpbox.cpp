@@ -180,8 +180,7 @@ void
 DpBox::attachLedger(BudgetLedger *ledger)
 {
     if (segments_)
-        requireRecordable(ledger, nats(segments_->outermost().charge),
-                          "DpBox");
+        requireRecordable(ledger, segments_->outermost().charge, "DpBox");
     ledger_ = ledger;
 }
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <thread>
@@ -34,14 +34,6 @@ constexpr uint64_t kTrialKey = 0xc2b2ae3d27d4eb4fULL;
 // Salt selecting the synthetic-data substream of a node seed.
 constexpr uint64_t kDataSalt = 0x64617461ULL; // "data"
 
-uint64_t
-doubleBits(double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    return bits;
-}
-
 /** Digest one released report, order-independently (summed). */
 uint64_t
 reportDigest(uint64_t node, uint32_t trial, double released)
@@ -49,7 +41,7 @@ reportDigest(uint64_t node, uint32_t trial, double released)
     return FleetSeeder::mix64((node + 1) * kNodeKey ^
                               (static_cast<uint64_t>(trial) + 1) *
                                   kTrialKey ^
-                              doubleBits(released));
+                              std::bit_cast<uint64_t>(released));
 }
 
 /** Uniform double in (0, 1] from one 64-bit word. */
@@ -73,9 +65,10 @@ foldBytes(uint64_t acc, const void *data, size_t len)
 uint64_t
 foldStats(uint64_t acc, const RunningStats &s)
 {
-    uint64_t w[5] = {s.count(), doubleBits(s.mean()),
-                     doubleBits(s.variance()), doubleBits(s.min()),
-                     doubleBits(s.max())};
+    uint64_t w[5] = {s.count(), std::bit_cast<uint64_t>(s.mean()),
+                     std::bit_cast<uint64_t>(s.variance()),
+                     std::bit_cast<uint64_t>(s.min()),
+                     std::bit_cast<uint64_t>(s.max())};
     return foldBytes(acc, w, sizeof w);
 }
 
@@ -780,7 +773,7 @@ FleetReport::fingerprint() const
         acc = FleetSeeder::mix64(acc ^ c.released_hist.underflow());
         acc = FleetSeeder::mix64(acc ^ c.released_hist.overflow());
         for (double e : c.trial_estimate)
-            acc = FleetSeeder::mix64(acc ^ doubleBits(e));
+            acc = FleetSeeder::mix64(acc ^ std::bit_cast<uint64_t>(e));
         uint64_t counters[6] = {c.samples_drawn, c.resample_overflows,
                                 c.fresh_reports, c.cache_replays,
                                 c.nodes_exhausted,
@@ -795,13 +788,14 @@ FleetReport::fingerprint() const
             acc = FleetSeeder::mix64(acc ^ c.agg->sketch.total());
             acc = FleetSeeder::mix64(acc ^ c.agg->dropped);
             for (double v : c.agg->decoded.counts)
-                acc = FleetSeeder::mix64(acc ^ doubleBits(v));
+                acc = FleetSeeder::mix64(acc ^ std::bit_cast<uint64_t>(v));
+            const agg::DecodedFrequencies &d = c.agg->decoded;
             uint64_t moments[5] = {
-                doubleBits(c.agg->decoded.mean),
-                doubleBits(c.agg->decoded.variance),
-                doubleBits(c.agg->decoded.median),
-                doubleBits(c.agg->decoded.boundary_mass_observed),
-                doubleBits(c.agg->decoded.boundary_mass_expected)};
+                std::bit_cast<uint64_t>(d.mean),
+                std::bit_cast<uint64_t>(d.variance),
+                std::bit_cast<uint64_t>(d.median),
+                std::bit_cast<uint64_t>(d.boundary_mass_observed),
+                std::bit_cast<uint64_t>(d.boundary_mass_expected)};
             acc = foldBytes(acc, moments, sizeof moments);
             for (const agg::HeavyHitter &h : c.agg->heavy) {
                 acc = FleetSeeder::mix64(acc ^ h.item);
@@ -825,11 +819,13 @@ FleetRunner::FleetRunner(FleetConfig config)
                             static_cast<uint32_t>(i));
     // Each cohort's epoch is one journaled spend: refuse a ledger
     // that cannot record the worst one before any report is out.
-    for (const CohortPlan &plan : plans_)
-        requireRecordable(config_.epoch_ledger,
-                          epochLoss(plan.nodes * plan.fresh_per_node,
-                                    plan.per_report_charge),
-                          "FleetRunner epoch");
+    if (config_.epoch_ledger != nullptr)
+        for (const CohortPlan &plan : plans_)
+            requireRecordable(
+                config_.epoch_ledger,
+                quantaUp(epochLoss(plan.nodes * plan.fresh_per_node,
+                                   plan.per_report_charge)),
+                "FleetRunner epoch");
 }
 
 FleetRunner::~FleetRunner() = default;

@@ -1,7 +1,7 @@
 #include "rng/fxp_laplace_pmf.h"
 
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -137,14 +137,6 @@ struct PmfCacheKey
     }
 };
 
-uint64_t
-doubleBits(double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    return bits;
-}
-
 std::mutex &
 cacheMutex()
 {
@@ -167,8 +159,8 @@ FxpLaplacePmf::shared(const FxpLaplaceConfig &config, Mode mode)
 {
     PmfCacheKey key{config.uniform_bits,
                     config.output_bits,
-                    doubleBits(config.delta),
-                    doubleBits(config.lambda),
+                    std::bit_cast<uint64_t>(config.delta),
+                    std::bit_cast<uint64_t>(config.lambda),
                     static_cast<int>(config.log_mode),
                     static_cast<int>(config.rounding),
                     config.cordic_iterations,

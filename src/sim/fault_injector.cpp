@@ -13,8 +13,7 @@ FaultInjector::FaultInjector(const FaultCampaignConfig &config)
         config.urng_flip_rate,      config.urng_stuck_rate,
         config.table_seu_rate,      config.bus_nack_rate,
         config.bus_timeout_rate,    config.bus_corrupt_rate,
-        config.power_loss_rate,     config.checkpoint_corrupt_rate,
-        config.timer_glitch_rate,
+        config.power_loss_rate,     config.timer_glitch_rate,
         config.flash_program_loss_rate,
         config.flash_erase_loss_rate,
         config.flash_stuck_bit_rate,
@@ -213,20 +212,6 @@ FaultInjector::flashStuckBitPending(uint64_t &addr, int &bit,
            region_bytes;
     bit = static_cast<int>(rng_.next32() & 7);
     value = (rng_.next32() & 1) != 0;
-    return true;
-}
-
-bool
-FaultInjector::corruptCheckpointMaybe(void *bytes, size_t len)
-{
-    if (len == 0 || config_.checkpoint_corrupt_rate <= 0.0 ||
-        roll() >= config_.checkpoint_corrupt_rate) {
-        return false;
-    }
-    ++stats_.checkpoints_corrupted;
-    size_t victim = static_cast<size_t>(rng_.next32()) % len;
-    static_cast<uint8_t *>(bytes)[victim] ^=
-        static_cast<uint8_t>(1u << (rng_.next32() & 7));
     return true;
 }
 

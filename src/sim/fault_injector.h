@@ -20,7 +20,7 @@
  *  - Active sites are driven *by the harness* between transactions:
  *    tick() advances campaign time and arms pending events, which the
  *    harness then realises (flip a sampler-table bit, cut power and
- *    restore from a possibly-corrupted checkpoint).
+ *    remount the flash budget ledger).
  *
  * The injector draws from its own private Tausworthe -- never from
  * the device under test -- so injecting a fault does not perturb the
@@ -75,10 +75,6 @@ struct FaultCampaignConfig
      *  the harness via powerLossPending(). */
     double power_loss_rate = 0.0;
 
-    /** Per power loss: the persisted budget checkpoint takes a bit
-     *  flip before it is read back (FRAM corruption). */
-    double checkpoint_corrupt_rate = 0.0;
-
     /** Per replenishment-timer comparison: the timer spuriously
      *  claims the period elapsed. */
     double timer_glitch_rate = 0.0;
@@ -108,7 +104,6 @@ struct FaultInjectionStats
     uint64_t bus_timeouts = 0;
     uint64_t bus_corruptions = 0;
     uint64_t power_losses = 0;
-    uint64_t checkpoints_corrupted = 0;
     uint64_t timer_glitches = 0;
     uint64_t flash_program_losses = 0;
     uint64_t flash_erase_losses = 0;
@@ -120,7 +115,7 @@ struct FaultInjectionStats
     {
         return urng_bit_flips + urng_stuck_events + table_seus +
                bus_nacks + bus_timeouts + bus_corruptions +
-               power_losses + checkpoints_corrupted + timer_glitches +
+               power_losses + timer_glitches +
                flash_program_losses + flash_erase_losses +
                flash_stuck_bits;
     }
@@ -184,13 +179,6 @@ class FaultInjector : public FaultHook, public FlashFaultHook
      */
     bool tableSeuPending(size_t &byte_offset, int &bit,
                          size_t table_bytes);
-
-    /**
-     * With probability checkpoint_corrupt_rate, flip one random bit
-     * of the @p len bytes at @p bytes (the persisted checkpoint
-     * image). Returns true when a corruption was applied.
-     */
-    bool corruptCheckpointMaybe(void *bytes, size_t len);
 
     /**
      * Consume a pending flash stuck-at fault (armed by tick()): picks

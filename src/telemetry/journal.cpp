@@ -1,7 +1,7 @@
 #include "telemetry/journal.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 
 #include "common/logging.h"
 
@@ -40,22 +40,6 @@ roundUpPow2(size_t v)
     return p;
 }
 
-uint64_t
-doubleBits(double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    return bits;
-}
-
-double
-bitsDouble(uint64_t bits)
-{
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-}
-
 } // anonymous namespace
 
 EventJournal::EventJournal(size_t capacity)
@@ -75,7 +59,7 @@ EventJournal::record(EventKind kind, uint64_t tick,
     slot.kind.store(static_cast<uint64_t>(kind),
                     std::memory_order_relaxed);
     slot.tick.store(tick, std::memory_order_relaxed);
-    slot.value_bits.store(doubleBits(value),
+    slot.value_bits.store(std::bit_cast<uint64_t>(value),
                           std::memory_order_relaxed);
     slot.end.store(ticket + 1, std::memory_order_release);
 }
@@ -112,8 +96,8 @@ EventJournal::snapshot() const
         ev.kind = static_cast<EventKind>(
             slot.kind.load(std::memory_order_relaxed));
         ev.tick = slot.tick.load(std::memory_order_relaxed);
-        ev.value =
-            bitsDouble(slot.value_bits.load(std::memory_order_relaxed));
+        ev.value = std::bit_cast<double>(
+            slot.value_bits.load(std::memory_order_relaxed));
         if (slot.begin.load(std::memory_order_relaxed) != t + 1)
             continue; // writer raced in after we read the payload
         out.push_back(ev);

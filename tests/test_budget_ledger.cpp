@@ -5,11 +5,14 @@
  * ambiguity fail-secure. The torn-record corpus programs every proper
  * prefix of a valid record and asserts each one is detected and
  * charged -- never parsed; the wear test asserts the rotation policy
- * keeps the erase-count spread within its leveling bound.
+ * keeps the erase-count spread within its leveling bound. The meter
+ * is exact integer quanta, and a controller attaching a ledger adopts
+ * its recovered state monotonically.
  */
 
 #include <array>
-#include <cstring>
+#include <bit>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include "dpbox/dpbox.h"
 #include "sim/fault_injector.h"
 #include "sim/nor_flash.h"
+#include "telemetry/telemetry.h"
 
 namespace ulpdp {
 namespace {
@@ -86,9 +90,7 @@ validSpendBody(uint64_t seq, double loss)
     body[4] = 1;                    // spend
     body[5] = 0;                    // flags
     put64(body.data() + 8, seq);
-    uint64_t bits;
-    std::memcpy(&bits, &loss, sizeof bits);
-    put64(body.data() + 16, bits);
+    put64(body.data() + 16, std::bit_cast<uint64_t>(loss));
     put64(body.data() + 24, 0);
     put32(body.data() + 32, crc32(body.data(), 32));
     return body;
@@ -292,12 +294,13 @@ TEST(BudgetLedger, WearLevelingSpreadStaysWithinBound)
     EXPECT_GT(ledger.stats().rotations, 50u);
     EXPECT_GE(flash.maxEraseCount(), 20u);
     EXPECT_LE(ledger.wearSpread(), 2u);
-    EXPECT_NEAR(ledger.spentLifetime(), 0.6, 1e-9);
+    // Each spend is charged quantaUp(0.001) exactly.
+    EXPECT_EQ(ledger.spentLifetime(), nats(600 * quantaUp(0.001)));
 
-    // And the journal still recovers to the same state.
+    // And the journal still recovers to the same state, bit for bit.
     BudgetLedger recovered(flash, ledgerConfig(1000.0, 1.0));
     ASSERT_TRUE(recovered.mount());
-    EXPECT_NEAR(recovered.remaining(), ledger.remaining(), 1e-9);
+    EXPECT_EQ(recovered.remaining(), ledger.remaining());
 }
 
 TEST(BudgetLedger, UnrecoverableJournalHaltsAtZeroRemaining)
@@ -373,6 +376,123 @@ TEST(BudgetLedger, GenesisCheckpointCrashChargesTheTornRecord)
     EXPECT_DOUBLE_EQ(recovered.remaining(), 5.0 - 1.0);
 }
 
+TEST(BudgetLedger, RejectsBudgetsOutsideExactQuanta)
+{
+    // The meter is integer quanta: the budget rounds down like
+    // BudgetPool's, must be at least one quantum and exact in a
+    // double, and the torn-record charge must be positive.
+    NorFlashModel flash(ledgerGeom());
+    EXPECT_THROW(BudgetLedger(flash, ledgerConfig(2.0 * kMaxExactNats)),
+                 FatalError);
+    EXPECT_THROW(BudgetLedger(flash, ledgerConfig(1e-9)), FatalError);
+    EXPECT_THROW(BudgetLedger(flash, ledgerConfig(5.0, 0.0)),
+                 FatalError);
+    BudgetLedger ledger(flash, ledgerConfig(5.0 + 1e-9));
+    ASSERT_TRUE(ledger.mount());
+    EXPECT_EQ(ledger.remaining(), nats(quantaDown(5.0 + 1e-9)));
+}
+
+TEST(BudgetLedger, RemountedMeterIsExactQuanta)
+{
+    // 0.01 nats is no whole number of quanta: every spend is charged
+    // quantaUp(0.01), live and at replay, across rotations.
+    constexpr int kSpends = 20;
+    NorFlashModel flash(ledgerGeom());
+    {
+        BudgetLedger ledger(flash, ledgerConfig());
+        ASSERT_TRUE(ledger.mount());
+        for (int i = 0; i < kSpends; ++i)
+            ASSERT_TRUE(ledger.journalSpend(0.01));
+        ASSERT_GT(ledger.stats().rotations, 0u);
+    }
+    BudgetLedger recovered(flash, ledgerConfig());
+    ASSERT_TRUE(recovered.mount());
+    EXPECT_EQ(recovered.remaining(),
+              nats(quantaDown(5.0) - kSpends * quantaUp(0.01)));
+}
+
+TEST(BudgetLedger, RecordCrcSealsEveryBodyBit)
+{
+    // Flip any one bit of the 32 bytes before the CRC -- magic, type,
+    // flags, seq, payload, aux -- and mount charges the record as
+    // torn: no field escapes the seal.
+    const auto body = validSpendBody(/*seq=*/2, /*loss=*/0.625);
+    const uint64_t addr =
+        BudgetLedger::kHeaderSize + BudgetLedger::kRecordSize;
+    for (uint32_t byte = 0; byte < 32; ++byte) {
+        for (int bit = 0; bit < 8; ++bit) {
+            NorFlashModel flash(ledgerGeom());
+            {
+                BudgetLedger ledger(flash, ledgerConfig());
+                ASSERT_TRUE(ledger.mount());
+            }
+            auto flipped = body;
+            flipped[byte] ^= static_cast<uint8_t>(1u << bit);
+            ASSERT_TRUE(
+                flash.program(addr, flipped.data(), flipped.size()));
+
+            BudgetLedger recovered(flash, ledgerConfig());
+            ASSERT_TRUE(recovered.mount());
+            EXPECT_EQ(recovered.stats().torn_records, 1u)
+                << "bit " << bit << " of byte " << byte;
+            EXPECT_EQ(recovered.remaining(), 5.0 - 1.0)
+                << "bit " << bit << " of byte " << byte;
+        }
+    }
+}
+
+/** Value of ulpdp_ledger_unrecoverable_mounts_total{cause=@p cause}. */
+double
+unrecoverableMounts(const std::string &cause)
+{
+    for (const auto &s : telemetry::registry().snapshot()) {
+        if (s.info.name == "ulpdp_ledger_unrecoverable_mounts_total" &&
+            s.info.labels == "cause=\"" + cause + "\"")
+            return s.value;
+    }
+    return 0.0;
+}
+
+TEST(BudgetLedger, UnrecoverableMountsAreLabelledByCause)
+{
+    telemetry::reset();
+    telemetry::setEnabled(true);
+
+    // No valid block header over record bits.
+    NorFlashModel headless(ledgerGeom());
+    {
+        BudgetLedger ledger(headless, ledgerConfig());
+        ASSERT_TRUE(ledger.mount());
+        ASSERT_TRUE(ledger.journalSpend(0.5));
+    }
+    std::array<uint8_t, BudgetLedger::kHeaderSize> zeros;
+    zeros.fill(0x00);
+    ASSERT_TRUE(headless.program(0, zeros.data(), zeros.size()));
+    EXPECT_FALSE(BudgetLedger(headless, ledgerConfig()).mount());
+    EXPECT_EQ(unrecoverableMounts("no_header"), 1.0);
+    EXPECT_EQ(unrecoverableMounts("no_checkpoint"), 0.0);
+
+    // A valid header and a spend, but the genesis checkpoint shot.
+    NorFlashModel anchorless(ledgerGeom());
+    {
+        BudgetLedger ledger(anchorless, ledgerConfig());
+        ASSERT_TRUE(ledger.mount());
+        ASSERT_TRUE(ledger.journalSpend(0.5));
+    }
+    std::array<uint8_t, BudgetLedger::kBodySize> dead;
+    dead.fill(0x00);
+    ASSERT_TRUE(anchorless.program(BudgetLedger::kHeaderSize,
+                                   dead.data(), dead.size()));
+    BudgetLedger recovered(anchorless, ledgerConfig());
+    EXPECT_FALSE(recovered.mount());
+    EXPECT_TRUE(recovered.halted());
+    EXPECT_EQ(unrecoverableMounts("no_header"), 1.0);
+    EXPECT_EQ(unrecoverableMounts("no_checkpoint"), 1.0);
+
+    telemetry::setEnabled(false);
+    telemetry::reset();
+}
+
 // ---------------------------------------------------------------------
 // BudgetController through the ledger.
 // ---------------------------------------------------------------------
@@ -412,8 +532,7 @@ TEST(BudgetLedger, ControllerJournalsEverySpendBeforeRelease)
     FxpMechanismParams p = testParams();
     auto cfg = testConfig(p);
     BudgetController ctrl(p, cfg);
-    ctrl.attachLedger(&ledger);
-    ASSERT_TRUE(ctrl.restoreFromLedger());
+    ASSERT_TRUE(ctrl.attachLedger(&ledger));
 
     double charged = 0.0;
     for (int i = 0; i < 5; ++i) {
@@ -430,9 +549,9 @@ TEST(BudgetLedger, ControllerJournalsEverySpendBeforeRelease)
     BudgetLedger recovered(flash, ledgerConfig(10.0, 2.0));
     ASSERT_TRUE(recovered.mount());
     BudgetController next(p, cfg);
-    next.attachLedger(&recovered);
-    ASSERT_TRUE(next.restoreFromLedger());
+    ASSERT_TRUE(next.attachLedger(&recovered));
     EXPECT_EQ(next.remainingBudget(), ctrl.remainingBudget());
+    EXPECT_EQ(next.faultStats().checkpoint_restore_failures, 0u);
 }
 
 TEST(BudgetLedger, RefusesSpendAboveMaxRecordLoss)
@@ -476,8 +595,7 @@ TEST(BudgetLedger, AttachRefusesOutermostChargeAboveMaxRecordLoss)
     // At or above it, both attach.
     BudgetLedger wide(flash, ledgerConfig(10.0, 2.0));
     ASSERT_TRUE(wide.mount());
-    ctrl.attachLedger(&wide);
-    EXPECT_TRUE(ctrl.restoreFromLedger());
+    EXPECT_TRUE(ctrl.attachLedger(&wide));
 }
 
 TEST(BudgetLedger, FailedAppendWithholdsTheOutputAndLatches)
@@ -489,8 +607,7 @@ TEST(BudgetLedger, FailedAppendWithholdsTheOutputAndLatches)
     FxpMechanismParams p = testParams();
     auto cfg = testConfig(p);
     BudgetController ctrl(p, cfg);
-    ctrl.attachLedger(&ledger);
-    ASSERT_TRUE(ctrl.restoreFromLedger());
+    ASSERT_TRUE(ctrl.attachLedger(&ledger));
     BudgetResponse first = ctrl.request(3.0);
     ASSERT_FALSE(first.from_cache);
 
@@ -531,13 +648,98 @@ TEST(BudgetLedger, HaltedLedgerRestoresControllerToZero)
 
     FxpMechanismParams p = testParams();
     BudgetController ctrl(p, testConfig(p));
-    ctrl.attachLedger(&dead);
-    EXPECT_FALSE(ctrl.restoreFromLedger());
+    EXPECT_FALSE(ctrl.attachLedger(&dead));
+    EXPECT_EQ(ctrl.faultStats().checkpoint_restore_failures, 1u);
     EXPECT_DOUBLE_EQ(ctrl.remainingBudget(), 0.0);
     // Zero budget, empty cache: only the constant midpoint leaves.
     BudgetResponse r = ctrl.request(7.0);
     EXPECT_TRUE(r.from_cache);
     EXPECT_DOUBLE_EQ(r.value, p.range.mid());
+    EXPECT_DOUBLE_EQ(r.charged, 0.0);
+}
+
+TEST(BudgetLedger, AttachAdoptsTheLedgersStateBeforeAnyRequest)
+{
+    // A ledger that recovered R < initial: attaching a fresh
+    // controller must adopt R on the spot. Otherwise request() and
+    // checkpointToLedger() would seal the controller's full initial
+    // budget over a journal that recorded earlier spends.
+    NorFlashModel flash(ledgerGeom());
+    {
+        BudgetLedger ledger(flash, ledgerConfig(10.0, 2.0));
+        ASSERT_TRUE(ledger.mount());
+        ASSERT_TRUE(ledger.journalSpend(1.5));
+        ASSERT_TRUE(ledger.journalSpend(1.25));
+    }
+    BudgetLedger ledger(flash, ledgerConfig(10.0, 2.0));
+    ASSERT_TRUE(ledger.mount());
+    const double recovered = ledger.remaining();
+    ASSERT_EQ(recovered, 10.0 - 2.75);
+
+    FxpMechanismParams p = testParams();
+    BudgetController ctrl(p, testConfig(p));
+    ctrl.attachLedger(&ledger);
+    EXPECT_EQ(ctrl.remainingBudget(), recovered);
+
+    BudgetResponse r = ctrl.request(5.0);
+    ASSERT_FALSE(r.from_cache);
+    ASSERT_TRUE(ctrl.checkpointToLedger());
+    BudgetLedger next(flash, ledgerConfig(10.0, 2.0));
+    ASSERT_TRUE(next.mount());
+    EXPECT_EQ(next.remaining(), recovered - r.charged);
+}
+
+TEST(BudgetLedger, StaleRicherCheckpointCannotRaiseBudget)
+{
+    // A controller that spent, then attached to a ledger whose latest
+    // checkpoint still holds the full budget (a stale record: the
+    // power died before the spends were journaled). The restore is
+    // min(current, ledger): the stale record hands nothing back.
+    FxpMechanismParams p = testParams();
+    auto cfg = testConfig(p);
+    BudgetController ctrl(p, cfg);
+    ctrl.request(4.0);
+    ctrl.request(6.0);
+    const double spent_remaining = ctrl.remainingBudget();
+    ASSERT_LT(spent_remaining, cfg.initial_budget);
+
+    NorFlashModel flash(ledgerGeom());
+    BudgetLedger stale(flash, ledgerConfig(10.0, 2.0));
+    ASSERT_TRUE(stale.mount());
+    ASSERT_EQ(stale.remaining(), cfg.initial_budget);
+    EXPECT_TRUE(ctrl.attachLedger(&stale));
+    EXPECT_EQ(ctrl.remainingBudget(), spent_remaining);
+}
+
+TEST(BudgetLedger, ZeroRemainingCheckpointRestoresTheHaltedState)
+{
+    // A checkpoint at exactly zero remaining is a valid record of a
+    // halted device: it restores the halted state and replays the
+    // persisted report, never the uninitialized-restore midpoint.
+    FxpMechanismParams p = testParams();
+    auto cfg = testConfig(p);
+    NorFlashModel flash(ledgerGeom());
+    BudgetResponse last;
+    {
+        BudgetLedger ledger(flash, ledgerConfig(10.0, 2.0));
+        ASSERT_TRUE(ledger.mount());
+        BudgetController a(p, cfg);
+        ASSERT_TRUE(a.attachLedger(&ledger));
+        last = a.request(4.0);
+        ASSERT_FALSE(last.from_cache);
+        ASSERT_TRUE(ledger.commitCheckpoint(0.0, last.value));
+    }
+    BudgetLedger ledger(flash, ledgerConfig(10.0, 2.0));
+    ASSERT_TRUE(ledger.mount());
+    BudgetController b(p, cfg);
+    EXPECT_TRUE(b.attachLedger(&ledger)); // valid, not a failure
+    EXPECT_EQ(b.faultStats().checkpoint_restore_failures, 0u);
+    EXPECT_DOUBLE_EQ(b.remainingBudget(), 0.0);
+
+    BudgetResponse r = b.request(9.0);
+    EXPECT_TRUE(r.from_cache);
+    EXPECT_DOUBLE_EQ(r.value, last.value);
+    EXPECT_DOUBLE_EQ(r.charged, 0.0);
 }
 
 } // namespace

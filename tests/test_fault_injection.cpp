@@ -1,11 +1,11 @@
 /**
  * @file
  * Fault-injection tests: unit tests for every hardening primitive
- * (CRCs, URNG health tests, table integrity, budget checkpoints, bus
- * retry) and seeded chaos campaigns asserting the fail-secure policy
- * end to end -- under every injected fault the released outputs keep
- * their enumerated privacy loss below the configured n * eps bound or
- * the device visibly degrades to cache replay. The same campaigns
+ * (CRCs, URNG health tests, table integrity, bus retry) and seeded
+ * chaos campaigns asserting the fail-secure policy end to end --
+ * under every injected fault the released outputs keep their
+ * enumerated privacy loss below the configured n * eps bound or the
+ * device visibly degrades to cache replay. The same campaigns
  * with hardening disabled demonstrably violate the invariants, which
  * is what proves the hardening has teeth.
  */
@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -23,12 +22,14 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "core/budget.h"
+#include "core/budget_ledger.h"
 #include "core/output_model.h"
 #include "core/threshold_calc.h"
 #include "dpbox/trace.h"
 #include "rng/health.h"
 #include "rng/laplace_table.h"
 #include "sim/fault_injector.h"
+#include "sim/nor_flash.h"
 #include "sim/sensor_bus.h"
 
 namespace ulpdp {
@@ -313,22 +314,49 @@ TEST(TableIntegrity, GuideCorruptionCaughtInEitherDirection)
 }
 
 // ---------------------------------------------------------------------
-// Budget checkpoints across power loss.
+// Budget checkpoints across power loss. The checkpoint lives in the
+// budget ledger's journal; a reboot restores it by attaching a
+// controller to the remounted ledger.
 // ---------------------------------------------------------------------
+
+/** The hardened campaign device's journal part: 4 x 256 B NOR. */
+FlashGeometry
+campaignFlash()
+{
+    FlashGeometry g;
+    g.block_count = 4;
+    g.block_size = 256;
+    return g;
+}
+
+BudgetLedgerConfig
+checkpointLedgerConfig(double initial)
+{
+    BudgetLedgerConfig lcfg;
+    lcfg.initial_budget = initial;
+    lcfg.max_record_loss = 2.0; // >= the outermost segment charge
+    return lcfg;
+}
 
 TEST(BudgetCheckpoint, RoundTripsThroughRestore)
 {
     FxpMechanismParams p = testParams();
     auto cfg = testConfig(p, RangeControl::Thresholding, 10.0);
+    NorFlashModel flash(campaignFlash());
+    BudgetLedger ledger(flash, checkpointLedgerConfig(10.0));
+    ASSERT_TRUE(ledger.mount());
     BudgetController a(p, cfg);
+    ASSERT_TRUE(a.attachLedger(&ledger));
     a.request(4.0);
     a.request(6.0);
     double remaining = a.remainingBudget();
-    BudgetCheckpoint cp = a.checkpoint();
-    EXPECT_TRUE(cp.valid());
+    ASSERT_LT(remaining, 10.0);
+    ASSERT_TRUE(a.checkpointToLedger());
 
+    BudgetLedger rebooted(flash, checkpointLedgerConfig(10.0));
+    ASSERT_TRUE(rebooted.mount());
     BudgetController b(p, cfg);
-    EXPECT_TRUE(b.restoreFromCheckpoint(cp));
+    EXPECT_TRUE(b.attachLedger(&rebooted));
     EXPECT_DOUBLE_EQ(b.remainingBudget(), remaining);
     EXPECT_EQ(b.faultStats().checkpoint_restore_failures, 0u);
 }
@@ -337,126 +365,37 @@ TEST(BudgetCheckpoint, CorruptionRestoresToZeroBudget)
 {
     FxpMechanismParams p = testParams();
     auto cfg = testConfig(p, RangeControl::Thresholding, 10.0);
-    BudgetController a(p, cfg);
-    BudgetResponse first = a.request(4.0);
-    BudgetCheckpoint cp = a.checkpoint();
-    cp.budget_bits ^= uint64_t{1} << 52; // FRAM bit flip
+    NorFlashModel flash(campaignFlash());
+    {
+        BudgetLedger ledger(flash, checkpointLedgerConfig(10.0));
+        ASSERT_TRUE(ledger.mount());
+        BudgetController a(p, cfg);
+        ASSERT_TRUE(a.attachLedger(&ledger));
+        ASSERT_FALSE(a.request(4.0).from_cache);
+    }
+    // Bit 23 of the only checkpoint's payload (the genesis record in
+    // the first slot of block 0: 10 nats = 0xA00000 quanta) clears.
+    // Its CRC fails, and the journaled spend is left with no
+    // checkpoint to anchor it.
+    const uint64_t payload_byte = BudgetLedger::kHeaderSize + 16 + 2;
+    uint8_t old_byte = 0;
+    flash.read(payload_byte, &old_byte, 1);
+    ASSERT_EQ(old_byte, 0xA0);
+    const uint8_t flipped = 0x20;
+    ASSERT_TRUE(flash.program(payload_byte, &flipped, 1));
 
+    BudgetLedger corrupt(flash, checkpointLedgerConfig(10.0));
+    EXPECT_FALSE(corrupt.mount());
     BudgetController b(p, cfg);
-    EXPECT_FALSE(b.restoreFromCheckpoint(cp));
+    EXPECT_FALSE(b.attachLedger(&corrupt));
     EXPECT_EQ(b.faultStats().checkpoint_restore_failures, 1u);
     EXPECT_DOUBLE_EQ(b.remainingBudget(), 0.0);
 
     // With zero budget and an empty cache the device can only serve
-    // the range midpoint -- a constant, not a replay of first.value.
+    // the range midpoint -- a constant, not a replay of the report.
     BudgetResponse r = b.request(9.0);
     EXPECT_TRUE(r.from_cache);
     EXPECT_DOUBLE_EQ(r.value, p.range.mid());
-    (void)first;
-}
-
-TEST(BudgetCheckpoint, RestoreIsMonotone)
-{
-    FxpMechanismParams p = testParams();
-    auto cfg = testConfig(p, RangeControl::Thresholding, 10.0);
-    BudgetController ctrl(p, cfg);
-    BudgetCheckpoint stale = ctrl.checkpoint(); // full budget
-    ctrl.request(4.0);
-    ctrl.request(6.0);
-    double spent_remaining = ctrl.remainingBudget();
-    ASSERT_LT(spent_remaining, cfg.initial_budget);
-
-    // Replaying the stale (richer) checkpoint must not hand back the
-    // budget that was already spent.
-    EXPECT_TRUE(ctrl.restoreFromCheckpoint(stale));
-    EXPECT_DOUBLE_EQ(ctrl.remainingBudget(), spent_remaining);
-}
-
-TEST(BudgetCheckpoint, NonFiniteBudgetCollapsesToZero)
-{
-    FxpMechanismParams p = testParams();
-    auto cfg = testConfig(p, RangeControl::Thresholding, 10.0);
-    BudgetController ctrl(p, cfg);
-
-    BudgetCheckpoint cp = ctrl.checkpoint();
-    double nan = std::numeric_limits<double>::quiet_NaN();
-    std::memcpy(&cp.budget_bits, &nan, sizeof nan);
-    cp.crc = cp.computeCrc(); // CRC-valid, semantically poisonous
-
-    EXPECT_TRUE(ctrl.restoreFromCheckpoint(cp));
-    EXPECT_DOUBLE_EQ(ctrl.remainingBudget(), 0.0);
-}
-
-TEST(BudgetCheckpoint, ZeroRemainingRestoresHaltedNotUninitialized)
-{
-    // A checkpoint taken at *exactly* zero remaining budget is a
-    // legitimate, valid image of a halted device -- it must restore
-    // to the halted state (cache replay of the persisted report),
-    // never be mistaken for an uninitialized/corrupt page.
-    FxpMechanismParams p = testParams();
-    auto cfg = testConfig(p, RangeControl::Thresholding, 10.0);
-    BudgetController a(p, cfg);
-    BudgetResponse last = a.request(4.0);
-
-    BudgetCheckpoint cp = a.checkpoint();
-    double zero = 0.0;
-    std::memcpy(&cp.budget_bits, &zero, sizeof zero);
-    cp.crc = cp.computeCrc();
-    ASSERT_TRUE(cp.valid());
-
-    BudgetController b(p, cfg);
-    EXPECT_TRUE(b.restoreFromCheckpoint(cp)); // valid, not a failure
-    EXPECT_EQ(b.faultStats().checkpoint_restore_failures, 0u);
-    EXPECT_DOUBLE_EQ(b.remainingBudget(), 0.0);
-
-    // Halted state with the persisted cache: the device replays the
-    // last released report, not the uninitialized-restore midpoint.
-    BudgetResponse r = b.request(9.0);
-    EXPECT_TRUE(r.from_cache);
-    EXPECT_DOUBLE_EQ(r.value, last.value);
-    EXPECT_DOUBLE_EQ(r.charged, 0.0);
-}
-
-TEST(BudgetCheckpoint, CrcCoversEveryFieldAndMagicLeadsTheImage)
-{
-    // The CRC seals every byte that precedes it -- magic, flags,
-    // budget, cache and tick counter alike. Flip any single bit of
-    // that span and the image must not validate; no field is outside
-    // the seal.
-    FxpMechanismParams p = testParams();
-    auto cfg = testConfig(p, RangeControl::Thresholding, 10.0);
-    BudgetController ctrl(p, cfg);
-    ctrl.request(4.0);
-    ctrl.advanceTime(3);
-    BudgetCheckpoint cp = ctrl.checkpoint();
-    ASSERT_TRUE(cp.valid());
-
-    // Magic sits at offset 0 so a blank page fails before anything
-    // else is even interpreted, and every persisted field precedes
-    // the CRC so the seal covers all of them (only compiler tail
-    // padding sits after the CRC itself).
-    EXPECT_EQ(offsetof(BudgetCheckpoint, magic), 0u);
-    const size_t sealed = offsetof(BudgetCheckpoint, crc);
-    EXPECT_LT(offsetof(BudgetCheckpoint, flags), sealed);
-    EXPECT_LT(offsetof(BudgetCheckpoint, budget_bits), sealed);
-    EXPECT_LT(offsetof(BudgetCheckpoint, cache_bits), sealed);
-    EXPECT_LT(offsetof(BudgetCheckpoint, ticks_since_replenish),
-              sealed);
-    EXPECT_EQ(sealed,
-              offsetof(BudgetCheckpoint, ticks_since_replenish) +
-                  sizeof cp.ticks_since_replenish);
-
-    auto *bytes = reinterpret_cast<uint8_t *>(&cp);
-    for (size_t byte = 0; byte < sealed; ++byte) {
-        for (int bit = 0; bit < 8; ++bit) {
-            bytes[byte] ^= static_cast<uint8_t>(1u << bit);
-            EXPECT_FALSE(cp.valid())
-                << "bit " << bit << " of byte " << byte
-                << " escaped the CRC";
-            bytes[byte] ^= static_cast<uint8_t>(1u << bit);
-        }
-    }
-    EXPECT_TRUE(cp.valid()); // all flips undone
 }
 
 // ---------------------------------------------------------------------
@@ -552,7 +491,6 @@ noisyCampaign(uint64_t seed)
     cfg.bus_timeout_rate = 0.05;
     cfg.bus_corrupt_rate = 0.1;
     cfg.power_loss_rate = 0.02;
-    cfg.checkpoint_corrupt_rate = 0.5;
     cfg.timer_glitch_rate = 0.05;
     return cfg;
 }
@@ -658,12 +596,16 @@ struct CampaignOutcome
 
 /**
  * Run one seeded campaign against a BudgetController behind a faulty
- * sensor bus, with power losses restoring from a (possibly corrupted)
- * CRC checkpoint. Violations counted: a fresh report outside the
- * outermost window or with enumerated loss above the bound, remaining
- * budget growing across a request, a panic escaping the controller,
- * or total charged loss exceeding the replenishment-adjusted budget.
+ * sensor bus. The hardened device journals its budget to a flash
+ * ledger that persists across boots and remounts it after every
+ * power loss, including the ones that cut a journal write. Violations
+ * counted: a fresh report outside the outermost window or with
+ * enumerated loss above the bound, remaining budget growing across a
+ * request, a reboot restoring more budget than the released reports
+ * left, a panic escaping the controller, or total charged loss
+ * exceeding the replenishment-adjusted budget.
  */
+
 CampaignOutcome
 runControllerCampaign(RangeControl kind, uint64_t seed, bool hardened,
                       uint64_t transactions)
@@ -698,8 +640,15 @@ runControllerCampaign(RangeControl kind, uint64_t seed, bool hardened,
     fc.bus_timeout_rate = 0.01;
     fc.bus_corrupt_rate = 0.02;
     fc.power_loss_rate = 0.001;
-    fc.checkpoint_corrupt_rate = 0.25;
+    fc.flash_program_loss_rate = 0.005;
     FaultInjector injector(fc);
+
+    NorFlashModel flash(campaignFlash());
+    flash.attachFaultHook(&injector);
+    BudgetLedgerConfig lcfg;
+    lcfg.initial_budget = cfg.initial_budget;
+    lcfg.max_record_loss = 2.0; // >= the outermost segment charge
+    BudgetLedger ledger(flash, lcfg);
 
     SensorBus bus(16e6, 400e3);
     RngHealthMonitor health;
@@ -715,34 +664,40 @@ runControllerCampaign(RangeControl kind, uint64_t seed, bool hardened,
         if (hardened) {
             ctrl->rng().urng().attachHealthMonitor(&health);
             ctrl->attachHealthMonitor(&health);
+            // Remount until the mount itself survives (power can die
+            // inside a format) or the journal halts fail-secure.
+            flash.powerCycle();
+            while (!ledger.mount() && !ledger.halted())
+                flash.powerCycle();
+            ctrl->attachLedger(&ledger);
         }
         return ctrl;
     };
 
     auto ctrl = boot(0);
-    BudgetCheckpoint cp = ctrl->checkpoint();
-    double cp_remaining = ctrl->remainingBudget();
     uint64_t refills_possible = 1;
     uint64_t ticks_accumulated = 0;
+    // Budget the released reports left since the device's last
+    // refill. The ledger's own live count is no bound: it includes
+    // fail-secure charges for torn records, which drop out once a
+    // checkpoint covers them and their block is recycled.
+    double true_remaining = cfg.initial_budget;
 
     for (uint64_t t = 0; t < transactions; ++t) {
         injector.tick();
 
-        if (injector.powerLossPending()) {
+        // A cut journal write is a power loss too.
+        bool power_lost = injector.powerLossPending();
+        power_lost |= !flash.alive();
+        if (power_lost) {
             outcome.device_stats += ctrl->faultStats();
             ++outcome.boots;
             ctrl = boot(outcome.boots);
-            if (hardened) {
-                injector.corruptCheckpointMaybe(&cp, sizeof cp);
-                bool restored = ctrl->restoreFromCheckpoint(cp);
-                if (restored &&
-                    ctrl->remainingBudget() > cp_remaining) {
-                    ++outcome.violations;
-                }
-            }
+            if (hardened && ctrl->remainingBudget() > true_remaining)
+                ++outcome.violations; // a reboot resurrected budget
             // Unhardened silicon restores nothing: the budget lives
             // in volatile registers and reboots at its full initial
-            // value -- the power-loss replay the checkpoint exists to
+            // value -- the power-loss replay the ledger exists to
             // prevent. No refill is legal here, so the overspend
             // shows up against spend_cap below.
         }
@@ -783,6 +738,7 @@ runControllerCampaign(RangeControl kind, uint64_t seed, bool hardened,
             ++outcome.violations;
             continue;
         }
+        true_remaining -= resp.charged;
 
         if (ctrl->remainingBudget() > prev_remaining)
             ++outcome.violations; // budget grew across a request
@@ -804,22 +760,20 @@ runControllerCampaign(RangeControl kind, uint64_t seed, bool hardened,
 
         // Device time advances; replenishment is legal every
         // replenish_period ticks.
+        const double before = ctrl->remainingBudget();
         ctrl->advanceTime(10);
+        if (ctrl->remainingBudget() > before)
+            true_remaining = ctrl->remainingBudget(); // refilled
         ticks_accumulated += 10;
         if (ticks_accumulated >= cfg.replenish_period) {
             ticks_accumulated -= cfg.replenish_period;
             ++refills_possible;
         }
-
-        if (hardened) {
-            cp = ctrl->checkpoint();
-            cp_remaining = ctrl->remainingBudget();
-        }
     }
 
     // Accounting invariant: the total charged loss can never exceed
     // one full budget per legal replenishment opportunity. The
-    // hardened device stays under this cap because checkpoint restore
+    // hardened device stays under this cap because the ledger restore
     // is monotone; the unhardened device replays its budget on every
     // reboot and overspends it.
     double spend_cap =

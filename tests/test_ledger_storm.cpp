@@ -193,7 +193,6 @@ TEST(LedgerStorm, ControllerFleetStaysUnderCompositionBound)
                      static_cast<uint64_t>(cycle);
             BudgetController ctrl(p, cfg);
             ctrl.attachLedger(&ledger);
-            ctrl.restoreFromLedger();
             for (int r = 0; r < 6; ++r) {
                 BudgetResponse resp = ctrl.request(3.0 + r);
                 if (!resp.from_cache)

@@ -83,16 +83,13 @@ TEST(PoolSensor, RejectsBadSegments)
 
 TEST(BudgetPool, SharingControllerCannotDriveTimeOrDurability)
 {
-    // A sensor on a borrowed pool must not refill, checkpoint or
-    // journal it: those belong to whoever owns the pool.
+    // A sensor on a borrowed pool must not refill or journal it:
+    // those belong to whoever owns the pool.
     BudgetPool pool(10.0, 100);
     FxpMechanismParams p = sensorParams(0.0, 10.0, 1);
     BudgetController s(p, RangeControl::Thresholding, segmentsFor(p),
                        pool);
     EXPECT_THROW(s.advanceTime(100), FatalError);
-    EXPECT_THROW(s.checkpoint(), FatalError);
-    EXPECT_THROW(s.restoreFromCheckpoint(BudgetCheckpoint{}),
-                 FatalError);
     EXPECT_THROW(s.attachLedger(nullptr), FatalError);
     EXPECT_EQ(pool.remaining(), quantaDown(10.0));
 }
