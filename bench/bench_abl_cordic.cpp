@@ -36,12 +36,11 @@ main()
     ref_cfg.delta = 10.0 / 32.0;
     ref_cfg.lambda = 20.0;
 
-    FxpLaplacePmf reference(ref_cfg, FxpLaplacePmf::Mode::Enumerated);
+    FxpLaplacePmf reference(ref_cfg);
     int64_t span = 32;
     double bound = 2.0 * 0.5;
 
-    auto ref_pmf = std::make_shared<FxpLaplacePmf>(
-        ref_cfg, FxpLaplacePmf::Mode::Enumerated);
+    auto ref_pmf = std::make_shared<FxpLaplacePmf>(ref_cfg);
     int64_t ref_t = bench::resamplingThreshold(ref_pmf, span, bound);
 
     TextTable table;
@@ -55,8 +54,7 @@ main()
         FxpLaplaceConfig hw_cfg = ref_cfg;
         hw_cfg.log_mode = FxpLaplaceConfig::LogMode::Cordic;
         hw_cfg.cordic_iterations = iters;
-        auto hw_pmf = std::make_shared<FxpLaplacePmf>(
-            hw_cfg, FxpLaplacePmf::Mode::Enumerated);
+        auto hw_pmf = std::make_shared<FxpLaplacePmf>(hw_cfg);
 
         uint64_t shifted = 0;
         int64_t top = std::max(reference.maxIndex(),

@@ -103,9 +103,7 @@ pmfBuildSeconds(int bu, bool walk, int repeats)
                             return rng.pipeline(m, 1);
                         }).totalCount();
             } else {
-                total = FxpLaplacePmf(cfg,
-                                      FxpLaplacePmf::Mode::Enumerated)
-                                .totalCount();
+                total = FxpLaplacePmf(cfg).totalCount();
             }
             if (total != (uint64_t{1} << bu)) {
                 std::fprintf(stderr,

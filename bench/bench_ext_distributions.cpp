@@ -68,8 +68,7 @@ main()
 
     for (const auto &e : entries) {
         cfg.icdf = e.icdf;
-        auto pmf = std::make_shared<const FxpLaplacePmf>(
-            cfg, FxpLaplacePmf::Mode::Enumerated);
+        auto pmf = std::make_shared<const FxpLaplacePmf>(cfg);
         NaiveOutputModel naive(pmf, span);
         LossReport naive_rep = PrivacyLossAnalyzer::analyze(naive);
 

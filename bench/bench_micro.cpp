@@ -217,7 +217,7 @@ BM_EnumeratePmf(benchmark::State &state)
     cfg.delta = 10.0 / 32.0;
     cfg.lambda = 20.0;
     for (auto _ : state) {
-        FxpLaplacePmf pmf(cfg, FxpLaplacePmf::Mode::Enumerated);
+        FxpLaplacePmf pmf(cfg);
         benchmark::DoNotOptimize(pmf.maxIndex());
     }
 }

@@ -44,23 +44,21 @@ metrics()
 }
 
 /**
- * The PMF of a resolved parameter block, in the spec's mode, through
- * the memoized shared cache -- mechanisms sharing a parameter block
- * (and certifyAll(), which re-specs the same profile per mechanism)
- * enumerate each distinct configuration exactly once.
+ * The PMF of a resolved parameter block, through the memoized shared
+ * cache -- mechanisms sharing a parameter block (and certifyAll(),
+ * which re-specs the same profile per mechanism) enumerate each
+ * distinct configuration exactly once, and share it with the window
+ * search and the sampler table.
  */
 std::shared_ptr<const FxpLaplacePmf>
-pmfFor(const FxpMechanismParams &params, const MechanismSpec &spec)
+pmfFor(const FxpMechanismParams &params)
 {
-    return FxpLaplacePmf::shared(params.rngConfig(),
-                                 spec.enumerate_pmf
-                                         ? FxpLaplacePmf::Mode::Enumerated
-                                         : FxpLaplacePmf::Mode::Analytic);
+    return FxpLaplacePmf::shared(params.rngConfig());
 }
 
 /**
  * Resolve a window half-extension: honour an explicit override, else
- * run the exact search over the (analytic) PMF -- the same search
+ * run the exact search over the shared PMF -- the same search
  * the fleet planner and ThresholdCalculator callers always ran, so
  * registry-selected thresholds are bit-identical to hard-wired ones.
  */
@@ -140,7 +138,7 @@ resolveDiscreteLaplace(const MechanismSpec &spec)
 std::shared_ptr<const FxpLaplacePmf>
 MechanismSpec::makePmf() const
 {
-    return pmfFor(params, *this);
+    return pmfFor(params);
 }
 
 MechanismRegistry &
@@ -265,11 +263,11 @@ MechanismRegistry::MechanismRegistry()
             return std::make_unique<ResamplingMechanism>(
                     r.params, r.threshold_index);
         };
-        e.buildModel = [](const MechanismSpec &spec,
+        e.buildModel = [](const MechanismSpec &,
                           const MechanismLowering &r)
                 -> std::unique_ptr<DiscreteOutputModel> {
             return std::make_unique<ResamplingOutputModel>(
-                    pmfFor(r.params, spec), r.params.rangeIndexSpan(),
+                    pmfFor(r.params), r.params.rangeIndexSpan(),
                     r.threshold_index);
         };
         add(std::move(e));
@@ -288,11 +286,11 @@ MechanismRegistry::MechanismRegistry()
             return std::make_unique<ThresholdingMechanism>(
                     r.params, r.threshold_index);
         };
-        e.buildModel = [](const MechanismSpec &spec,
+        e.buildModel = [](const MechanismSpec &,
                           const MechanismLowering &r)
                 -> std::unique_ptr<DiscreteOutputModel> {
             return std::make_unique<ThresholdingOutputModel>(
-                    pmfFor(r.params, spec), r.params.rangeIndexSpan(),
+                    pmfFor(r.params), r.params.rangeIndexSpan(),
                     r.threshold_index);
         };
         add(std::move(e));
@@ -320,7 +318,7 @@ MechanismRegistry::MechanismRegistry()
                           const MechanismLowering &r)
                 -> std::unique_ptr<DiscreteOutputModel> {
             return std::make_unique<ConstantTimeOutputModel>(
-                    pmfFor(r.params, spec), r.params.rangeIndexSpan(),
+                    pmfFor(r.params), r.params.rangeIndexSpan(),
                     r.threshold_index, spec.batch_size);
         };
         add(std::move(e));
@@ -338,11 +336,11 @@ MechanismRegistry::MechanismRegistry()
                 -> std::unique_ptr<Mechanism> {
             return std::make_unique<BoundedLaplaceMechanism>(r.params);
         };
-        e.buildModel = [](const MechanismSpec &spec,
+        e.buildModel = [](const MechanismSpec &,
                           const MechanismLowering &r)
                 -> std::unique_ptr<DiscreteOutputModel> {
             return std::make_unique<ResamplingOutputModel>(
-                    pmfFor(r.params, spec), r.params.rangeIndexSpan(),
+                    pmfFor(r.params), r.params.rangeIndexSpan(),
                     0);
         };
         add(std::move(e));
@@ -362,11 +360,11 @@ MechanismRegistry::MechanismRegistry()
             return std::make_unique<DiscreteLaplaceMechanism>(
                     r.params, r.threshold_index);
         };
-        e.buildModel = [](const MechanismSpec &spec,
+        e.buildModel = [](const MechanismSpec &,
                           const MechanismLowering &r)
                 -> std::unique_ptr<DiscreteOutputModel> {
             return std::make_unique<ResamplingOutputModel>(
-                    pmfFor(r.params, spec), r.params.rangeIndexSpan(),
+                    pmfFor(r.params), r.params.rangeIndexSpan(),
                     r.threshold_index);
         };
         add(std::move(e));

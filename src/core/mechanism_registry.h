@@ -96,13 +96,13 @@ struct MechanismSpec
     int batch_size = 4;
 
     /**
-     * Build output models from the *enumerated* PMF (exact per-bin
-     * URNG state counts) instead of the analytic closed form; this
-     * is what the certifier sets.
+     * Ignored: every PMF is the enumerated one. Kept only because
+     * perfbench/certify_phase.cpp still sets it; it goes with the
+     * next benchmark change.
      */
     bool enumerate_pmf = false;
 
-    /** The noise PMF this spec implies (analytic or enumerated). */
+    /** The noise PMF this spec implies (FxpLaplacePmf::shared). */
     std::shared_ptr<const FxpLaplacePmf> makePmf() const;
 };
 

@@ -104,7 +104,6 @@ PmfCertifier::spec() const
     MechanismSpec spec;
     spec.params = profile_;
     spec.loss_multiple = loss_multiple_;
-    spec.enumerate_pmf = true;
     return spec;
 }
 
@@ -139,11 +138,12 @@ PmfCertifier::certifyResolved(const MechanismRegistry::Entry &entry,
     cert.threshold_index = res.threshold_index;
     cert.states = uint64_t{1} << profile_.uniform_bits;
 
-    // The registered output model over the *enumerated* PMF: every
+    // The registered output model over the enumerated PMF: every
     // probability in Pr[y | x] traces back to a count of URNG states
     // the real pipeline produces, so the analyzer's sup is the
     // implementation's worst case, not the closed form's. The model
-    // is built from the resolution, so nothing is searched twice.
+    // is built from the resolution, whose window search read the
+    // same shared PMF, so nothing is searched or counted twice.
     resolved.makePmf();
     auto t1 = std::chrono::steady_clock::now();
     std::unique_ptr<DiscreteOutputModel> model =

@@ -11,7 +11,8 @@
  * that gap exactly, at real silicon URNG widths:
  *
  *  1. the noise PMF is derived as exact per-URNG-state counts by
- *     segment-rank accumulation (FxpLaplacePmf::Mode::Enumerated):
+ *     segment-rank accumulation (FxpLaplacePmf, the one PMF the
+ *     window search, the budget charges and the sampler also read):
  *     the Fig. 3 pipeline is monotone in the URNG index, so each
  *     output bin is one contiguous state interval whose boundary a
  *     few exact pipeline probes pin down. Cost is O(support bins),
@@ -149,7 +150,8 @@ class PmfCertifier
               const std::string &path, bool include_timing = true);
 
   private:
-    /** The certification spec: the profile over the enumerated PMF. */
+    /** The certification spec: the profile at the certified loss
+     *  multiple. */
     MechanismSpec spec() const;
 
     /** Run @p entry's resolver on the profile (the threshold-search

@@ -136,15 +136,4 @@ PrivacyLossAnalyzer::lossCurve(const DiscreteOutputModel &model)
     return curve;
 }
 
-bool
-PrivacyLossAnalyzer::satisfiesLdp(const DiscreteOutputModel &model,
-                                  double loss_bound)
-{
-    LossReport report = analyze(model);
-    // Tolerate 1e-9 relative slack for accumulated floating-point
-    // error in the PMF ratios.
-    return report.bounded &&
-           report.worst_case_loss <= loss_bound * (1.0 + 1e-9) + 1e-12;
-}
-
 } // namespace ulpdp

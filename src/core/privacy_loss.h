@@ -84,13 +84,6 @@ class PrivacyLossAnalyzer
      */
     static std::vector<OutputLoss>
     lossCurve(const DiscreteOutputModel &model);
-
-    /**
-     * Convenience check: is the mechanism eps-LDP with eps =
-     * @p loss_bound (within a tiny numerical tolerance)?
-     */
-    static bool satisfiesLdp(const DiscreteOutputModel &model,
-                             double loss_bound);
 };
 
 } // namespace ulpdp

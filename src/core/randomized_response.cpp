@@ -11,13 +11,13 @@ RandomizedResponse::RandomizedResponse(const FxpMechanismParams &params)
 {
     // q = Pr[noise magnitude strictly beyond half the range], the
     // probability the noised value crosses the midpoint. Computed from
-    // the exact PMF of the implemented RNG; outputs exactly on the
-    // midpoint (index d/2 when the span is even) break toward the true
-    // category, matching the ">" comparison in noise().
-    FxpLaplacePmf pmf(params.rngConfig());
-    int64_t span = params.rangeIndexSpan();
-    int64_t cross = span / 2 + 1;
-    flip_prob_ = pmf.tailMass(cross);
+    // the exact PMF of the implemented RNG, the shared one its sampler
+    // table draws from; outputs exactly on the midpoint (index d/2
+    // when the span is even) break toward the true category, matching
+    // the ">" comparison in noise().
+    int64_t cross = params.rangeIndexSpan() / 2 + 1;
+    flip_prob_ =
+        FxpLaplacePmf::shared(params.rngConfig())->tailMass(cross);
     if (flip_prob_ <= 0.0)
         fatal("RandomizedResponse: the fixed-point RNG assigns zero "
               "probability to crossing the midpoint (flip probability "

@@ -8,24 +8,9 @@
 
 namespace ulpdp {
 
-namespace {
-
-/** The RNG config of @p params, which must use the Laplace stage:
- *  Eqs. (13)/(15) are Laplace closed forms. */
-FxpLaplaceConfig
-laplaceConfig(const FxpMechanismParams &params)
-{
-    if (params.icdf)
-        fatal("ThresholdCalculator: the closed forms (13)/(15) are "
-              "Laplace-only; params.icdf must be null");
-    return params.rngConfig();
-}
-
-} // anonymous namespace
-
 ThresholdCalculator::ThresholdCalculator(const FxpMechanismParams &params)
     : params_(params),
-      pmf_(FxpLaplacePmf::shared(laplaceConfig(params))),
+      pmf_(FxpLaplacePmf::shared(params.rngConfig())),
       span_(params.rangeIndexSpan())
 {
     if (span_ <= 0)
@@ -104,7 +89,9 @@ ThresholdCalculator::exactIndex(RangeControl kind, double n) const
 
     // The closed form lands within a few bins of T* whenever the
     // window has no interior gaps, so bracket from it: gallop away
-    // from the guess until ok() flips, then bisect the bracket.
+    // from the guess until ok() flips, then bisect the bracket. For
+    // another magnitude ICDF the Laplace guess is merely further
+    // off; the bracket is found all the same.
     const int64_t cap = pmf_->maxIndex();
     const int64_t guess = std::min(closedFormIndex(kind, n), cap);
     int64_t lo = 0;

@@ -49,15 +49,18 @@ class ThresholdCalculator
 {
   public:
     /**
-     * @param params Mechanism parameters the thresholds are for;
-     *        params.icdf must be null (the closed forms and the
-     *        analytic PMF are Laplace-only).
+     * @param params Mechanism parameters the thresholds are for, with
+     *        any magnitude ICDF: the exact searches run over the
+     *        pipeline's own PMF,
+     *        FxpLaplacePmf::shared(params.rngConfig()).
      */
     explicit ThresholdCalculator(const FxpMechanismParams &params);
 
     /**
-     * Closed-form resampling threshold index for loss bound
-     * n * eps (Eq. 13). @p n must exceed 1.
+     * Closed-form threshold index for loss bound n * eps (Eq. 13 or
+     * Eq. 15). @p n must exceed 1. Laplace closed forms: with a
+     * non-null params.icdf they are only exactIndex()'s starting
+     * guess.
      */
     int64_t closedFormIndex(RangeControl kind, double n) const;
 
@@ -74,7 +77,8 @@ class ThresholdCalculator
      */
     double exactLossAt(RangeControl kind, int64_t threshold_index) const;
 
-    /** The noise PMF used by the exact computations. */
+    /** The noise PMF used by the exact computations: the shared
+     *  object the sampler table of the same configuration draws from. */
     std::shared_ptr<const FxpLaplacePmf> pmf() const { return pmf_; }
 
     /** Sensor range span in Delta units. */

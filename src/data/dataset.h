@@ -6,8 +6,7 @@
  * datasets (Table I). Those files are not redistributable with this
  * repository, so src/data/generators.h provides synthetic substitutes
  * matched to each dataset's published size, range, mean, standard
- * deviation and qualitative shape; csv.h loads the real files when
- * they are available locally.
+ * deviation and qualitative shape.
  */
 
 #ifndef ULPDP_DATA_DATASET_H

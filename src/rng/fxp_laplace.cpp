@@ -108,8 +108,7 @@ FxpLaplaceRng::table()
                   static_cast<long long>(quantizer_.maxIndex()));
         // Draws come from the very counts the certifier certified.
         table_ = std::make_shared<LaplaceSampleTable>(
-                *FxpLaplacePmf::shared(
-                        config_, FxpLaplacePmf::Mode::Enumerated));
+                *FxpLaplacePmf::shared(config_));
     }
     return *table_;
 }

@@ -13,9 +13,10 @@
  *
  * Two computation modes are provided:
  *  - Reference: the logarithm is evaluated in double precision. This
- *    matches the mathematical model of Section III-A2 exactly, so its
- *    output distribution equals the analytic PMF of Eq. (11) bit for
- *    bit (tests enumerate all 2^Bu URNG states to prove it).
+ *    matches the mathematical model of Section III-A2, so its exact
+ *    PMF (FxpLaplacePmf) agrees with the closed form of Eq. (11) up
+ *    to single states that floating-point boundary rounding moves
+ *    between adjacent bins (tests compare the two bin for bin).
  *  - Cordic: the logarithm runs through the integer CORDIC unit, i.e.
  *    the actual hardware datapath. Near quantization-bin boundaries
  *    its finite precision can move a sample by one LSB relative to
@@ -62,9 +63,9 @@ struct FxpLaplaceConfig
     /**
      * The magnitude inverse CDF stage. Null is the paper's
      * -lambda ln u; otherwise magnitude = icdf->magnitude(m 2^-Bu)
-     * and every later stage is unchanged. Laplace closed forms
-     * (FxpLaplacePmf::Mode::Analytic, ThresholdCalculator) refuse a
-     * non-null icdf.
+     * and every later stage is unchanged. The PMF engine then runs
+     * without Eq. (11)'s boundary guess and the window search starts
+     * from a Laplace guess; both stay exact.
      */
     std::shared_ptr<const MagnitudeIcdf> icdf;
 

@@ -10,24 +10,23 @@
  *   m2(k) = 2^Bu * exp(-(eps Delta / d)(k + 1/2))
  *
  * (with eps Delta / d = Delta / lambda). The whole privacy analysis --
- * infinite-loss detection, the resampling/thresholding thresholds of
- * Eqs. (13)/(15), the Fig. 8 budget segments -- is driven by this PMF.
+ * infinite-loss detection, the resampling/thresholding windows of
+ * Eqs. (13)/(15), the Fig. 8 budget segments, the certifier's verdict
+ * and the sampler's draws -- runs on this PMF.
  *
- * Two modes fill NoisePmf's count table: Analytic tabulates the closed
- * form above once per bin of the reachable support; Enumerated counts
- * the real pipeline's URNG states with NoisePmf's segment-rank engine,
- * passing floor(m1(k)) as each bin's boundary guess, so the common
- * case costs two pipeline probes per bin (exact up to Bu = 32 in
- * microseconds, bit-identical to the per-state walk). A config with
- * a magnitude ICDF (FxpLaplaceConfig::icdf) has no closed form:
- * Enumerated then runs the engine without a guess, and Analytic is a
- * fatal error.
+ * The count table is the real pipeline's: NoisePmf's segment-rank
+ * engine counts the URNG states of every output bin with exact
+ * pipeline probes, CORDIC and rounding mode included. Eq. (11) only
+ * steers it: floor(m1(k)) is each bin's boundary guess, so the common
+ * case costs two probes per bin (exact up to Bu = 32 in
+ * microseconds). A config with a magnitude ICDF
+ * (FxpLaplaceConfig::icdf) has no closed form; the engine then
+ * gallops each boundary from the previous one.
  */
 
 #ifndef ULPDP_RNG_FXP_LAPLACE_PMF_H
 #define ULPDP_RNG_FXP_LAPLACE_PMF_H
 
-#include <cstdint>
 #include <memory>
 
 #include "rng/fxp_laplace.h"
@@ -42,32 +41,19 @@ namespace ulpdp {
 class FxpLaplacePmf : public NoisePmf
 {
   public:
-    /** How the PMF is computed. */
-    enum class Mode
-    {
-        /** Closed form, Eq. (11) (Laplace only: null icdf). */
-        Analytic,
-        /** Exact state counts of the pipeline by segment-rank
-         *  accumulation (Bu <= 32). */
-        Enumerated,
-    };
-
-    /**
-     * @param config RNG configuration the PMF describes.
-     * @param mode Computation mode.
-     */
-    explicit FxpLaplacePmf(const FxpLaplaceConfig &config,
-                           Mode mode = Mode::Analytic);
+    /** @param config RNG configuration the PMF describes (Bu <= 32). */
+    explicit FxpLaplacePmf(const FxpLaplaceConfig &config);
 
     /**
      * Memoized construction: one shared immutable PMF per distinct
-     * (PMF-relevant configuration, ICDF object, mode), so repeated
-     * certification of mechanisms sharing a parameter block
-     * enumerates once. Thread-safe; the cache holds strong references
-     * (the distinct configurations of a process are few).
+     * (PMF-relevant configuration, ICDF object), so the window
+     * search, the budget charges, the sampler table and the
+     * certifier of one parameter block all read one object, built
+     * once. Thread-safe; the cache holds strong references (the
+     * distinct configurations of a process are few).
      */
     static std::shared_ptr<const FxpLaplacePmf>
-    shared(const FxpLaplaceConfig &config, Mode mode = Mode::Analytic);
+    shared(const FxpLaplaceConfig &config);
 
     /** Drop every memoized PMF (benches re-measuring construction). */
     static void clearSharedCache();
@@ -75,21 +61,11 @@ class FxpLaplacePmf : public NoisePmf
     /** Configuration described. */
     const FxpLaplaceConfig &config() const { return config_; }
 
-    /** Mode used. */
-    Mode mode() const { return mode_; }
-
-    /** The m1 boundary function of Eq. (11) (Laplace stage). */
-    double m1(int64_t k) const;
-
-    /** The m2 boundary function of Eq. (11) (Laplace stage). */
-    double m2(int64_t k) const;
-
   private:
-    /** The count table of @p config in @p mode. */
-    static NoisePmf build(const FxpLaplaceConfig &config, Mode mode);
+    /** The count table of @p config's pipeline. */
+    static NoisePmf build(const FxpLaplaceConfig &config);
 
     FxpLaplaceConfig config_;
-    Mode mode_;
 };
 
 } // namespace ulpdp

@@ -50,7 +50,7 @@ class LaplaceSampleTable
     static bool supports(int uniform_bits, int64_t max_magnitude_index);
 
     /** Build from the exact state counts of a monotone pipeline
-     *  (FxpLaplacePmf::Mode::Enumerated): O(2^g + support bins). */
+     *  (FxpLaplacePmf): O(2^g + support bins). */
     explicit LaplaceSampleTable(const NoisePmf &pmf);
 
     /** The view points into the table's own arrays. */

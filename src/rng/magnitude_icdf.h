@@ -8,7 +8,7 @@
  * word through an inverse CDF inherits quantized tails, bounded
  * support and interior gaps. Setting FxpLaplaceConfig::icdf makes
  * that claim executable: the one fixed-point pipeline (FxpLaplaceRng,
- * its sampling table, FxpLaplacePmf's Enumerated mode and the
+ * its sampling table, FxpLaplacePmf, the window search and the
  * range-controlled mechanisms) then draws the distribution below
  * instead of the paper's -lambda ln u, with every other stage
  * unchanged.

@@ -568,8 +568,7 @@ TEST(AggDecode, MaximumLikelihoodPinnedBitForBit)
     FxpMechanismParams g = emParams();
     g.epsilon = 1.0;
     g.icdf = std::make_shared<GaussianMagnitude>(3.0);
-    auto gauss_pmf = std::make_shared<const FxpLaplacePmf>(
-        g.rngConfig(), FxpLaplacePmf::Mode::Enumerated);
+    auto gauss_pmf = std::make_shared<const FxpLaplacePmf>(g.rngConfig());
 
     agg::FrequencyDecoder thr(ThresholdingOutputModel(emPmf(), 32, 60));
     agg::FrequencyDecoder res(ResamplingOutputModel(emPmf(), 32, 60));

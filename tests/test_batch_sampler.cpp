@@ -737,8 +737,7 @@ TEST(FleetBatch, Bu32CohortsRideTheBatchPathBitExactly)
     ASSERT_TRUE(proto.fastPathEnabled());
 
     // The table's acceptance masses are the certifier's tail counts.
-    auto pmf = FxpLaplacePmf::shared(proto.config(),
-                                     FxpLaplacePmf::Mode::Enumerated);
+    auto pmf = FxpLaplacePmf::shared(proto.config());
     const LaplaceSampleTable &table = proto.table();
     for (int64_t k = 0; k <= table.maxIndex(); ++k)
         ASSERT_EQ(table.cumulativeCount(k),

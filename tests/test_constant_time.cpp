@@ -32,8 +32,7 @@ testParams()
 std::shared_ptr<const FxpLaplacePmf>
 testPmf()
 {
-    return std::make_shared<FxpLaplacePmf>(
-        testParams().rngConfig(), FxpLaplacePmf::Mode::Enumerated);
+    return std::make_shared<FxpLaplacePmf>(testParams().rngConfig());
 }
 
 TEST(ConstantTime, RejectsBadConfig)

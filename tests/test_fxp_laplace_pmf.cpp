@@ -1,12 +1,12 @@
 /**
  * @file
- * Tests for the exact PMF of the fixed-point Laplace RNG (Eq. 11):
- * the analytic closed form, the enumerated ground truth, and the
- * paper's qualitative claims about the distribution (bounded support,
- * tail gaps, zeroed small probabilities). The segment-rank engine
- * behind every enumerated PMF is checked here against the per-state
- * walk of pmf_oracle.h, for the Laplace stage and the Gaussian /
- * staircase ICDF stages alike.
+ * Tests for the exact PMF of the fixed-point Laplace RNG: the
+ * pipeline's enumerated counts against the paper's closed form
+ * (Eq. 11, evaluated here), and the paper's qualitative claims about
+ * the distribution (bounded support, tail gaps, zeroed small
+ * probabilities). The segment-rank engine behind the PMF is checked
+ * here against the per-state walk of pmf_oracle.h, for the Laplace
+ * stage and the Gaussian / staircase ICDF stages alike.
  */
 
 #include <cmath>
@@ -35,6 +35,92 @@ configOf(int bu, int by, double delta, double lambda)
     cfg.delta = delta;
     cfg.lambda = lambda;
     return cfg;
+}
+
+/**
+ * The paper's closed form, Eq. (11), evaluated in double. The URNG
+ * indices of bin k are the half-open interval (m2(k), m1(k)], so the
+ * bin holds floor(m1(k)) - floor(m2(k)) states, with both edges
+ * clamped to 2^Bu (bin 0, where m1(0) > 2^Bu) and the saturation bin
+ * absorbing every state below its lower edge. Bin edges follow the
+ * quantizer: Nearest puts them at (k -/+ 1/2) Delta, Floor at k Delta
+ * and (k + 1) Delta.
+ */
+class Eq11
+{
+  public:
+    explicit Eq11(const FxpLaplaceConfig &cfg)
+        : cfg_(cfg),
+          states_(std::ldexp(1.0, cfg.uniform_bits)),
+          sat_(Quantizer(cfg.delta, cfg.output_bits).maxIndex())
+    {
+    }
+
+    /** m1(k) (the upper edge) or m2(k) of bin k, in URNG states. */
+    double edge(int64_t k, bool upper) const
+    {
+        double e = static_cast<double>(k);
+        if (cfg_.rounding == FxpLaplaceConfig::Rounding::Floor)
+            e += upper ? 0.0 : 1.0;
+        else
+            e += upper ? -0.5 : 0.5;
+        return states_ * std::exp(-cfg_.delta / cfg_.lambda * e);
+    }
+
+    /** States at or beyond bin k >= 1: floor(m1(k)). */
+    uint64_t tail(int64_t k) const
+    {
+        return k <= sat_ ? clampedFloor(edge(k, true)) : 0;
+    }
+
+    /** States in bin k >= 0. */
+    uint64_t count(int64_t k) const
+    {
+        if (k > sat_)
+            return 0;
+        uint64_t upper = clampedFloor(edge(k, true));
+        uint64_t lower = k == sat_ ? 0 : clampedFloor(edge(k, false));
+        return upper > lower ? upper - lower : 0;
+    }
+
+    /** The last bin holding a state. */
+    int64_t maxIndex() const
+    {
+        int64_t k = 0;
+        while (k < sat_ && tail(k + 1) > 0)
+            ++k;
+        return k;
+    }
+
+  private:
+    uint64_t clampedFloor(double m) const
+    {
+        return static_cast<uint64_t>(std::floor(std::min(m, states_)));
+    }
+
+    FxpLaplaceConfig cfg_;
+    double states_;
+    int64_t sat_;
+};
+
+/** Eq. (11) and the pipeline agree on the support bound, and per bin
+ *  to within the one state a floating-point boundary rounding can
+ *  move, with few such moves in all. */
+void
+expectAgreesWithEq11(const FxpLaplacePmf &pmf)
+{
+    Eq11 eq(pmf.config());
+    ASSERT_EQ(eq.maxIndex(), pmf.maxIndex());
+    uint64_t total_diff = 0;
+    for (int64_t k = 0; k <= pmf.maxIndex(); ++k) {
+        uint64_t a = eq.count(k);
+        uint64_t e = pmf.magnitudeCount(k);
+        uint64_t diff = a > e ? a - e : e - a;
+        EXPECT_LE(diff, 1u) << "k=" << k;
+        total_diff += diff;
+    }
+    EXPECT_LE(total_diff,
+              (uint64_t{1} << pmf.config().uniform_bits) / 1000 + 2);
 }
 
 /** A named magnitude ICDF for the pipeline's ICDF stage. */
@@ -84,25 +170,29 @@ expectSamePmf(const NoisePmf &engine, const NoisePmf &oracle)
 
 TEST(FxpLaplacePmf, TotalMassIsOneAnalytic)
 {
-    FxpLaplacePmf pmf(configOf(17, 12, 10.0 / 32.0, 20.0));
-    EXPECT_NEAR(pmf.totalMass(), 1.0, 1e-12);
+    // Eq. (11)'s bins partition the 2^Bu URNG states exactly, as the
+    // pipeline's do.
+    FxpLaplaceConfig cfg = configOf(17, 12, 10.0 / 32.0, 20.0);
+    Eq11 eq(cfg);
+    uint64_t states = 0;
+    for (int64_t k = 0; k <= eq.maxIndex(); ++k)
+        states += eq.count(k);
+    EXPECT_EQ(states, uint64_t{1} << 17);
+    EXPECT_NEAR(FxpLaplacePmf(cfg).totalMass(), 1.0, 1e-12);
 }
 
 TEST(FxpLaplacePmf, TotalMassIsOneEnumerated)
 {
-    FxpLaplacePmf pmf(configOf(14, 10, 10.0 / 32.0, 20.0),
-                      FxpLaplacePmf::Mode::Enumerated);
+    FxpLaplacePmf pmf(configOf(14, 10, 10.0 / 32.0, 20.0));
     EXPECT_NEAR(pmf.totalMass(), 1.0, 1e-12);
 }
 
 TEST(FxpLaplacePmf, EnumeratedRejectsHugeBu)
 {
     // The segment engine covers the RNG's full width range (<= 32).
-    EXPECT_THROW(FxpLaplacePmf(configOf(33, 12, 0.3, 20.0),
-                               FxpLaplacePmf::Mode::Enumerated),
+    EXPECT_THROW(FxpLaplacePmf(configOf(33, 12, 0.3, 20.0)),
                  FatalError);
-    EXPECT_NO_THROW(FxpLaplacePmf(configOf(25, 12, 0.3, 20.0),
-                                  FxpLaplacePmf::Mode::Enumerated));
+    EXPECT_NO_THROW(FxpLaplacePmf(configOf(25, 12, 0.3, 20.0)));
 }
 
 /**
@@ -169,7 +259,7 @@ TEST(FxpLaplacePmf, SegmentEngineBitIdenticalToLegacyWalk)
                     cfg.log_mode = log_mode;
                     cfg.rounding = rounding;
                     FxpLaplacePmf fast(
-                        cfg, FxpLaplacePmf::Mode::Enumerated);
+                        cfg);
                     FxpLaplaceRng rng(cfg);
                     SCOPED_TRACE(testing::Message()
                                  << "Bu=" << bu << " lambda=" << lambda
@@ -191,7 +281,7 @@ TEST(FxpLaplacePmf, SegmentEngineBitIdenticalToLegacyWalk)
                 SCOPED_TRACE(testing::Message() << c.name << " Bu=" << bu
                                                 << " eps=" << eps);
                 expectSamePmf(FxpLaplacePmf(
-                                  cfg, FxpLaplacePmf::Mode::Enumerated),
+                                  cfg),
                               walkPmf(bu, [&](uint64_t m) {
                                   return rng.pipeline(m, 1);
                               }));
@@ -206,8 +296,7 @@ TEST(FxpLaplacePmf, EnumeratedCountsSumExactlyToStateSpace)
     // exactly 2^Bu, tested as integer equality, including at widths
     // the per-state walk could never afford.
     for (int bu : {8, 12, 16, 20, 24, 28, 32}) {
-        FxpLaplacePmf fast(configOf(bu, 14, 2.5, 80.0),
-                           FxpLaplacePmf::Mode::Enumerated);
+        FxpLaplacePmf fast(configOf(bu, 14, 2.5, 80.0));
         EXPECT_EQ(fast.totalCount(), uint64_t{1} << bu)
             << "Bu=" << bu;
     }
@@ -221,25 +310,17 @@ TEST(FxpLaplacePmf, SharedCacheMemoizesPerConfigAndMode)
 {
     FxpLaplacePmf::clearSharedCache();
     FxpLaplaceConfig cfg = configOf(12, 12, 0.3125, 20.0);
-    auto a = FxpLaplacePmf::shared(cfg,
-                                   FxpLaplacePmf::Mode::Enumerated);
-    auto b = FxpLaplacePmf::shared(cfg,
-                                   FxpLaplacePmf::Mode::Enumerated);
+    auto a = FxpLaplacePmf::shared(cfg);
+    auto b = FxpLaplacePmf::shared(cfg);
     EXPECT_EQ(a.get(), b.get()); // one object per configuration
-
-    auto analytic = FxpLaplacePmf::shared(
-        cfg, FxpLaplacePmf::Mode::Analytic);
-    EXPECT_NE(a.get(), analytic.get()); // mode is part of the key
 
     FxpLaplaceConfig other = cfg;
     other.lambda = 21.0;
-    auto c = FxpLaplacePmf::shared(other,
-                                   FxpLaplacePmf::Mode::Enumerated);
+    auto c = FxpLaplacePmf::shared(other);
     EXPECT_NE(a.get(), c.get());
 
     FxpLaplacePmf::clearSharedCache();
-    auto d = FxpLaplacePmf::shared(cfg,
-                                   FxpLaplacePmf::Mode::Enumerated);
+    auto d = FxpLaplacePmf::shared(cfg);
     EXPECT_NE(a.get(), d.get()); // cache was dropped
     // The old shared_ptr stays valid -- the cache holds strong refs,
     // clearing only unpins them.
@@ -248,11 +329,11 @@ TEST(FxpLaplacePmf, SharedCacheMemoizesPerConfigAndMode)
 }
 
 /**
- * The central test of Eq. (11): the closed form must reproduce the
- * enumerated pipeline count in (almost) every bin. Floating-point
- * boundary rounding can shift a single URNG state between adjacent
- * bins, so per-bin counts may differ by at most 1 and the total
- * number of shifted states must be tiny.
+ * The central test of Eq. (11): the closed form, evaluated in the
+ * test, must reproduce the pipeline's enumerated count in (almost)
+ * every bin. Floating-point boundary rounding can shift a single URNG
+ * state between adjacent bins, so per-bin counts may differ by at
+ * most 1 and the total number of shifted states must be tiny.
  */
 class PmfAgreement
     : public ::testing::TestWithParam<
@@ -263,21 +344,7 @@ class PmfAgreement
 TEST_P(PmfAgreement, AnalyticMatchesEnumerated)
 {
     auto [bu, by, delta, lambda] = GetParam();
-    FxpLaplaceConfig cfg = configOf(bu, by, delta, lambda);
-    FxpLaplacePmf analytic(cfg, FxpLaplacePmf::Mode::Analytic);
-    FxpLaplacePmf enumerated(cfg, FxpLaplacePmf::Mode::Enumerated);
-
-    EXPECT_EQ(analytic.maxIndex(), enumerated.maxIndex());
-
-    uint64_t total_diff = 0;
-    for (int64_t k = 0; k <= analytic.maxIndex(); ++k) {
-        uint64_t a = analytic.magnitudeCount(k);
-        uint64_t e = enumerated.magnitudeCount(k);
-        uint64_t diff = a > e ? a - e : e - a;
-        EXPECT_LE(diff, 1u) << "k=" << k;
-        total_diff += diff;
-    }
-    EXPECT_LE(total_diff, (uint64_t{1} << bu) / 1000 + 2);
+    expectAgreesWithEq11(FxpLaplacePmf(configOf(bu, by, delta, lambda)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -310,22 +377,10 @@ TEST(FxpLaplacePmf, FloorRoundingAnalyticMatchesEnumerated)
           std::make_tuple(14, 8, 10.0 / 32.0, 20.0)}) { // saturating
         FxpLaplaceConfig cfg = configOf(bu, by, delta, lambda);
         cfg.rounding = FxpLaplaceConfig::Rounding::Floor;
-        FxpLaplacePmf analytic(cfg, FxpLaplacePmf::Mode::Analytic);
-        FxpLaplacePmf enumerated(cfg, FxpLaplacePmf::Mode::Enumerated);
-
-        ASSERT_EQ(analytic.maxIndex(), enumerated.maxIndex());
-        uint64_t total_diff = 0;
-        for (int64_t k = 0; k <= analytic.maxIndex(); ++k) {
-            uint64_t a = analytic.magnitudeCount(k);
-            uint64_t e = enumerated.magnitudeCount(k);
-            uint64_t diff = a > e ? a - e : e - a;
-            EXPECT_LE(diff, 1u) << "Bu=" << bu << " k=" << k;
-            total_diff += diff;
-        }
-        EXPECT_LE(total_diff, (uint64_t{1} << bu) / 1000 + 2)
-            << "Bu=" << bu;
-        EXPECT_NEAR(analytic.totalMass(), 1.0, 1e-12);
-        EXPECT_NEAR(enumerated.totalMass(), 1.0, 1e-12);
+        FxpLaplacePmf pmf(cfg);
+        SCOPED_TRACE(testing::Message() << "Bu=" << bu << " By=" << by);
+        expectAgreesWithEq11(pmf);
+        EXPECT_NEAR(pmf.totalMass(), 1.0, 1e-12);
     }
 }
 
@@ -420,23 +475,23 @@ TEST(FxpLaplacePmf, TailMassMatchesPaperFormula)
     // Pr[n >= k Delta] = floor(m1(k)) / 2^(Bu+1).
     FxpLaplaceConfig cfg = configOf(12, 10, 0.3125, 20.0);
     FxpLaplacePmf pmf(cfg);
+    Eq11 eq(cfg);
     for (int64_t k : {int64_t{1}, int64_t{10}, int64_t{50},
                       int64_t{200}}) {
-        double expect = std::floor(std::min(
-                            pmf.m1(k), std::ldexp(1.0, 12))) /
-                        std::ldexp(1.0, 13);
-        EXPECT_DOUBLE_EQ(pmf.tailMass(k), std::max(expect, 0.0))
+        EXPECT_DOUBLE_EQ(pmf.tailMass(k),
+                         static_cast<double>(eq.tail(k)) /
+                                 std::ldexp(1.0, 13))
             << "k=" << k;
     }
 }
 
 TEST(FxpLaplacePmf, AnalyticTablesEqualTheClosedFormEverywhere)
 {
-    // The analytic mode tabulates Eq. (11) once and answers from the
-    // table and its suffix sums; every count, probability and tail
-    // must equal the closed form evaluated on the spot, including
-    // the saturation bin (By = 8 saturates long before the tail
-    // empties at Bu = 32) and one index past the support.
+    // The PMF answers from its count table and its suffix sums; at
+    // the reference log unit every count, probability and tail must
+    // equal Eq. (11) evaluated on the spot, including the saturation
+    // bin (By = 8 saturates long before the tail empties at Bu = 32)
+    // and one index past the support.
     using Rounding = FxpLaplaceConfig::Rounding;
     for (Rounding rounding : {Rounding::Nearest, Rounding::Floor}) {
         for (int by : {12, 8}) {
@@ -444,32 +499,24 @@ TEST(FxpLaplacePmf, AnalyticTablesEqualTheClosedFormEverywhere)
                 FxpLaplaceConfig cfg = configOf(bu, by, 10.0 / 32.0, 20.0);
                 cfg.rounding = rounding;
                 FxpLaplacePmf pmf(cfg);
-                const int64_t sat =
-                    Quantizer(cfg.delta, cfg.output_bits).maxIndex();
+                Eq11 eq(cfg);
                 const double states = std::ldexp(1.0, bu);
-                auto edge = [&](double m) {
-                    return std::floor(std::min(m, states));
-                };
                 SCOPED_TRACE(testing::Message()
                              << "Bu " << bu << " By " << by
                              << (rounding == Rounding::Floor
                                      ? " floor" : " nearest"));
                 EXPECT_EQ(pmf.totalCount(), uint64_t{1} << bu);
                 for (int64_t k = 0; k <= pmf.maxIndex() + 1; ++k) {
-                    double count = 0.0;
-                    if (k <= sat) {
-                        double lower = k == sat ? 0.0 : edge(pmf.m2(k));
-                        count = std::max(edge(pmf.m1(k)) - lower, 0.0);
-                    }
-                    ASSERT_EQ(pmf.magnitudeCount(k),
-                              static_cast<uint64_t>(count)) << "k=" << k;
+                    double count = static_cast<double>(eq.count(k));
+                    ASSERT_EQ(pmf.magnitudeCount(k), eq.count(k))
+                        << "k=" << k;
                     double denom = k == 0 ? states : 2.0 * states;
                     ASSERT_EQ(pmf.pmf(k), count / denom) << "k=" << k;
                     ASSERT_EQ(pmf.pmf(-k), count / denom) << "k=" << k;
                     if (k >= 1) {
-                        double tail = k <= sat ? edge(pmf.m1(k)) : 0.0;
                         ASSERT_EQ(pmf.tailMass(k),
-                                  std::max(tail, 0.0) / (2.0 * states))
+                                  static_cast<double>(eq.tail(k)) /
+                                          (2.0 * states))
                             << "k=" << k;
                     }
                 }
@@ -480,8 +527,7 @@ TEST(FxpLaplacePmf, AnalyticTablesEqualTheClosedFormEverywhere)
 
 TEST(FxpLaplacePmf, TailMassTelescopesFromPmf)
 {
-    FxpLaplacePmf pmf(configOf(12, 10, 0.3125, 20.0),
-                      FxpLaplacePmf::Mode::Enumerated);
+    FxpLaplacePmf pmf(configOf(12, 10, 0.3125, 20.0));
     for (int64_t k : {int64_t{1}, int64_t{7}, int64_t{100}}) {
         double sum = 0.0;
         for (int64_t j = k; j <= pmf.maxIndex(); ++j)
@@ -515,7 +561,7 @@ TEST(FxpLaplacePmf, EmpiricalHistogramMatchesPmf)
     // Sample the actual RNG and compare frequencies against the
     // enumerated PMF: total variation distance should be small.
     FxpLaplaceConfig cfg = configOf(12, 10, 0.3125, 20.0);
-    FxpLaplacePmf pmf(cfg, FxpLaplacePmf::Mode::Enumerated);
+    FxpLaplacePmf pmf(cfg);
     FxpLaplaceRng rng(cfg, 77);
 
     std::map<int64_t, uint64_t> counts;

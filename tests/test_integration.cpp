@@ -123,8 +123,12 @@ TEST(Integration, PaperHeadline_NaiveFailsFixesWork)
     ASSERT_GE(tt, 0);
     ResamplingOutputModel resamp(pmf, calc.span(), tr);
     ThresholdingOutputModel thresh(pmf, calc.span(), tt);
-    EXPECT_TRUE(PrivacyLossAnalyzer::satisfiesLdp(resamp, 1.0));
-    EXPECT_TRUE(PrivacyLossAnalyzer::satisfiesLdp(thresh, 1.0));
+    LossReport resamp_rep = PrivacyLossAnalyzer::analyze(resamp);
+    LossReport thresh_rep = PrivacyLossAnalyzer::analyze(thresh);
+    EXPECT_TRUE(resamp_rep.bounded);
+    EXPECT_TRUE(thresh_rep.bounded);
+    EXPECT_LE(resamp_rep.worst_case_loss, 1.0);
+    EXPECT_LE(thresh_rep.worst_case_loss, 1.0);
 
     UtilityEvaluator eval(60);
     IdealLaplaceMechanism ideal(p.range, p.epsilon, 3);

@@ -74,8 +74,7 @@ TEST(IntegrationExt, GaussianMechanismDeconvolvesToo)
 
     int64_t t = 40;
     ThresholdingMechanism mech(p, t);
-    auto pmf = std::make_shared<const FxpLaplacePmf>(
-        p.rngConfig(), FxpLaplacePmf::Mode::Enumerated);
+    auto pmf = std::make_shared<const FxpLaplacePmf>(p.rngConfig());
     ThresholdingOutputModel model(pmf, 32, t);
     agg::FrequencyDecoder decoder(model);
 
@@ -175,7 +174,7 @@ TEST(IntegrationExt, StaircaseBeatsLaplaceUtilityAtHighEps)
     auto expected_mag = [&](std::shared_ptr<const MagnitudeIcdf> m) {
         FxpLaplaceConfig c = cfg;
         c.icdf = std::move(m);
-        FxpLaplacePmf pmf(c, FxpLaplacePmf::Mode::Enumerated);
+        FxpLaplacePmf pmf(c);
         double e = 0.0;
         for (int64_t k = 1; k <= pmf.maxIndex(); ++k)
             e += 2.0 * pmf.pmf(k) * static_cast<double>(k) *

@@ -255,7 +255,7 @@ TEST(MechanismRegistry, AcceptanceMassEqualsTheSequentialSum)
 {
     // Every windowed model's acceptance mass comes from two tail
     // queries; it must equal summing pmf() across the window one
-    // output at a time, bit for bit, for both PMF engines.
+    // output at a time, bit for bit.
     std::vector<FxpMechanismParams> profiles;
     for (int bu : {16, 24, 32}) {
         for (double eps : {1.0, 0.5})
@@ -266,47 +266,44 @@ TEST(MechanismRegistry, AcceptanceMassEqualsTheSequentialSum)
     auto &reg = MechanismRegistry::instance();
     int checked = 0;
     for (const FxpMechanismParams &p : profiles) {
-        for (bool enumerate : {false, true}) {
-            for (const std::string &name : reg.names()) {
-                const auto &entry = reg.at(name);
-                MechanismSpec spec;
-                spec.params = p;
-                spec.loss_multiple = 2.0;
-                spec.enumerate_pmf = enumerate;
-                MechanismLowering res = entry.resolve(spec);
-                MechanismSpec resolved = spec;
-                resolved.params = res.params;
-                auto pmf = resolved.makePmf();
-                auto model = entry.buildModel(resolved, res);
+        for (const std::string &name : reg.names()) {
+            const auto &entry = reg.at(name);
+            MechanismSpec spec;
+            spec.params = p;
+            spec.loss_multiple = 2.0;
+            MechanismLowering res = entry.resolve(spec);
+            MechanismSpec resolved = spec;
+            resolved.params = res.params;
+            auto pmf = resolved.makePmf();
+            auto model = entry.buildModel(resolved, res);
 
-                std::function<double(int64_t)> accept;
-                if (auto *m = dynamic_cast<const ResamplingOutputModel *>(
-                        model.get()))
-                    accept = [m](int64_t i) {
-                        return m->acceptProbability(i);
-                    };
-                else if (auto *c =
-                             dynamic_cast<const ConstantTimeOutputModel *>(
-                                 model.get()))
-                    accept = [c](int64_t i) {
-                        return c->acceptProbability(i);
-                    };
-                else
-                    continue; // thresholding: no acceptance mass
-                ++checked;
-                for (int64_t i = 0; i <= model->span(); ++i) {
-                    double z = 0.0;
-                    for (int64_t j = model->outputLo();
-                         j <= model->outputHi(); ++j)
-                        z += pmf->pmf(j - i);
-                    ASSERT_EQ(accept(i), z)
-                        << name << " Bu " << p.uniform_bits << " eps "
-                        << p.epsilon << " input " << i;
-                }
+            std::function<double(int64_t)> accept;
+            if (auto *m = dynamic_cast<const ResamplingOutputModel *>(
+                    model.get()))
+                accept = [m](int64_t i) {
+                    return m->acceptProbability(i);
+                };
+            else if (auto *c =
+                         dynamic_cast<const ConstantTimeOutputModel *>(
+                             model.get()))
+                accept = [c](int64_t i) {
+                    return c->acceptProbability(i);
+                };
+            else
+                continue; // thresholding: no acceptance mass
+            ++checked;
+            for (int64_t i = 0; i <= model->span(); ++i) {
+                double z = 0.0;
+                for (int64_t j = model->outputLo();
+                     j <= model->outputHi(); ++j)
+                    z += pmf->pmf(j - i);
+                ASSERT_EQ(accept(i), z)
+                    << name << " Bu " << p.uniform_bits << " eps "
+                    << p.epsilon << " input " << i;
             }
         }
     }
-    EXPECT_EQ(checked, 7 * 2 * 4);
+    EXPECT_EQ(checked, 7 * 4);
 }
 
 TEST(MechanismRegistry, ModelsAreProperDistributionsAtBuEight)
@@ -316,7 +313,6 @@ TEST(MechanismRegistry, ModelsAreProperDistributionsAtBuEight)
     // certifier's Eq. (4) scan is only sound over normalized columns.
     auto &reg = MechanismRegistry::instance();
     MechanismSpec spec = smallSpec(8);
-    spec.enumerate_pmf = true;
     for (const std::string &name : reg.names()) {
         auto model = reg.at(name).model(spec);
         ASSERT_NE(model, nullptr) << name;

@@ -87,7 +87,6 @@ TEST(PmfCertifier, CertificateMatchesDirectAnalysis)
     spec.params = profile;
     spec.loss_multiple = 2.0;
     spec.threshold_index = cert.threshold_index;
-    spec.enumerate_pmf = true;
     LossReport rep =
         PrivacyLossAnalyzer::analyze(*entry.model(spec));
     ASSERT_TRUE(rep.bounded);
@@ -180,7 +179,6 @@ TEST(PmfCertifier, FastAndLegacyCertificatesBitIdentical)
         spec.params = ciProfile(pt.bu);
         spec.params.epsilon = pt.eps;
         spec.loss_multiple = 2.0;
-        spec.enumerate_pmf = true;
         for (const std::string &name : registry.names()) {
             SCOPED_TRACE(name + " at Bu=" + std::to_string(pt.bu));
             MechanismLowering res = registry.at(name).resolve(spec);

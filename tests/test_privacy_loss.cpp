@@ -165,14 +165,18 @@ TEST(PrivacyLoss, LossCurveSkipsUnreachable)
 
 TEST(PrivacyLoss, SatisfiesLdpHelper)
 {
+    // The LDP verdict is analyze()'s bounded flag and worst case,
+    // compared with the bound as is: the exact search's window meets
+    // 2 eps, the naive mechanism meets no bound at all.
     FxpMechanismParams p = paperParams();
     ThresholdCalculator calc(p);
     int64_t t = calc.exactIndex(RangeControl::Resampling, 2.0);
     ResamplingOutputModel good(calc.pmf(), calc.span(), t);
-    EXPECT_TRUE(PrivacyLossAnalyzer::satisfiesLdp(good,
-                                                  2.0 * p.epsilon));
+    LossReport good_rep = PrivacyLossAnalyzer::analyze(good);
+    EXPECT_TRUE(good_rep.bounded);
+    EXPECT_LE(good_rep.worst_case_loss, 2.0 * p.epsilon);
     NaiveOutputModel bad(calc.pmf(), calc.span());
-    EXPECT_FALSE(PrivacyLossAnalyzer::satisfiesLdp(bad, 100.0));
+    EXPECT_FALSE(PrivacyLossAnalyzer::analyze(bad).bounded);
 }
 
 TEST(PrivacyLoss, AnalyzeIndependentOfJobCount)

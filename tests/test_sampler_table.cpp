@@ -110,7 +110,7 @@ TEST(LaplaceSampleTable, CountsMatchExactPmfAcrossSweep)
         FxpLaplaceConfig cfg = sweepConfig(bu, delta);
         FxpLaplaceRng rng(cfg);
         const LaplaceSampleTable &table = rng.table();
-        FxpLaplacePmf pmf(cfg, FxpLaplacePmf::Mode::Enumerated);
+        FxpLaplacePmf pmf(cfg);
 
         ASSERT_EQ(table.maxIndex(), pmf.maxIndex());
         uint64_t cum = 0;
@@ -136,7 +136,7 @@ TEST(LaplaceSampleTable, EmpiricalDistributionMatchesPmf)
 {
     FxpLaplaceConfig cfg = sweepConfig(12, 10.0 / 32.0);
     FxpLaplaceRng rng(cfg, 3);
-    FxpLaplacePmf pmf(cfg, FxpLaplacePmf::Mode::Enumerated);
+    FxpLaplacePmf pmf(cfg);
 
     const int n = 400000;
     std::map<int64_t, int> counts;
@@ -167,7 +167,7 @@ TEST(LaplaceSampleTable, TruncatedInversionMatchesAcceptReject)
     FxpLaplaceConfig cfg = sweepConfig(12, 10.0 / 32.0);
     FxpLaplaceRng rng(cfg);
     const LaplaceSampleTable &table = rng.table();
-    FxpLaplacePmf pmf(cfg, FxpLaplacePmf::Mode::Enumerated);
+    FxpLaplacePmf pmf(cfg);
 
     const std::vector<std::pair<int64_t, int64_t>> windows = {
         {-5, 5}, {-80, 3}, {-1, 200}, {0, 0}, {-2, 0},
@@ -388,8 +388,7 @@ TEST(LaplaceSampleTable, SplitBucketsMatchPipelineAboveGuideWidth)
             FxpLaplaceRng rng(cfg);
             const LaplaceSampleTable &table = rng.table();
             const uint64_t states = table.states();
-            auto pmf = FxpLaplacePmf::shared(
-                    cfg, FxpLaplacePmf::Mode::Enumerated);
+            auto pmf = FxpLaplacePmf::shared(cfg);
             uint64_t checked = 0, mismatches = 0;
             auto check = [&](uint64_t m) {
                 if (m < 1 || m > states)

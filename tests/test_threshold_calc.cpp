@@ -6,12 +6,16 @@
  */
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "core/privacy_loss.h"
 #include "core/threshold_calc.h"
+#include "pmf_oracle.h"
+#include "rng/magnitude_icdf.h"
 
 namespace ulpdp {
 namespace {
@@ -26,6 +30,17 @@ paperParams()
     p.output_bits = 12;
     p.delta = 10.0 / 32.0;
     return p;
+}
+
+/** Gaussian (std matched to Lap(d / eps)) and optimal-gamma
+ *  staircase magnitude ICDFs for paperParams()'s range at @p eps. */
+std::vector<std::shared_ptr<const MagnitudeIcdf>>
+icdfStages(double eps)
+{
+    const double d = 10.0;
+    return {std::make_shared<GaussianMagnitude>(d / eps * std::sqrt(2.0)),
+            std::make_shared<StaircaseMagnitude>(
+                d, eps, StaircaseMagnitude::optimalGamma(eps))};
 }
 
 TEST(ThresholdCalc, RejectsLossMultipleAtMostOne)
@@ -193,6 +208,73 @@ TEST(ThresholdCalc, ExactIndexEqualsLinearScan)
                                                          : "thresholding");
             }
         }
+    }
+}
+
+TEST(ThresholdCalc, IcdfExactIndexEqualsLinearScan)
+{
+    // Gaussian and staircase windows are searched over their own
+    // pipeline's PMF; the Laplace closed form is only the starting
+    // guess. The search must return the largest T in [0, maxIndex]
+    // whose exact loss meets the bound, and every smaller T must meet
+    // it too (the prefix the bracket relies on).
+    for (int bu : {12, 16, 20}) {
+        for (double eps : {0.5, 1.0}) {
+            for (const auto &icdf : icdfStages(eps)) {
+                FxpMechanismParams p = paperParams();
+                p.uniform_bits = bu;
+                p.epsilon = eps;
+                p.icdf = icdf;
+                ThresholdCalculator calc(p);
+                const double n = 2.0;
+                const double bound = n * eps * (1.0 + 1e-9) + 1e-12;
+                for (RangeControl kind : {RangeControl::Resampling,
+                                          RangeControl::Thresholding}) {
+                    int64_t last_ok = -1;
+                    int64_t ok_count = 0;
+                    for (int64_t t = 0; t <= calc.pmf()->maxIndex(); ++t) {
+                        if (calc.exactLossAt(kind, t) <= bound) {
+                            last_ok = t;
+                            ++ok_count;
+                        }
+                    }
+                    SCOPED_TRACE(testing::Message()
+                                 << "Bu " << bu << " eps " << eps
+                                 << " max index " << calc.pmf()->maxIndex()
+                                 << (kind == RangeControl::Resampling
+                                             ? " resampling"
+                                             : " thresholding"));
+                    EXPECT_EQ(ok_count, last_ok + 1);
+                    EXPECT_EQ(calc.exactIndex(kind, n), last_ok);
+                }
+            }
+        }
+    }
+}
+
+TEST(ThresholdCalc, SearchesTheSamplersPmf)
+{
+    // One PMF for search and sample: the calculator's PMF is the
+    // shared object the sampler table of the same configuration is
+    // built from, holding the pipeline's own state counts -- for the
+    // Laplace stage and for another magnitude law alike.
+    FxpMechanismParams laplace = paperParams();
+    laplace.uniform_bits = 12;
+    FxpMechanismParams gauss = laplace;
+    gauss.icdf = icdfStages(0.5)[0];
+    for (const FxpMechanismParams &p : {laplace, gauss}) {
+        ThresholdCalculator calc(p);
+        EXPECT_EQ(calc.pmf().get(),
+                  FxpLaplacePmf::shared(p.rngConfig()).get());
+        FxpLaplaceRng rng(p.rngConfig());
+        NoisePmf walk = walkPmf(p.uniform_bits, [&](uint64_t m) {
+            return rng.pipeline(m, 1);
+        });
+        ASSERT_EQ(calc.pmf()->maxIndex(), walk.maxIndex());
+        for (int64_t k = 0; k <= walk.maxIndex(); ++k)
+            ASSERT_EQ(calc.pmf()->magnitudeCount(k),
+                      walk.magnitudeCount(k))
+                << "k=" << k;
     }
 }
 
