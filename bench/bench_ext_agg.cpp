@@ -53,6 +53,7 @@
 #include "agg/stream.h"
 #include "bench_util.h"
 #include "common/table.h"
+#include "common/worker_pool.h"
 #include "fleet/fleet.h"
 
 namespace {
@@ -162,7 +163,7 @@ main(int argc, char **argv)
         "counters and decoded bits identical across thread counts "
         "and batch/scalar paths.");
 
-    unsigned hw = FleetRunner::hardwareThreads();
+    unsigned hw = static_cast<unsigned>(hardwareJobs());
 
     // --- 1. pure ingest, single thread ------------------------------
     // The per-worker protocol verbatim: bump one delta cell per

@@ -58,6 +58,7 @@
 
 #include "bench_util.h"
 #include "common/table.h"
+#include "common/worker_pool.h"
 #include "dpbox/driver.h"
 #include "fleet/fleet.h"
 #include "rng/taus_bank.h"
@@ -146,7 +147,7 @@ main(int argc, char **argv)
         "lock-free block aggregation;\ndeterminism = merged report "
         "bit-identical across thread counts and same-seed runs.");
 
-    unsigned hw = FleetRunner::hardwareThreads();
+    unsigned hw = static_cast<unsigned>(hardwareJobs());
     std::vector<unsigned> sweep = {1, 2, 4, 8, hw};
     std::sort(sweep.begin(), sweep.end());
     sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());

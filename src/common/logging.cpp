@@ -98,10 +98,4 @@ warningCount()
     return warning_count;
 }
 
-void
-resetWarningCount()
-{
-    warning_count = 0;
-}
-
 } // namespace ulpdp

@@ -77,15 +77,12 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 void setLoggingEnabled(bool enabled);
 
 /**
- * Number of warn() calls since process start (or the last reset).
+ * Number of warn() calls since process start.
  * Counted even while output is disabled: a warning a fault campaign
  * silenced is still a warning the device raised, and the fault-stat
  * plumbing reports it alongside the detection counters.
  */
 uint64_t warningCount();
-
-/** Reset warningCount() to zero (between test campaigns). */
-void resetWarningCount();
 
 /**
  * Check a runtime invariant; panic with the stringised condition when it

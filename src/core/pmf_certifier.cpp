@@ -5,7 +5,7 @@
 
 #include "common/json.h"
 #include "common/logging.h"
-#include "common/parallel_for.h"
+#include "common/worker_pool.h"
 #include "core/privacy_loss.h"
 #include "telemetry/telemetry.h"
 
@@ -37,7 +37,6 @@ capNames(uint32_t caps)
 struct StageMetrics
 {
     LatencyHistogram &threshold_search = stage("threshold_search");
-    LatencyHistogram &pmf_build = stage("pmf_build");
     LatencyHistogram &model_build = stage("model_build");
     LatencyHistogram &loss_sup = stage("loss_sup");
 
@@ -65,12 +64,6 @@ secondsBetween(std::chrono::steady_clock::time_point a,
                std::chrono::steady_clock::time_point b)
 {
     return std::chrono::duration<double>(b - a).count();
-}
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return secondsBetween(t0, std::chrono::steady_clock::now());
 }
 
 } // namespace
@@ -113,7 +106,7 @@ PmfCertifier::resolve(const MechanismRegistry::Entry &entry,
 {
     auto t0 = std::chrono::steady_clock::now();
     MechanismLowering res = entry.resolve(spec());
-    seconds = secondsSince(t0);
+    seconds = secondsBetween(t0, std::chrono::steady_clock::now());
     if (telemetry::enabled())
         stageMetrics().threshold_search.observe(seconds);
     return res;
@@ -144,18 +137,15 @@ PmfCertifier::certifyResolved(const MechanismRegistry::Entry &entry,
     // implementation's worst case, not the closed form's. The model
     // is built from the resolution, whose window search read the
     // same shared PMF, so nothing is searched or counted twice.
-    resolved.makePmf();
-    auto t1 = std::chrono::steady_clock::now();
     std::unique_ptr<DiscreteOutputModel> model =
             entry.buildModel(resolved, res);
-    auto t2 = std::chrono::steady_clock::now();
+    auto t1 = std::chrono::steady_clock::now();
     LossReport report = PrivacyLossAnalyzer::analyze(*model, jobs_);
-    auto t3 = std::chrono::steady_clock::now();
+    auto t2 = std::chrono::steady_clock::now();
     if (telemetry::enabled()) {
         StageMetrics &m = stageMetrics();
-        m.pmf_build.observe(secondsBetween(t0, t1));
-        m.model_build.observe(secondsBetween(t1, t2));
-        m.loss_sup.observe(secondsBetween(t2, t3));
+        m.model_build.observe(secondsBetween(t0, t1));
+        m.loss_sup.observe(secondsBetween(t1, t2));
     }
 
     cert.worst_case_loss = report.worst_case_loss;
@@ -168,7 +158,7 @@ PmfCertifier::certifyResolved(const MechanismRegistry::Entry &entry,
     cert.certified =
             report.bounded && report.worst_case_loss <= cert.bound;
 
-    cert.elapsed_seconds = resolve_seconds + secondsBetween(t0, t3);
+    cert.elapsed_seconds = resolve_seconds + secondsBetween(t0, t2);
     cert.states_per_second =
             cert.elapsed_seconds > 0.0
                     ? static_cast<double>(cert.states) /

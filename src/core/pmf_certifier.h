@@ -159,7 +159,7 @@ class PmfCertifier
     MechanismLowering resolve(const MechanismRegistry::Entry &entry,
                               double &seconds) const;
 
-    /** PMF build, model build and loss sup of one mechanism from its
+    /** Model build and loss sup of one mechanism from its
      *  resolution @p res (which took @p resolve_seconds). */
     MechanismCertificate
     certifyResolved(const MechanismRegistry::Entry &entry,

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/parallel_for.h"
+#include "common/worker_pool.h"
 
 namespace ulpdp {
 
@@ -72,19 +72,12 @@ PrivacyLossAnalyzer::analyze(const DiscreteOutputModel &model,
     report.worst_case_loss = 0.0;
     report.worst_output = model.outputLo();
 
+    // Each chunk sweeps into its own partial report, then the
+    // partials are merged in output order with the same strict-greater
+    // argmax the sweep uses -- so the result (including the
+    // tie-broken worst_output) is identical for every job count.
     int64_t lo = model.outputLo();
     int64_t hi = model.outputHi();
-    if (jobs == 1 || hi - lo < kAnalyzeChunk) {
-        sweepOutputs(model, lo, hi, report);
-        report.bounded = std::isfinite(report.worst_case_loss);
-        return report;
-    }
-
-    // Parallel sweep: each chunk accumulates its own partial report,
-    // then the partials are merged in output order with the same
-    // strict-greater argmax the serial loop uses -- so the result
-    // (including the tie-broken worst_output) is identical for every
-    // job count.
     int64_t span = hi - lo + 1;
     int64_t nchunks = (span + kAnalyzeChunk - 1) / kAnalyzeChunk;
     std::vector<LossReport> partials(static_cast<size_t>(nchunks));
@@ -98,18 +91,8 @@ PrivacyLossAnalyzer::analyze(const DiscreteOutputModel &model,
                         int64_t clo = lo + c * kAnalyzeChunk;
                         int64_t chi =
                             std::min(hi, clo + kAnalyzeChunk - 1);
-                        auto &p = partials[static_cast<size_t>(c)];
-                        for (int64_t j = clo; j <= chi; ++j) {
-                            double loss = lossAtOutput(model, j);
-                            if (loss == -kInf)
-                                continue;
-                            if (loss == kInf)
-                                ++p.infinite_outputs;
-                            if (loss > p.worst_case_loss) {
-                                p.worst_case_loss = loss;
-                                p.worst_output = j;
-                            }
-                        }
+                        sweepOutputs(model, clo, chi,
+                                     partials[static_cast<size_t>(c)]);
                     }
                 });
     for (const auto &p : partials) {

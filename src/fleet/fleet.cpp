@@ -8,9 +8,9 @@
 #include <cstddef>
 #include <limits>
 #include <optional>
-#include <thread>
 
 #include "common/logging.h"
+#include "common/worker_pool.h"
 #include "core/budget.h"
 #include "core/budget_ledger.h"
 #include "core/mechanism_registry.h"
@@ -830,13 +830,6 @@ FleetRunner::FleetRunner(FleetConfig config)
 
 FleetRunner::~FleetRunner() = default;
 
-unsigned
-FleetRunner::hardwareThreads()
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
-}
-
 namespace {
 std::atomic<bool> g_force_scalar_blocks{false};
 } // anonymous namespace
@@ -1137,7 +1130,7 @@ FleetReport
 FleetRunner::run(unsigned num_threads)
 {
     if (num_threads == 0)
-        num_threads = hardwareThreads();
+        num_threads = static_cast<unsigned>(hardwareJobs());
 
     // Per-cohort block slabs, pre-sized so workers never allocate
     // shared state; materialized matrices likewise.
@@ -1232,8 +1225,7 @@ FleetRunner::run(unsigned num_threads)
     // requested width (first epoch only), growing the per-worker
     // scratch slots, and materializing the type-erased job the pool
     // dispatches.
-    if (spawn > 1)
-        pool_.reserve(spawn - 1);
+    WorkerPool::shared().reserve(spawn - 1);
     while (scratch_.size() < spawn)
         scratch_.push_back(std::make_unique<WorkerScratch>());
     const bool timed = telemetry::enabled();
@@ -1248,7 +1240,7 @@ FleetRunner::run(unsigned num_threads)
     std::function<void(unsigned)> job_fn = job;
 
     auto t0 = std::chrono::steady_clock::now();
-    pool_.dispatch(spawn, job_fn);
+    WorkerPool::shared().dispatch(spawn, job_fn);
     auto t1 = std::chrono::steady_clock::now();
 
     // Per-worker telemetry deltas, summed post-epoch on the main

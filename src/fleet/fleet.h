@@ -62,7 +62,6 @@
 #include "common/stats.h"
 #include "core/fxp_params.h"
 #include "fleet/seeder.h"
-#include "fleet/worker_pool.h"
 
 namespace ulpdp {
 
@@ -394,15 +393,18 @@ struct FleetReport
 };
 
 /**
- * Runs fleet epochs across a persistent worker pool with per-worker
+ * Runs fleet epochs on the process-wide worker pool with per-worker
  * work-stealing block queues.
  *
  * Scheduling (all of it invisible to the merged result):
  *
- *  - Worker threads are spawned once, before the first epoch's timer
- *    starts, and park between epochs (FleetWorkerPool). PR 3 spawned
- *    and joined threads inside every run(), which cost more than the
- *    bench epoch itself and flattened the scaling curve.
+ *  - A runner owns no threads. Each epoch dispatches on
+ *    WorkerPool::shared() (common/worker_pool.h), grown to the
+ *    epoch's width before its timer starts; the threads park between
+ *    epochs and are shared with every other runner and parallel loop
+ *    of the process. Spawning and joining threads inside every run()
+ *    cost more than the bench epoch itself and flattened the scaling
+ *    curve.
  *  - Each worker owns a contiguous, cache-line-padded queue of block
  *    indices and claims them in adaptive chunks from its own queue --
  *    no shared claim counter, so the common path has zero cross-core
@@ -443,9 +445,6 @@ class FleetRunner
     /** The configuration in effect. */
     const FleetConfig &config() const { return config_; }
 
-    /** std::thread::hardware_concurrency, floored at 1. */
-    static unsigned hardwareThreads();
-
     /**
      * Process-wide test hook: route every block through the per-draw
      * scalar path instead of the batch sampling layer. The merged
@@ -467,8 +466,6 @@ class FleetRunner
     FleetConfig config_;
     FleetSeeder seeder_;
     std::vector<CohortPlan> plans_;
-    /** Parked helper threads, reused by every epoch. */
-    FleetWorkerPool pool_;
     /** Per-worker-slot scratch (RNG clones, batch samplers, rects),
      *  reused across epochs; grown to the largest thread count seen. */
     std::vector<std::unique_ptr<WorkerScratch>> scratch_;

@@ -62,9 +62,6 @@ class FleetSeeder
         return mix64(node_seed ^ (kSaltGamma * (salt + 1)));
     }
 
-    /** The fleet master seed this seeder derives from. */
-    uint64_t masterSeed() const { return master_; }
-
     /** SplitMix64 finalizer (public: tests invert it to craft
      *  degenerate candidates). Inline: the fleet checksum digests one
      *  mix per released report. */

@@ -6,7 +6,10 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <tuple>
+
+#include "telemetry/telemetry.h"
 
 namespace ulpdp {
 
@@ -18,6 +21,15 @@ FxpLaplacePmf::FxpLaplacePmf(const FxpLaplaceConfig &config)
 NoisePmf
 FxpLaplacePmf::build(const FxpLaplaceConfig &config)
 {
+    // The certifier's pmf_build stage (docs/METRICS.md): every real
+    // build, wherever it happens; a shared-cache hit never gets here.
+    std::optional<ScopedTimer> timer;
+    if (telemetry::enabled())
+        timer.emplace(telemetry::registry().histogram(
+                "ulpdp_certify_stage_seconds",
+                "Wall-clock seconds per certifier stage", "seconds",
+                {1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0},
+                "stage=\"pmf_build\""));
     FxpLaplaceRng rng(config);
     auto pipeline = [&rng](uint64_t m) { return rng.pipeline(m, 1); };
     // Any other magnitude law has no closed-form boundary: each bin

@@ -769,14 +769,15 @@ TEST(FleetStress, ForcedScalarMatchesBatchedUnderStealing)
 
 TEST(FleetStress, RunnersAreIndependentAfterTeardown)
 {
-    // A runner's parked threads belong to that runner; destroying it
-    // must join them (no leaked threads touching freed queues), and a
-    // fresh runner must reproduce the same report from scratch.
+    // Runners own no threads: the shared pool's parked threads
+    // outlive a destroyed runner and must never touch its freed
+    // queues or job, and a fresh runner dispatching on the same
+    // threads must reproduce the same report from scratch.
     uint64_t fp_first = 0;
     {
         FleetRunner runner(raggedFleet());
         fp_first = runner.run(8).fingerprint();
-    } // ~FleetRunner joins the pool here
+    } // the pool's threads park on, holding no reference to runner
     FleetRunner again(raggedFleet());
     EXPECT_EQ(again.run(16).fingerprint(), fp_first);
     EXPECT_EQ(again.run(1).fingerprint(), fp_first);

@@ -18,6 +18,7 @@
 #include "core/pmf_certifier.h"
 #include "core/privacy_loss.h"
 #include "pmf_oracle.h"
+#include "rng/fxp_laplace_pmf.h"
 #include "telemetry/telemetry.h"
 
 namespace ulpdp {
@@ -272,16 +273,24 @@ TEST(PmfCertifier, CertifyAllSharesTheResamplingWindow)
               res->threshold_index);
 }
 
-/** Observation count of one certifier stage in the global scope. */
-uint64_t
-stageCount(const std::string &stage)
+/** Snapshot of one certifier stage in the global scope (a zero
+ *  sample if the stage was never registered). */
+MetricRegistry::Sample
+stageSample(const std::string &stage)
 {
     for (const auto &s : telemetry::registry().snapshot()) {
         if (s.info.name == "ulpdp_certify_stage_seconds" &&
             s.info.labels == "stage=\"" + stage + "\"")
-            return s.count;
+            return s;
     }
-    return 0;
+    return {};
+}
+
+/** Observation count of one certifier stage in the global scope. */
+uint64_t
+stageCount(const std::string &stage)
+{
+    return stageSample(stage).count;
 }
 
 TEST(PmfCertifier, StageSplitIsRecordedOnlyWhenTelemetryIsOn)
@@ -294,13 +303,19 @@ TEST(PmfCertifier, StageSplitIsRecordedOnlyWhenTelemetryIsOn)
     for (const char *stage : stages)
         EXPECT_EQ(stageCount(stage), 0u) << stage;
 
+    // A cold cache makes the telemetry-on pass build its PMFs, and
+    // pmf_build is observed where a PMF is built, not per certificate.
+    FxpLaplacePmf::clearSharedCache();
     telemetry::setEnabled(true);
     auto certs = certifier.certifyAll();
     telemetry::setEnabled(false);
     // Five mechanisms, four distinct resolutions (resampling and
     // constant-time resampling share one).
     EXPECT_EQ(stageCount("threshold_search"), certs.size() - 1);
-    for (const char *stage : {"pmf_build", "model_build", "loss_sup"})
+    MetricRegistry::Sample build = stageSample("pmf_build");
+    EXPECT_GE(build.count, 1u);
+    EXPECT_GT(build.sum, 0.0);
+    for (const char *stage : {"model_build", "loss_sup"})
         EXPECT_EQ(stageCount(stage), certs.size()) << stage;
     telemetry::reset();
 }
