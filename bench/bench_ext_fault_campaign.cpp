@@ -81,13 +81,11 @@ runCampaign(uint64_t seed, bool hardened, uint64_t transactions)
     double bound = 3.0 * p.epsilon + 1e-9;
     double delta = p.resolvedDelta();
     std::vector<double> loss;
+    std::vector<double> row(static_cast<size_t>(model.span()) + 1);
     for (int64_t j = model.outputLo(); j <= model.outputHi(); ++j) {
-        double mx = 0.0;
-        double mn = std::numeric_limits<double>::infinity();
-        for (int64_t i = 0; i <= model.span(); ++i) {
-            mx = std::max(mx, model.prob(j, i));
-            mn = std::min(mn, model.prob(j, i));
-        }
+        model.row(j, row.data());
+        double mx = *std::max_element(row.begin(), row.end());
+        double mn = *std::min_element(row.begin(), row.end());
         loss.push_back(mn > 0.0
                            ? std::log(mx / mn)
                            : std::numeric_limits<double>::infinity());

@@ -74,13 +74,9 @@ FrequencyDecoder::FrequencyDecoder(const DiscreteOutputModel &model)
     ULPDP_ASSERT(inputs_ >= 1 && outputs_ >= inputs_);
 
     kernel_.resize(outputs_ * inputs_);
-    for (size_t j = 0; j < outputs_; ++j) {
-        int64_t out_index = output_lo_ + static_cast<int64_t>(j);
-        for (size_t i = 0; i < inputs_; ++i) {
-            kernel_[j * inputs_ + i] =
-                model.prob(out_index, static_cast<int64_t>(i));
-        }
-    }
+    for (size_t j = 0; j < outputs_; ++j)
+        model.row(output_lo_ + static_cast<int64_t>(j),
+                  &kernel_[j * inputs_]);
 
     // Gram matrix G = M^T M (inputs x inputs), then
     // pinv = G^{-1} M^T (inputs x outputs).

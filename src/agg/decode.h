@@ -123,6 +123,10 @@ class FrequencyDecoder
     /** Output index of slot 0, relative to the range-lo grid index. */
     int64_t outputLo() const { return output_lo_; }
 
+    /** The channel M, row-major: slot s's row (the model's row of
+     *  output outputLo() + s) starts at s * numInputs(). */
+    const std::vector<double> &channel() const { return kernel_; }
+
     /**
      * Decode a slot-count vector into input-frequency estimates.
      *

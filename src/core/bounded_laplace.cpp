@@ -1,7 +1,6 @@
 #include "core/bounded_laplace.h"
 
 #include <cmath>
-#include <memory>
 
 #include "common/logging.h"
 #include "core/budget.h"
@@ -118,12 +117,15 @@ BoundedLaplaceMechanism::resolveParams(const FxpMechanismParams &base,
     // Gazeau et al. show such rounding can inflate the loss without
     // bound. So trust nothing: verify the exact discrete model and
     // widen the scale until the enumerated worst case meets the
-    // bound (same tolerance discipline as ThresholdCalculator).
+    // bound (same tolerance discipline as ThresholdCalculator). Each
+    // candidate's PMF comes from the shared cache, so the accepted
+    // one is the object every later reader of the resolved block
+    // (makePmf, the sampler table) gets: built once.
     double bound = eps_t * (1.0 + 1e-9) + 1e-12;
     int64_t span = p.rangeIndexSpan();
     for (int iter = 0; iter < 220; ++iter) {
-        auto pmf = std::make_shared<FxpLaplacePmf>(p.rngConfig());
-        ResamplingOutputModel model(pmf, span, 0);
+        ResamplingOutputModel model(FxpLaplacePmf::shared(p.rngConfig()),
+                                    span, 0);
         LossReport rep = PrivacyLossAnalyzer::analyze(model);
         if (rep.bounded && rep.worst_case_loss <= bound)
             return p;

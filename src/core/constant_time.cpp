@@ -70,15 +70,28 @@ ConstantTimeOutputModel::ConstantTimeOutputModel(
     if (batch_size_ < 1)
         fatal("ConstantTimeOutputModel: batch_size must be positive");
 
-    accept_.resize(static_cast<size_t>(span_) + 1);
+    size_t n = static_cast<size_t>(span_) + 1;
+    accept_.resize(n);
+    interior_scale_.resize(n);
+    fallback_weight_.resize(n);
     for (int64_t i = 0; i <= span_; ++i) {
         double z = windowMass(*pmf_, outputLo() - i, outputHi() - i);
         if (z <= 0.0)
             fatal("ConstantTimeOutputModel: input %lld has zero "
                   "acceptance probability",
                   static_cast<long long>(i));
-        accept_[static_cast<size_t>(i)] = z;
+        // First accepted draw among K: a geometric series truncated
+        // at K terms, total weight (1 - miss^K) spread over the
+        // window in proportion to the raw PMF. The clamp fallback
+        // fires when the first K - 1 draws miss (weight miss^(K-1))
+        // and the K-th lands beyond a boundary.
+        double miss = 1.0 - z;
+        size_t at = static_cast<size_t>(i);
+        accept_[at] = z;
+        interior_scale_[at] = (1.0 - std::pow(miss, batch_size_)) / z;
+        fallback_weight_[at] = std::pow(miss, batch_size_ - 1);
     }
+    mass_ = MassSlice(*pmf_, span_, threshold_);
 }
 
 double
@@ -94,34 +107,27 @@ ConstantTimeOutputModel::fallbackProbability(int64_t i) const
     return std::pow(1.0 - acceptProbability(i), batch_size_);
 }
 
-double
-ConstantTimeOutputModel::prob(int64_t j, int64_t i) const
+void
+ConstantTimeOutputModel::row(int64_t j, double *out) const
 {
-    ULPDP_ASSERT(i >= 0 && i <= span_);
     int64_t lo = outputLo();
     int64_t hi = outputHi();
-    if (j < lo || j > hi)
-        return 0.0;
-
-    double z = acceptProbability(i);
-    double miss = 1.0 - z;
-    // First accepted draw among K: a geometric series truncated at
-    // K terms, total weight (1 - miss^K) spread over the window in
-    // proportion to the raw PMF.
-    double interior_scale =
-        (1.0 - std::pow(miss, batch_size_)) / z;
-    double p = pmf_->pmf(j - i) * interior_scale;
-
-    if (j == hi || j == lo) {
-        // Clamp fallback: all K missed (weight miss^(K-1) for the
-        // first K-1, times the K-th draw landing beyond this
-        // boundary).
-        double beyond = (j == hi)
-            ? pmf_->tailMass(hi - i + 1)
-            : pmf_->tailMass(i - lo + 1);
-        p += std::pow(miss, batch_size_ - 1) * beyond;
+    size_t n = static_cast<size_t>(span_) + 1;
+    if (j < lo || j > hi) {
+        std::fill(out, out + n, 0.0);
+        return;
     }
-    return p;
+    const double *mass = mass_.from(j);
+    for (size_t i = 0; i < n; ++i)
+        out[i] = mass[i] * interior_scale_[i];
+    if (j == hi || j == lo) {
+        // Clamp fallback: the K-th draw landing beyond this boundary.
+        for (int64_t i = 0; i <= span_; ++i) {
+            double beyond = (j == hi) ? pmf_->tailMass(hi - i + 1)
+                                      : pmf_->tailMass(i - lo + 1);
+            out[i] += fallback_weight_[static_cast<size_t>(i)] * beyond;
+        }
+    }
 }
 
 } // namespace ulpdp

@@ -89,7 +89,7 @@ class ConstantTimeOutputModel : public DiscreteOutputModel
     int64_t span() const override { return span_; }
     int64_t outputLo() const override { return -threshold_; }
     int64_t outputHi() const override { return span_ + threshold_; }
-    double prob(int64_t j, int64_t i) const override;
+    void row(int64_t j, double *out) const override;
     std::string name() const override
     {
         return "Constant-Time Resampling";
@@ -106,7 +106,12 @@ class ConstantTimeOutputModel : public DiscreteOutputModel
     int64_t span_;
     int64_t threshold_;
     int batch_size_;
+    /** Per input i: Z(i), the interior weight (1 - miss^K) / Z(i)
+     *  and the clamp weight miss^(K-1), with miss = 1 - Z(i). */
     std::vector<double> accept_;
+    std::vector<double> interior_scale_;
+    std::vector<double> fallback_weight_;
+    MassSlice mass_;
 };
 
 } // namespace ulpdp

@@ -1,5 +1,7 @@
 #include "core/output_model.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace ulpdp {
@@ -29,32 +31,44 @@ windowMass(const NoisePmf &pmf, int64_t lo, int64_t hi)
     return pmf.upperMass(lo) - pmf.upperMass(hi + 1);
 }
 
+MassSlice::MassSlice(const NoisePmf &pmf, int64_t span,
+                     int64_t threshold)
+    : hi_(span + threshold),
+      mass_(static_cast<size_t>(2 * (span + threshold)) + 1)
+{
+    for (size_t n = 0; n < mass_.size(); ++n)
+        mass_[n] = pmf.pmf(hi_ - static_cast<int64_t>(n));
+}
+
+double
+DiscreteOutputModel::prob(int64_t j, int64_t i) const
+{
+    ULPDP_ASSERT(i >= 0 && i <= span());
+    std::vector<double> out(static_cast<size_t>(span()) + 1);
+    row(j, out.data());
+    return out[static_cast<size_t>(i)];
+}
+
 // --- NaiveOutputModel ----------------------------------------------------
 
 NaiveOutputModel::NaiveOutputModel(
         std::shared_ptr<const NoisePmf> pmf, int64_t span)
-    : pmf_(std::move(pmf)), span_(span)
+    : span_(span)
 {
-    checkArgs(pmf_, span_);
+    checkArgs(pmf, span_);
+    max_index_ = pmf->maxIndex();
+    mass_ = MassSlice(*pmf, span_, max_index_);
 }
 
-int64_t
-NaiveOutputModel::outputLo() const
+void
+NaiveOutputModel::row(int64_t j, double *out) const
 {
-    return -pmf_->maxIndex();
-}
-
-int64_t
-NaiveOutputModel::outputHi() const
-{
-    return span_ + pmf_->maxIndex();
-}
-
-double
-NaiveOutputModel::prob(int64_t j, int64_t i) const
-{
-    ULPDP_ASSERT(i >= 0 && i <= span_);
-    return pmf_->pmf(j - i);
+    size_t n = static_cast<size_t>(span_) + 1;
+    if (j < outputLo() || j > outputHi()) {
+        std::fill(out, out + n, 0.0);
+        return;
+    }
+    std::copy(mass_.from(j), mass_.from(j) + n, out);
 }
 
 // --- ResamplingOutputModel -----------------------------------------------
@@ -62,15 +76,16 @@ NaiveOutputModel::prob(int64_t j, int64_t i) const
 ResamplingOutputModel::ResamplingOutputModel(
         std::shared_ptr<const NoisePmf> pmf, int64_t span,
         int64_t threshold)
-    : pmf_(std::move(pmf)), span_(span), threshold_(threshold)
+    : span_(span), threshold_(threshold)
 {
-    checkArgs(pmf_, span_);
+    checkArgs(pmf, span_);
     if (threshold_ < 0)
         fatal("ResamplingOutputModel: threshold must be non-negative");
+    mass_ = MassSlice(*pmf, span_, threshold_);
 
     accept_.resize(static_cast<size_t>(span_) + 1);
     for (int64_t i = 0; i <= span_; ++i) {
-        double z = windowMass(*pmf_, outputLo() - i, outputHi() - i);
+        double z = windowMass(*pmf, outputLo() - i, outputHi() - i);
         accept_[static_cast<size_t>(i)] = z;
         if (z <= 0.0)
             fatal("ResamplingOutputModel: input %lld has zero "
@@ -79,13 +94,18 @@ ResamplingOutputModel::ResamplingOutputModel(
     }
 }
 
-double
-ResamplingOutputModel::prob(int64_t j, int64_t i) const
+void
+ResamplingOutputModel::row(int64_t j, double *out) const
 {
-    ULPDP_ASSERT(i >= 0 && i <= span_);
-    if (j < outputLo() || j > outputHi())
-        return 0.0;
-    return pmf_->pmf(j - i) / accept_[static_cast<size_t>(i)];
+    size_t n = static_cast<size_t>(span_) + 1;
+    if (j < outputLo() || j > outputHi()) {
+        std::fill(out, out + n, 0.0);
+        return;
+    }
+    const double *mass = mass_.from(j);
+    const double *accept = accept_.data();
+    for (size_t i = 0; i < n; ++i)
+        out[i] = mass[i] / accept[i];
 }
 
 double
@@ -112,25 +132,28 @@ ThresholdingOutputModel::ThresholdingOutputModel(
     if (threshold_ < 0)
         fatal("ThresholdingOutputModel: threshold must be "
               "non-negative");
+    mass_ = MassSlice(*pmf_, span_, threshold_);
 }
 
-double
-ThresholdingOutputModel::prob(int64_t j, int64_t i) const
+void
+ThresholdingOutputModel::row(int64_t j, double *out) const
 {
-    ULPDP_ASSERT(i >= 0 && i <= span_);
     int64_t lo = outputLo();
     int64_t hi = outputHi();
-    if (j < lo || j > hi)
-        return 0.0;
-    if (j == hi) {
+    size_t n = static_cast<size_t>(span_) + 1;
+    if (j < lo || j > hi) {
+        std::fill(out, out + n, 0.0);
+    } else if (j == hi) {
         // Atom: everything at or above the upper boundary.
-        return pmf_->upperMass(hi - i);
-    }
-    if (j == lo) {
+        for (int64_t i = 0; i <= span_; ++i)
+            out[i] = pmf_->upperMass(hi - i);
+    } else if (j == lo) {
         // Atom at the lower boundary (sign symmetry of the PMF).
-        return pmf_->upperMass(i - lo);
+        for (int64_t i = 0; i <= span_; ++i)
+            out[i] = pmf_->upperMass(i - lo);
+    } else {
+        std::copy(mass_.from(j), mass_.from(j) + n, out);
     }
-    return pmf_->pmf(j - i);
 }
 
 // --- RandomizedResponseOutputModel ---------------------------------------
@@ -144,16 +167,18 @@ RandomizedResponseOutputModel::RandomizedResponseOutputModel(
     flip_prob_ = pmf->tailMass(cross);
 }
 
-double
-RandomizedResponseOutputModel::prob(int64_t j, int64_t i) const
+void
+RandomizedResponseOutputModel::row(int64_t j, double *out) const
 {
-    ULPDP_ASSERT(i >= 0 && i <= span_);
     // Intermediate inputs snap to the nearer category, midpoint ties
     // toward the lower one (matching RandomizedResponse::noise()).
-    int64_t cat = (2 * i > span_) ? span_ : 0;
-    if (j != 0 && j != span_)
-        return 0.0;
-    return (j == cat) ? 1.0 - flip_prob_ : flip_prob_;
+    for (int64_t i = 0; i <= span_; ++i) {
+        int64_t cat = (2 * i > span_) ? span_ : 0;
+        if (j != 0 && j != span_)
+            out[i] = 0.0;
+        else
+            out[i] = (j == cat) ? 1.0 - flip_prob_ : flip_prob_;
+    }
 }
 
 } // namespace ulpdp

@@ -17,6 +17,12 @@
  *    into atoms at the two window boundaries.
  *  - RandomizedResponseOutputModel: two-point distribution from the
  *    midpoint-crossing probability.
+ *
+ * A model's one probability primitive is the output row, row(j):
+ * Pr[j | i] for every input i. The loss sup of Eq. (4), the exact
+ * window search through it and the agg decoder's channel all read
+ * rows. PMF-backed models fill interior rows from a MassSlice: one
+ * copy, multiply or divide per entry, with no per-entry lookup.
  */
 
 #ifndef ULPDP_CORE_OUTPUT_MODEL_H
@@ -25,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "rng/fxp_laplace_pmf.h"
 #include "rng/noise_pmf.h"
@@ -40,9 +47,36 @@ namespace ulpdp {
 double windowMass(const NoisePmf &pmf, int64_t lo, int64_t hi);
 
 /**
+ * The noise PMF over every k = j - i a window [-threshold, span +
+ * threshold] reads, tabulated once in descending k so that an output
+ * row is one forward slice: from(j)[i] = pmf(j - i). Owned by the
+ * model that reads it (O(window) doubles) -- never by the shared PMF,
+ * which outlives many windows.
+ */
+class MassSlice
+{
+  public:
+    MassSlice() = default;
+    MassSlice(const NoisePmf &pmf, int64_t span, int64_t threshold);
+
+    /** p with p[i] = pmf(j - i), for j inside the window. */
+    const double *
+    from(int64_t j) const
+    {
+        return &mass_[static_cast<size_t>(hi_ - j)];
+    }
+
+  private:
+    int64_t hi_ = 0;
+    std::vector<double> mass_;
+};
+
+/**
  * Conditional distribution of a mechanism's output index given the
  * input index, over the Delta grid. Input indices are relative to the
- * range: 0 means the range lower limit m, span() means M.
+ * range: 0 means the range lower limit m, span() means M. A model is
+ * read one output row at a time (row()), its one probability
+ * primitive, so no model keeps a second formula that could drift.
  */
 class DiscreteOutputModel
 {
@@ -59,10 +93,18 @@ class DiscreteOutputModel
     virtual int64_t outputHi() const = 0;
 
     /**
-     * Pr[output = j | input = i] with i in [0, span()] and j an
-     * absolute output index on the same grid.
+     * The output row of @p j: out[i] = Pr[output = j | input = i] for
+     * every input i in [0, span()] (@p out holds span() + 1 doubles).
+     * @p j is an absolute output index on the same grid; a j no input
+     * can produce fills zeros. Must be safe for concurrent calls.
      */
-    virtual double prob(int64_t j, int64_t i) const = 0;
+    virtual void row(int64_t j, double *out) const = 0;
+
+    /**
+     * Pr[output = j | input = i], one entry of row(j): a convenience
+     * for spot checks, O(span) per call. Sweeps read whole rows.
+     */
+    double prob(int64_t j, int64_t i) const;
 
     /** Model name for reports. */
     virtual std::string name() const = 0;
@@ -80,14 +122,15 @@ class NaiveOutputModel : public DiscreteOutputModel
                      int64_t span);
 
     int64_t span() const override { return span_; }
-    int64_t outputLo() const override;
-    int64_t outputHi() const override;
-    double prob(int64_t j, int64_t i) const override;
+    int64_t outputLo() const override { return -max_index_; }
+    int64_t outputHi() const override { return span_ + max_index_; }
+    void row(int64_t j, double *out) const override;
     std::string name() const override { return "FxP HW Baseline"; }
 
   private:
-    std::shared_ptr<const NoisePmf> pmf_;
     int64_t span_;
+    int64_t max_index_ = 0;
+    MassSlice mass_;
 };
 
 /** Resampling into the window [-T, span + T], renormalised per input. */
@@ -100,7 +143,7 @@ class ResamplingOutputModel : public DiscreteOutputModel
     int64_t span() const override { return span_; }
     int64_t outputLo() const override { return -threshold_; }
     int64_t outputHi() const override { return span_ + threshold_; }
-    double prob(int64_t j, int64_t i) const override;
+    void row(int64_t j, double *out) const override;
     std::string name() const override { return "Resampling"; }
 
     /** Acceptance probability of a single draw for input i. */
@@ -110,11 +153,11 @@ class ResamplingOutputModel : public DiscreteOutputModel
     double expectedSamples(int64_t i) const;
 
   private:
-    std::shared_ptr<const NoisePmf> pmf_;
     int64_t span_;
     int64_t threshold_;
     /** Per-input acceptance probability Z(i), i = 0..span. */
     std::vector<double> accept_;
+    MassSlice mass_;
 };
 
 /** Clamping into the window [-T, span + T] with boundary atoms. */
@@ -127,13 +170,14 @@ class ThresholdingOutputModel : public DiscreteOutputModel
     int64_t span() const override { return span_; }
     int64_t outputLo() const override { return -threshold_; }
     int64_t outputHi() const override { return span_ + threshold_; }
-    double prob(int64_t j, int64_t i) const override;
+    void row(int64_t j, double *out) const override;
     std::string name() const override { return "Thresholding"; }
 
   private:
     std::shared_ptr<const NoisePmf> pmf_;
     int64_t span_;
     int64_t threshold_;
+    MassSlice mass_;
 };
 
 /** Two-point randomized-response distribution. */
@@ -146,7 +190,7 @@ class RandomizedResponseOutputModel : public DiscreteOutputModel
     int64_t span() const override { return span_; }
     int64_t outputLo() const override { return 0; }
     int64_t outputHi() const override { return span_; }
-    double prob(int64_t j, int64_t i) const override;
+    void row(int64_t j, double *out) const override;
     std::string name() const override { return "Randomized Response"; }
 
     /** Midpoint-crossing (flip) probability. */

@@ -19,16 +19,16 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
  *  outputs see more reachable inputs than edge outputs). */
 constexpr int64_t kAnalyzeChunk = 64;
 
-} // anonymous namespace
-
+/** Loss at output @p j, read as one row into @p row (span + 1
+ *  doubles). */
 double
-PrivacyLossAnalyzer::lossAtOutput(const DiscreteOutputModel &model,
-                                  int64_t j)
+rowLoss(const DiscreteOutputModel &model, int64_t j,
+        std::vector<double> &row)
 {
+    model.row(j, row.data());
     double p_max = 0.0;
     double p_min = kInf;
-    for (int64_t i = 0; i <= model.span(); ++i) {
-        double p = model.prob(j, i);
+    for (double p : row) {
         if (p > p_max)
             p_max = p;
         if (p < p_min)
@@ -41,16 +41,14 @@ PrivacyLossAnalyzer::lossAtOutput(const DiscreteOutputModel &model,
     return std::log(p_max / p_min);
 }
 
-namespace {
-
 /** Serial sweep over [lo, hi], accumulating into @p report with the
  *  strict-greater argmax (first output wins ties). */
 void
 sweepOutputs(const DiscreteOutputModel &model, int64_t lo, int64_t hi,
-             LossReport &report)
+             std::vector<double> &row, LossReport &report)
 {
     for (int64_t j = lo; j <= hi; ++j) {
-        double loss = PrivacyLossAnalyzer::lossAtOutput(model, j);
+        double loss = rowLoss(model, j, row);
         if (loss == -kInf)
             continue; // unreachable by every input: not an output
         if (loss == kInf)
@@ -62,7 +60,22 @@ sweepOutputs(const DiscreteOutputModel &model, int64_t lo, int64_t hi,
     }
 }
 
+/** A row buffer for @p model. */
+std::vector<double>
+rowBuffer(const DiscreteOutputModel &model)
+{
+    return std::vector<double>(static_cast<size_t>(model.span()) + 1);
+}
+
 } // anonymous namespace
+
+double
+PrivacyLossAnalyzer::lossAtOutput(const DiscreteOutputModel &model,
+                                  int64_t j)
+{
+    std::vector<double> row = rowBuffer(model);
+    return rowLoss(model, j, row);
+}
 
 LossReport
 PrivacyLossAnalyzer::analyze(const DiscreteOutputModel &model,
@@ -87,11 +100,12 @@ PrivacyLossAnalyzer::analyze(const DiscreteOutputModel &model,
     }
     parallelFor(0, nchunks, jobs, 1,
                 [&](int64_t cbegin, int64_t cend) {
+                    std::vector<double> row = rowBuffer(model);
                     for (int64_t c = cbegin; c < cend; ++c) {
                         int64_t clo = lo + c * kAnalyzeChunk;
                         int64_t chi =
                             std::min(hi, clo + kAnalyzeChunk - 1);
-                        sweepOutputs(model, clo, chi,
+                        sweepOutputs(model, clo, chi, row,
                                      partials[static_cast<size_t>(c)]);
                     }
                 });
@@ -110,8 +124,9 @@ std::vector<OutputLoss>
 PrivacyLossAnalyzer::lossCurve(const DiscreteOutputModel &model)
 {
     std::vector<OutputLoss> curve;
+    std::vector<double> row = rowBuffer(model);
     for (int64_t j = model.outputLo(); j <= model.outputHi(); ++j) {
-        double loss = lossAtOutput(model, j);
+        double loss = rowLoss(model, j, row);
         if (loss == -kInf)
             continue;
         curve.push_back(OutputLoss{j, loss});

@@ -72,8 +72,9 @@ class PrivacyLossAnalyzer
      *        per-chunk partial reports are merged in output order
      *        with the same strict-greater argmax the serial loop
      *        uses, so ties resolve to the same output index. Requires
-     *        model.prob() to be safe for concurrent calls (all
-     *        registry models are immutable after construction).
+     *        model.row() to be safe for concurrent calls (all
+     *        registry models are immutable after construction);
+     *        each worker reads rows into its own buffer.
      */
     static LossReport analyze(const DiscreteOutputModel &model,
                               int jobs = 1);

@@ -13,9 +13,11 @@ NoisePmf::checkUniformBits(int uniform_bits)
 }
 
 NoisePmf::NoisePmf(int uniform_bits, std::vector<uint64_t> counts)
-    : uniform_bits_(uniform_bits), counts_(std::move(counts))
+    : counts_(std::move(counts))
 {
     checkUniformBits(uniform_bits);
+    zero_unit_ = std::ldexp(1.0, -uniform_bits);
+    signed_unit_ = std::ldexp(1.0, -uniform_bits - 1);
     ULPDP_ASSERT(!counts_.empty());
 
     // Suffix sums make tailMass a load. Sized to counts_ (the
@@ -55,17 +57,15 @@ NoisePmf::pmf(int64_t k) const
 {
     int64_t mag = k >= 0 ? k : -k;
     double cnt = static_cast<double>(magnitudeCount(mag));
-    double denom = std::ldexp(1.0, uniform_bits_);
     // Both signs collapse onto zero.
-    return k == 0 ? cnt / denom : cnt / (2.0 * denom);
+    return cnt * (k == 0 ? zero_unit_ : signed_unit_);
 }
 
 double
 NoisePmf::tailMass(int64_t k) const
 {
     ULPDP_ASSERT(k >= 1);
-    double denom = 2.0 * std::ldexp(1.0, uniform_bits_);
-    return static_cast<double>(tailCount(k)) / denom;
+    return static_cast<double>(tailCount(k)) * signed_unit_;
 }
 
 double

@@ -130,7 +130,11 @@ class NoisePmf
     /** Fatal unless 1 <= @p uniform_bits <= kMaxUniformBits. */
     static void checkUniformBits(int uniform_bits);
 
-    int uniform_bits_;
+    /** Mass of one URNG state at magnitude 0 (2^-Bu, both signs)
+     *  and at a signed index k != 0 (2^-(Bu+1)): scaling a count by
+     *  a power of two is exact. */
+    double zero_unit_ = 0.0;
+    double signed_unit_ = 0.0;
     /** Largest index with positive probability. */
     int64_t max_index_ = 0;
     /** Counts per magnitude index, over the reachable support. */

@@ -186,17 +186,20 @@ class PostProcessedModel : public DiscreteOutputModel
     }
     std::string name() const override { return "post-processed"; }
 
-    double
-    prob(int64_t j, int64_t i) const override
+    void
+    row(int64_t j, double *out) const override
     {
-        double p = 0.0;
+        size_t n = static_cast<size_t>(span()) + 1;
+        std::vector<double> base_row(n);
+        std::fill(out, out + n, 0.0);
         for (int64_t y = base_.outputLo(); y <= base_.outputHi();
              ++y) {
-            size_t row = static_cast<size_t>(y - base_.outputLo());
-            p += base_.prob(y, i) * channel_[row][
-                static_cast<size_t>(j)];
+            base_.row(y, base_row.data());
+            size_t r = static_cast<size_t>(y - base_.outputLo());
+            double w = channel_[r][static_cast<size_t>(j)];
+            for (size_t i = 0; i < n; ++i)
+                out[i] += base_row[i] * w;
         }
-        return p;
     }
 
   private:

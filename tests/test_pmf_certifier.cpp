@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "core/bounded_laplace.h"
+#include "core/mechanism_registry.h"
 #include "core/pmf_certifier.h"
 #include "core/privacy_loss.h"
 #include "pmf_oracle.h"
@@ -317,6 +319,42 @@ TEST(PmfCertifier, StageSplitIsRecordedOnlyWhenTelemetryIsOn)
     EXPECT_GT(build.sum, 0.0);
     for (const char *stage : {"model_build", "loss_sup"})
         EXPECT_EQ(stageCount(stage), certs.size()) << stage;
+    telemetry::reset();
+}
+
+TEST(PmfCertifier, BoundedLaplaceBuildsEachCandidatePmfOnce)
+{
+    // The scale search reads its candidates from the shared cache, so
+    // resolving and then building the resolved block's PMF costs one
+    // pmf_build per candidate tried -- the accepted one is not counted
+    // a second time.
+    for (int bu : {8, 16}) {
+        FxpMechanismParams base = ciProfile(bu);
+        const double loss_multiple = 2.0;
+        FxpLaplacePmf::clearSharedCache();
+        telemetry::reset();
+        telemetry::setEnabled(true);
+        MechanismSpec spec;
+        spec.params =
+            BoundedLaplaceMechanism::resolveParams(base, loss_multiple);
+        auto pmf = spec.makePmf();
+        telemetry::setEnabled(false);
+
+        // Candidates tried: the Holohan seed, widened by 1% per
+        // rejected step, up to the accepted scale.
+        double d = base.range.length();
+        double scale = BoundedLaplaceMechanism::holohanScale(
+                               d, loss_multiple * base.epsilon) *
+                       base.epsilon / d;
+        uint64_t tried = 1;
+        while (scale != spec.params.lambda_scale) {
+            scale *= 1.01;
+            ++tried;
+            ASSERT_LE(tried, 220u) << "Bu " << bu;
+        }
+        EXPECT_EQ(stageCount("pmf_build"), tried) << "Bu " << bu;
+        EXPECT_EQ(pmf, FxpLaplacePmf::shared(spec.params.rngConfig()));
+    }
     telemetry::reset();
 }
 
