@@ -143,17 +143,23 @@ ThresholdingOutputModel::row(int64_t j, double *out) const
     size_t n = static_cast<size_t>(span_) + 1;
     if (j < lo || j > hi) {
         std::fill(out, out + n, 0.0);
-    } else if (j == hi) {
-        // Atom: everything at or above the upper boundary.
-        for (int64_t i = 0; i <= span_; ++i)
-            out[i] = pmf_->upperMass(hi - i);
-    } else if (j == lo) {
-        // Atom at the lower boundary (sign symmetry of the PMF).
-        for (int64_t i = 0; i <= span_; ++i)
-            out[i] = pmf_->upperMass(i - lo);
+    } else if (j == lo || j == hi) {
+        atomRow(*pmf_, span_, threshold_, j == hi, out);
     } else {
         std::copy(mass_.from(j), mass_.from(j) + n, out);
     }
+}
+
+void
+ThresholdingOutputModel::atomRow(const NoisePmf &pmf, int64_t span,
+                                 int64_t threshold, bool upper,
+                                 double *out)
+{
+    // Everything at or beyond the boundary; the lower atom by the
+    // sign symmetry of the PMF.
+    for (int64_t i = 0; i <= span; ++i)
+        out[i] = pmf.upperMass(upper ? span + threshold - i
+                                     : i + threshold);
 }
 
 // --- RandomizedResponseOutputModel ---------------------------------------

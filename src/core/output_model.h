@@ -173,6 +173,11 @@ class ThresholdingOutputModel : public DiscreteOutputModel
     void row(int64_t j, double *out) const override;
     std::string name() const override { return "Thresholding"; }
 
+    /** Upper or lower boundary-atom row of the window [-@p threshold,
+     *  @p span + @p threshold]; row() and the window sweep read it. */
+    static void atomRow(const NoisePmf &pmf, int64_t span,
+                        int64_t threshold, bool upper, double *out);
+
   private:
     std::shared_ptr<const NoisePmf> pmf_;
     int64_t span_;

@@ -170,8 +170,12 @@ PmfCertifier::certifyResolved(const MechanismRegistry::Entry &entry,
 MechanismCertificate
 PmfCertifier::certify(const std::string &name) const
 {
-    const MechanismRegistry::Entry &entry =
-            MechanismRegistry::instance().at(name);
+    return certify(MechanismRegistry::instance().at(name));
+}
+
+MechanismCertificate
+PmfCertifier::certify(const MechanismRegistry::Entry &entry) const
+{
     double seconds = 0.0;
     MechanismLowering res = resolve(entry, seconds);
     return certifyResolved(entry, res, seconds);

@@ -131,6 +131,11 @@ class PmfCertifier
     /** Certify one registered mechanism (fatal on unknown names). */
     MechanismCertificate certify(const std::string &name) const;
 
+    /** Certify @p entry without registering it. Only the tests call
+     *  this (a test model must not join every certifyAll()). */
+    MechanismCertificate
+    certify(const MechanismRegistry::Entry &entry) const;
+
     /** Certify every registered mechanism, registration order. */
     std::vector<MechanismCertificate> certifyAll() const;
 

@@ -19,28 +19,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
  *  outputs see more reachable inputs than edge outputs). */
 constexpr int64_t kAnalyzeChunk = 64;
 
-/** Loss at output @p j, read as one row into @p row (span + 1
- *  doubles). */
-double
-rowLoss(const DiscreteOutputModel &model, int64_t j,
-        std::vector<double> &row)
-{
-    model.row(j, row.data());
-    double p_max = 0.0;
-    double p_min = kInf;
-    for (double p : row) {
-        if (p > p_max)
-            p_max = p;
-        if (p < p_min)
-            p_min = p;
-    }
-    if (p_max <= 0.0)
-        return -kInf; // unreachable output
-    if (p_min <= 0.0)
-        return kInf; // distinguishing output: some input excluded
-    return std::log(p_max / p_min);
-}
-
 /** Serial sweep over [lo, hi], accumulating into @p report with the
  *  strict-greater argmax (first output wins ties). */
 void
@@ -48,7 +26,8 @@ sweepOutputs(const DiscreteOutputModel &model, int64_t lo, int64_t hi,
              std::vector<double> &row, LossReport &report)
 {
     for (int64_t j = lo; j <= hi; ++j) {
-        double loss = rowLoss(model, j, row);
+        model.row(j, row.data());
+        double loss = PrivacyLossAnalyzer::rowLoss(row.data(), row.size());
         if (loss == -kInf)
             continue; // unreachable by every input: not an output
         if (loss == kInf)
@@ -70,11 +49,31 @@ rowBuffer(const DiscreteOutputModel &model)
 } // anonymous namespace
 
 double
+PrivacyLossAnalyzer::rowLoss(const double *row, size_t n)
+{
+    double p_max = 0.0;
+    double p_min = kInf;
+    for (size_t i = 0; i < n; ++i) {
+        double p = row[i];
+        if (p > p_max)
+            p_max = p;
+        if (p < p_min)
+            p_min = p;
+    }
+    if (p_max <= 0.0)
+        return -kInf; // unreachable output
+    if (p_min <= 0.0)
+        return kInf; // distinguishing output: some input excluded
+    return std::log(p_max / p_min);
+}
+
+double
 PrivacyLossAnalyzer::lossAtOutput(const DiscreteOutputModel &model,
                                   int64_t j)
 {
     std::vector<double> row = rowBuffer(model);
-    return rowLoss(model, j, row);
+    model.row(j, row.data());
+    return rowLoss(row.data(), row.size());
 }
 
 LossReport
@@ -126,7 +125,8 @@ PrivacyLossAnalyzer::lossCurve(const DiscreteOutputModel &model)
     std::vector<OutputLoss> curve;
     std::vector<double> row = rowBuffer(model);
     for (int64_t j = model.outputLo(); j <= model.outputHi(); ++j) {
-        double loss = rowLoss(model, j, row);
+        model.row(j, row.data());
+        double loss = rowLoss(row.data(), row.size());
         if (loss == -kInf)
             continue;
         curve.push_back(OutputLoss{j, loss});

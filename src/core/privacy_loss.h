@@ -17,6 +17,7 @@
 #ifndef ULPDP_CORE_PRIVACY_LOSS_H
 #define ULPDP_CORE_PRIVACY_LOSS_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -54,6 +55,10 @@ struct LossReport
 class PrivacyLossAnalyzer
 {
   public:
+    /** Loss of one output row @p row[i] = Pr[j | i], i < @p n, with
+     *  lossAtOutput()'s conventions; the window sweep reads it too. */
+    static double rowLoss(const double *row, size_t n);
+
     /**
      * Loss at a single output index, maximised over all input pairs.
      * Returns +infinity if some input can and another cannot produce

@@ -2,11 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.h"
 #include "core/privacy_loss.h"
+#include "telemetry/telemetry.h"
 
 namespace ulpdp {
+
+namespace {
+
+/** How far M_T -/+ B_T must clear the search bound to decide a
+ *  resampling window without an exact analysis. A loss is the log of
+ *  a ratio of doubles no smaller than 2^-33, so |loss| < 1500, and
+ *  each computed loss and bound rounds by well under 1e-12. */
+constexpr double kBracketMargin = 1e-9;
+
+/** Search observability (docs/METRICS.md "Certification"). */
+Counter &
+exactAnalyses()
+{
+    static Counter &c = telemetry::registry().counter(
+            "ulpdp_threshold_search_exact_analyses_total",
+            "Resampling windows the loss bracket left open, settled "
+            "by the exact loss of every row that could reach the "
+            "bound",
+            "windows");
+    return c;
+}
+
+} // namespace
 
 ThresholdCalculator::ThresholdCalculator(const FxpMechanismParams &params)
     : params_(params),
@@ -75,58 +100,94 @@ ThresholdCalculator::exactIndex(RangeControl kind, double n) const
               "got %g", n);
 
     double bound = n * params_.epsilon * (1.0 + 1e-9) + 1e-12;
-    auto ok = [&](int64_t t) {
-        return exactLossAt(kind, t) <= bound;
-    };
+    int64_t last = -1;
+    sweep(kind, bound, [&](const LossBracket &b) {
+        if (b.passes)
+            last = b.threshold;
+        return b.passes;
+    });
+    return last;
+}
 
-    // The loss is non-decreasing in the window extension (enlarging
-    // the window only adds more extreme outputs), so ok() holds on a
-    // prefix [0, T*] and the answer is its last index. T = 0 is the
-    // cheapest model and settles "no window works" in one analysis
-    // (the discrete-Laplace scale widening hits that case often).
-    if (!ok(0))
-        return -1;
-
-    // The closed form lands within a few bins of T* whenever the
-    // window has no interior gaps, so bracket from it: gallop away
-    // from the guess until ok() flips, then bisect the bracket. For
-    // another magnitude ICDF the Laplace guess is merely further
-    // off; the bracket is found all the same.
+void
+ThresholdCalculator::sweep(
+        RangeControl kind, double bound,
+        const std::function<bool(const LossBracket &)> &visit) const
+{
+    const bool clamp = kind == RangeControl::Thresholding;
     const int64_t cap = pmf_->maxIndex();
-    const int64_t guess = std::min(closedFormIndex(kind, n), cap);
-    int64_t lo = 0;
-    int64_t hi = cap + 1; // invariant: ok(lo), !ok(hi) (cap + 1 unseen)
-    if (guess == 0 || ok(guess)) {
-        lo = guess;
-        for (int64_t step = 1; lo < cap; step *= 2) {
-            int64_t probe = std::min(guess + step, cap);
-            if (!ok(probe)) {
-                hi = probe;
-                break;
-            }
-            lo = probe;
+    const size_t n = static_cast<size_t>(span_) + 1;
+    const MassSlice mass(*pmf_, span_, cap);
+    std::vector<double> buf(n);
+
+    // M_T (interior) starts from analyze()'s floor of 0; an
+    // unreachable row's -inf never wins. free_loss keeps each row's
+    // T-free loss for the open resampling windows. The interior of
+    // window T is [edge - T, span + T - edge]: thresholding clamps
+    // the two edge outputs into atoms.
+    double interior = 0.0;
+    std::vector<double> free_loss(n + 2 * static_cast<size_t>(cap));
+    auto absorb = [&](int64_t j) {
+        double loss = PrivacyLossAnalyzer::rowLoss(mass.from(j), n);
+        free_loss[static_cast<size_t>(j + cap)] = loss;
+        interior = std::max(interior, loss);
+    };
+    const int64_t edge = clamp ? 1 : 0;
+    for (int64_t j = edge; j <= span_ - edge; ++j)
+        absorb(j);
+    for (int64_t t = 0; t <= cap; ++t) {
+        if (t > 0) {
+            absorb(edge - t);
+            absorb(span_ + t - edge);
         }
-        if (lo == cap)
-            return cap;
-    } else {
-        hi = guess;
-        for (int64_t step = 1; guess - step > 0; step *= 2) {
-            int64_t probe = guess - step;
-            if (ok(probe)) {
-                lo = probe;
-                break;
+        LossBracket b{t, interior, interior, false};
+        if (clamp) {
+            // The lower atom holds the upper one's masses (sign
+            // symmetry of the PMF), so it has the same loss.
+            ThresholdingOutputModel::atomRow(*pmf_, span_, t, true,
+                                             buf.data());
+            b.lo = b.hi = std::max(
+                    interior, PrivacyLossAnalyzer::rowLoss(buf.data(), n));
+            b.passes = b.lo <= bound;
+        } else {
+            // Z_T(i) as ResamplingOutputModel computes it. An input
+            // that never lands (Z = 0) makes B_T infinite or NaN, so
+            // the window stays open and the model rejects it.
+            for (int64_t i = 0; i <= span_; ++i)
+                buf[static_cast<size_t>(i)] =
+                        windowMass(*pmf_, -t - i, span_ + t - i);
+            auto z = std::minmax_element(buf.begin(), buf.end());
+            const double spread = std::log(*z.second / *z.first);
+            b.lo = interior - spread;
+            b.hi = interior + spread;
+            if (b.hi + kBracketMargin <= bound) {
+                b.passes = true;
+            } else if (!(b.lo - kBracketMargin > bound)) {
+                // Open: the rows that could come within the margin of
+                // the bound are read from the model at T and their
+                // exact losses taken; every other row stays below it.
+                if (telemetry::enabled())
+                    exactAnalyses().inc();
+                auto model = makeModel(kind, t);
+                b.lo = b.hi = 0.0;
+                for (int64_t j = -t; j <= span_ + t; ++j) {
+                    double reach =
+                            free_loss[static_cast<size_t>(j + cap)] + spread;
+                    if (reach + kBracketMargin <= bound) {
+                        b.hi = std::max(b.hi, reach);
+                        continue;
+                    }
+                    model->row(j, buf.data());
+                    b.lo = std::max(
+                            b.lo, PrivacyLossAnalyzer::rowLoss(buf.data(), n));
+                }
+                b.hi = std::max(b.hi, b.lo);
+                b.passes = b.lo <= bound;
             }
-            hi = probe;
         }
+        if (!visit(b))
+            return;
     }
-    while (hi - lo > 1) {
-        int64_t mid = lo + (hi - lo) / 2;
-        if (ok(mid))
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return lo;
 }
 
 } // namespace ulpdp

@@ -24,12 +24,21 @@
  *  infinite even though Eq. (15) is satisfied. The exact searches
  *  below account for every output, so prefer exactIndex() when
  *  configuring a real device; the benches quantify the discrepancy.
+ *
+ * exactIndex() is one sweep over the output rows (DESIGN.md §16,
+ * "Exact window search"): interior rows do not depend on T, so a
+ * running max M_T grows by two rows per T. Thresholding adds its
+ * boundary atom and is exact; resampling brackets the loss by M_T -/+
+ * log(max_i Z_T(i) / min_i Z_T(i)), and where that bracket does not
+ * clear the bound by a 1e-9 margin it reads the rows that could reach
+ * the bound from the model at T.
  */
 
 #ifndef ULPDP_CORE_THRESHOLD_CALC_H
 #define ULPDP_CORE_THRESHOLD_CALC_H
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "core/fxp_params.h"
@@ -42,6 +51,17 @@ enum class RangeControl
 {
     Resampling,
     Thresholding,
+};
+
+/** One window of the sweep: lo <= exactLossAt(kind, threshold) <= hi
+ *  up to rounding, lo == hi where the loss was computed exactly. */
+struct LossBracket
+{
+    int64_t threshold = 0;
+    double lo = 0.0;
+    double hi = 0.0;
+    /** exactLossAt(kind, threshold) <= the bound of the sweep. */
+    bool passes = false;
 };
 
 /** Computes window thresholds (in Delta index units). */
@@ -59,17 +79,28 @@ class ThresholdCalculator
     /**
      * Closed-form threshold index for loss bound n * eps (Eq. 13 or
      * Eq. 15). @p n must exceed 1. Laplace closed forms: with a
-     * non-null params.icdf they are only exactIndex()'s starting
-     * guess.
+     * non-null params.icdf they describe only the Laplace stage.
      */
     int64_t closedFormIndex(RangeControl kind, double n) const;
 
     /**
-     * Exact threshold: the largest window extension T such that the
-     * exact worst-case loss of the mechanism's full output model is
-     * <= n * eps. Returns -1 if no T >= 0 satisfies the bound.
+     * Exact threshold: the last T of the passing prefix [0, T*] of
+     * [0, pmf()->maxIndex()], where T passes when its exact
+     * worst-case loss (exactLossAt) is <= n * eps, up to a 1e-9
+     * relative slack. Returns -1 if T = 0 fails. One sweep walks
+     * T = 0, 1, ... and stops at the first failing window.
      */
     int64_t exactIndex(RangeControl kind, double n) const;
+
+    /**
+     * The sweep behind exactIndex() for @p bound: hands @p visit the
+     * bracket of T = 0, 1, ..., pmf()->maxIndex() in order until it
+     * returns false. Thresholding brackets are exact: lo == hi ==
+     * exactLossAt(kind, T) bit for bit.
+     */
+    void sweep(RangeControl kind, double bound,
+               const std::function<bool(const LossBracket &)> &visit)
+            const;
 
     /**
      * Exact worst-case loss of the mechanism with window extension

@@ -358,5 +358,57 @@ TEST(PmfCertifier, BoundedLaplaceBuildsEachCandidatePmfOnce)
     telemetry::reset();
 }
 
+/** Two inputs, three outputs, dyadic probabilities: two rows have
+ *  p_max / p_min = 2 exactly, so the worst loss is ln 2 on the nose. */
+class RatioTwoModel : public DiscreteOutputModel
+{
+  public:
+    int64_t span() const override { return 1; }
+    int64_t outputLo() const override { return 0; }
+    int64_t outputHi() const override { return 2; }
+    void
+    row(int64_t j, double *out) const override
+    {
+        static const double rows[3][2] = {
+            {0.5, 0.25}, {0.25, 0.5}, {0.25, 0.25}};
+        out[0] = rows[j][0];
+        out[1] = rows[j][1];
+    }
+    std::string name() const override { return "ratio two"; }
+};
+
+TEST(PmfCertifier, LossExactlyAtTheBoundCertifies)
+{
+    // The verdict is worst <= bound with no tolerance either way: a
+    // mechanism whose worst loss is exactly the bound certifies, and
+    // the same mechanism against a bound one ulp lower does not.
+    MechanismRegistry::Entry entry;
+    entry.name = "ratio-two";
+    entry.resolve = [](const MechanismSpec &spec) {
+        MechanismLowering low;
+        low.params = spec.params;
+        return low;
+    };
+    entry.buildModel = [](const MechanismSpec &,
+                          const MechanismLowering &) {
+        return std::unique_ptr<DiscreteOutputModel>(new RatioTwoModel);
+    };
+    FxpMechanismParams profile = ciProfile(8);
+    profile.epsilon = std::log(2.0);
+    MechanismCertificate at = PmfCertifier(profile, 1.0).certify(entry);
+    EXPECT_EQ(at.mechanism, "ratio-two");
+    EXPECT_EQ(at.worst_case_loss, std::log(2.0));
+    EXPECT_EQ(at.bound, at.worst_case_loss);
+    EXPECT_EQ(at.margin, 0.0);
+    EXPECT_TRUE(at.certified);
+
+    profile.epsilon = std::nextafter(std::log(2.0), 0.0);
+    MechanismCertificate above =
+        PmfCertifier(profile, 1.0).certify(entry);
+    EXPECT_EQ(above.worst_case_loss,
+              std::nextafter(above.bound, INFINITY));
+    EXPECT_FALSE(above.certified);
+}
+
 } // namespace
 } // namespace ulpdp
