@@ -2,11 +2,13 @@
  * @file
  * Component micro-benchmarks (google-benchmark): throughput of the
  * Tausworthe URNG, the CORDIC log, the fixed-point Laplace pipeline,
- * each mechanism's noise() path and the exact privacy-loss analysis.
+ * each mechanism's noise() path, the exact privacy-loss analysis and
+ * the collector's decoders (least-squares decode and EM).
  * These quantify host-simulation speed (how fast the model runs),
  * not device latency (see bench_fig11 / bench_sec5 for cycles).
  */
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -238,6 +240,31 @@ BM_HistogramDeconvolution(benchmark::State &state)
     }
 }
 BENCHMARK(BM_HistogramDeconvolution)->Arg(50)->Arg(300);
+
+/** decode() on the reference device's 869-slot window (T = 418) over
+ *  Arg(0) released reports of off-centre data. At Arg 1 the column
+ *  kernel adds one slot and skips the rest, so the time is the zero
+ *  scan plus the O(inputs) tail (moments, pmf, median, boundary mass);
+ *  the 16k-report time minus it is the kernel's own work. */
+void
+BM_FrequencyDecode(benchmark::State &state)
+{
+    ThresholdCalculator calc(benchParams());
+    agg::FrequencyDecoder decoder(
+        ThresholdingOutputModel(calc.pmf(), calc.span(), 418));
+    ThresholdingMechanism mech(benchParams(), 418);
+    std::vector<uint64_t> counts(decoder.numOutputs(), 0);
+    for (int64_t i = 0; i < state.range(0); ++i) {
+        double y = mech.noise(7.5 + 1.5 * std::sin(0.1 * i)).value;
+        ++counts[static_cast<size_t>(mech.toIndex(y) -
+                                     mech.windowLoIndex())];
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            decoder.decode(counts, 0.0, mech.delta()).mean);
+    }
+}
+BENCHMARK(BM_FrequencyDecode)->Arg(1)->Arg(16384);
 
 void
 BM_DpBoxNoising(benchmark::State &state)

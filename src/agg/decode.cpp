@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 #include "core/kary_randomized_response.h"
@@ -63,6 +64,110 @@ invertDense(std::vector<double> g, size_t n)
     return inv;
 }
 
+/** Vectors of doubles: two to an SSE2 register, four to an AVX2 one
+ *  (a one-input channel runs on plain doubles). Loads and stores go
+ *  through memcpy (unaligned). */
+typedef double Pair __attribute__((vector_size(16)));
+typedef double Quad __attribute__((vector_size(32)));
+
+/**
+ * out[a0 + a] = sum over slots j of m[j][a0 + a] * w[j] for a < width,
+ * in ceil(width / lanes) <= NV vectors; returns sum_j w[j]. Each sum
+ * adds its terms one at a time in slot order, an IEEE multiply then an
+ * IEEE add (the file is built -ffp-contract=off), so it is bit-
+ * identical to a slot-at-a-time loop; the sums stay in registers for
+ * the whole pass. The last vector ends at a0 + width and may overlap
+ * its neighbour: the lanes both cover get the same sum from each.
+ * Zero-weight slots are skipped.
+ */
+template <typename V, int NV, typename W>
+inline __attribute__((always_inline)) double
+columnBlock(const double *m, size_t slots, size_t n, const W *w,
+            size_t a0, size_t width, double *out)
+{
+    constexpr size_t L = sizeof(V) / sizeof(double);
+    if constexpr (NV > 1) {
+        if (width <= (NV - 1) * L)
+            return columnBlock<V, NV - 1>(m, slots, n, w, a0, width, out);
+    }
+    const size_t last = width - L;
+    V acc[NV] = {};
+    double total = 0.0;
+    for (size_t j = 0; j < slots; ++j) {
+        if (w[j] == 0)
+            continue;
+        const double wj = static_cast<double>(w[j]);
+        const double *row = m + j * n + a0;
+        total = total + wj;
+#pragma GCC unroll 16
+        for (int v = 0; v < NV; ++v) {
+            V x;
+            std::memcpy(&x, row + (v + 1 < NV ? v * L : last), sizeof x);
+            acc[v] = acc[v] + x * wj;
+        }
+    }
+#pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) {
+        std::memcpy(out + a0 + (v + 1 < NV ? v * L : last), &acc[v],
+                    sizeof acc[v]);
+    }
+    return total;
+}
+
+/**
+ * The column kernel: out = M^T w over a slot-major slots x n matrix
+ * (n >= lanes), one pass over the slots per block of up to MaxNV
+ * vectors; returns sum_j w[j] in slot order. A last block narrower
+ * than a vector backs up into its neighbour.
+ */
+template <typename V, int MaxNV, typename W>
+inline __attribute__((always_inline)) double
+columnSumsIsa(const double *m, size_t slots, size_t n, const W *w,
+              double *out)
+{
+    constexpr size_t L = sizeof(V) / sizeof(double);
+    double total = 0.0;
+    for (size_t a0 = 0; a0 < n; a0 += MaxNV * L) {
+        const size_t b0 = std::min(a0, n - L);
+        total = columnBlock<V, MaxNV>(m, slots, n, w, b0,
+                                      std::min(n - b0, MaxNV * L), out);
+    }
+    return total;
+}
+
+/** Vectors per block. Either ISA sums the 33 inputs of the reference
+ *  32-step grid in one pass; under SSE2 a few of the 17 sums spill,
+ *  which still beats a second pass over the slots. */
+constexpr int kBaseVecs = 17;
+constexpr int kAvx2Vecs = 12;
+
+#if defined(ULPDP_SIMD_AVX2)
+template <typename W>
+__attribute__((target("avx2"))) double
+columnSumsAvx2(const double *m, size_t slots, size_t n, const W *w,
+               double *out)
+{
+    return columnSumsIsa<Quad, kAvx2Vecs>(m, slots, n, w, out);
+}
+#endif
+
+/** out[a] = sum_j m[j * n + a] * w[j] in slot order (zero w[j]
+ *  skipped) on the widest kernel the host runs; returns sum_j w[j]. */
+template <typename W>
+double
+columnSums(const double *m, size_t slots, size_t n, const W *w,
+           double *out)
+{
+#if defined(ULPDP_SIMD_AVX2)
+    static const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+    if (avx2 && n >= 4)
+        return columnSumsAvx2(m, slots, n, w, out);
+#endif
+    if (n < 2)
+        return columnSumsIsa<double, 1>(m, slots, n, w, out);
+    return columnSumsIsa<Pair, kBaseVecs>(m, slots, n, w, out);
+}
+
 } // namespace
 
 FrequencyDecoder::FrequencyDecoder(const DiscreteOutputModel &model)
@@ -114,42 +219,8 @@ FrequencyDecoder::decode(const std::vector<uint64_t> &slot_counts,
     }
     DecodedFrequencies out;
     out.counts.assign(inputs_, 0.0);
-
-    // Skip the dense multiply's zero columns: post-epoch slot counts
-    // are concentrated on the populated window, and per-trial decode
-    // in the utility benches sees mostly-sparse vectors. Nonzero
-    // slots are applied four at a time: every input still adds its
-    // terms one by one in slot order (bit-identical to a slot-at-a-
-    // time loop), but loads and stores its running count once per
-    // four terms instead of once per term.
-    double *acc = out.counts.data();
-    const size_t n = inputs_;
-    const double *col[4];
-    double rd[4];
-    int pending = 0;
-    double total = 0.0;
-    for (size_t j = 0; j < outputs_; ++j) {
-        uint64_t r = slot_counts[j];
-        if (r == 0)
-            continue;
-        rd[pending] = static_cast<double>(r);
-        total += rd[pending];
-        col[pending] = &pinv_[j * n];
-        if (++pending < 4)
-            continue;
-        pending = 0;
-        for (size_t a = 0; a < n; ++a) {
-            acc[a] = (((acc[a] + col[0][a] * rd[0]) +
-                       col[1][a] * rd[1]) +
-                      col[2][a] * rd[2]) +
-                     col[3][a] * rd[3];
-        }
-    }
-    for (int k = 0; k < pending; ++k) {
-        for (size_t a = 0; a < n; ++a)
-            acc[a] += col[k][a] * rd[k];
-    }
-    out.total = total;
+    out.total = columnSums(pinv_.data(), outputs_, inputs_,
+                           slot_counts.data(), out.counts.data());
     if (out.total <= 0.0)
         return out;
 
@@ -233,7 +304,7 @@ FrequencyDecoder::maximumLikelihood(
     // Richardson-Lucy EM: pi <- pi * M^T (r / (M pi)); the fixed
     // point is the multinomial ML estimate.
     std::vector<double> pi(inputs_, 1.0 / static_cast<double>(inputs_));
-    std::vector<double> predicted(outputs_);
+    std::vector<double> ratio(outputs_);
     std::vector<double> next(inputs_);
     for (int it = 0; it < iterations; ++it) {
         for (size_t j = 0; j < outputs_; ++j) {
@@ -241,19 +312,12 @@ FrequencyDecoder::maximumLikelihood(
             const double *row = &kernel_[j * inputs_];
             for (size_t i = 0; i < inputs_; ++i)
                 p += row[i] * pi[i];
-            predicted[j] = p;
+            ratio[j] = slot_counts[j] == 0 || p <= 0.0
+                ? 0.0
+                : static_cast<double>(slot_counts[j]) / total / p;
         }
-        for (size_t i = 0; i < inputs_; ++i)
-            next[i] = 0.0;
-        for (size_t j = 0; j < outputs_; ++j) {
-            if (slot_counts[j] == 0 || predicted[j] <= 0.0)
-                continue;
-            double ratio = static_cast<double>(slot_counts[j]) /
-                           total / predicted[j];
-            const double *row = &kernel_[j * inputs_];
-            for (size_t i = 0; i < inputs_; ++i)
-                next[i] += row[i] * ratio;
-        }
+        columnSums(kernel_.data(), outputs_, inputs_, ratio.data(),
+                   next.data());
         double norm = 0.0;
         for (size_t i = 0; i < inputs_; ++i) {
             pi[i] *= next[i];

@@ -98,9 +98,9 @@ struct DecodedFrequencies
  * Precomputed pseudo-inverse decoder for one mechanism channel.
  *
  * Construction does all the heavy lifting (builds M from the model,
- * solves the normal equations); decode() per call is a dense
- * (span+1) x outputs multiply, a few microseconds at the spans this
- * repo uses, so per-trial decoding in the utility benches is cheap.
+ * solves the normal equations); decode() per call is one pass of a
+ * register-blocked column kernel over the nonzero slots, a few
+ * microseconds at the spans this repo uses.
  */
 class FrequencyDecoder
 {
@@ -129,6 +129,9 @@ class FrequencyDecoder
 
     /**
      * Decode a slot-count vector into input-frequency estimates.
+     * counts[a] sums pinv[j][a] * r_j over the nonzero slots j one
+     * term at a time in slot order (IEEE multiply then add, never an
+     * FMA), so it is bit-identical on every SIMD kernel and build.
      *
      * @param slot_counts Observed count per output slot; slot s holds
      *        output index outputLo() + s. Size must be numOutputs().
@@ -160,8 +163,8 @@ class FrequencyDecoder
     size_t outputs_ = 0;
     int64_t output_lo_ = 0;
     /** Pseudo-inverse (M^T M)^{-1} M^T, stored output-major
-     *  (pinv_[j * inputs_ + a]) so decode() reads each nonzero slot's
-     *  coefficients contiguously. */
+     *  (pinv_[j * inputs_ + a]): the column kernel keeps all inputs'
+     *  sums in registers and reads each nonzero slot's row once. */
     std::vector<double> pinv_;
     /** Forward channel M, outputs_ x inputs_ row-major (EM,
      *  boundary-mass expectation and test round trips). */

@@ -1361,10 +1361,11 @@ FleetRunner::run(unsigned num_threads)
             ar->input_value0 =
                 static_cast<double>(plan.lo_index) * plan.delta;
             ar->delta = plan.delta;
+            // totals is the sketch's slotTotals(), already summed by
+            // the merge above (agg_on implies counted).
             auto d0 = std::chrono::steady_clock::now();
             ar->decoded = plan.decoder->decode(
-                ar->sketch.slotTotals(), ar->input_value0,
-                plan.delta);
+                totals, ar->input_value0, plan.delta);
             ar->decode_seconds = std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - d0).count();
             res.agg = std::move(ar);

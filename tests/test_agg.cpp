@@ -15,6 +15,7 @@
 #include <memory>
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -417,6 +418,69 @@ hashBits(const std::vector<double> &v)
         }
     }
     return h;
+}
+
+/** A one-input channel (span 0) over three outputs: the narrowest
+ *  decoder, which no mechanism's model builds (their spans are
+ *  positive). */
+class OneInputModel : public DiscreteOutputModel
+{
+  public:
+    int64_t span() const override { return 0; }
+    int64_t outputLo() const override { return -1; }
+    int64_t outputHi() const override { return 1; }
+    void row(int64_t j, double *out) const override
+    {
+        out[0] = j == 0 ? 0.5 : 0.25;
+    }
+    std::string name() const override { return "one-input"; }
+};
+
+TEST(AggDecode, DecodeMatchesSlotOrderReference)
+{
+    // decode() adds each input's terms one slot at a time, in slot
+    // order, as an IEEE multiply then an IEEE add -- whatever block
+    // width or SIMD kernel the host runs. Pin that bit for bit against
+    // a plain loop over the pinv columns (decoding a unit count vector
+    // reads out slot j's column exactly), for every input width from
+    // 1 to 72 so that every block size and overlapping last vector is
+    // hit, and for dense, sparse and single-slot counts of up to 2^40.
+    auto pmf = std::make_shared<const FxpLaplacePmf>(
+        emParams().rngConfig());
+    std::mt19937_64 rng(20240611);
+    for (int64_t span = 0; span < 72; ++span) {
+        agg::FrequencyDecoder dec =
+            span == 0 ? agg::FrequencyDecoder(OneInputModel())
+                      : agg::FrequencyDecoder(
+                            ThresholdingOutputModel(pmf, span, 24));
+        const size_t n = dec.numInputs(), slots = dec.numOutputs();
+        std::vector<std::vector<double>> col(slots);
+        std::vector<uint64_t> unit(slots, 0);
+        for (size_t j = 0; j < slots; ++j) {
+            unit[j] = 1;
+            col[j] = dec.decode(unit, 0.0, 1.0).counts;
+            unit[j] = 0;
+        }
+        std::vector<std::vector<uint64_t>> cases(3, unit);
+        for (size_t j = 0; j < slots; ++j) {
+            cases[0][j] = rng() >> 24;
+            if (rng() % 8 == 0)
+                cases[1][j] = rng() % 1000;
+        }
+        cases[1][slots - 1] = uint64_t(1) << 40;
+        cases[2][rng() % slots] = (uint64_t(1) << 40) - 1;
+        for (const auto &r : cases) {
+            std::vector<double> ref(n, 0.0);
+            for (size_t j = 0; j < slots; ++j) {
+                if (r[j] == 0)
+                    continue;
+                for (size_t a = 0; a < n; ++a)
+                    ref[a] += col[j][a] * static_cast<double>(r[j]);
+            }
+            EXPECT_TRUE(sameBits(dec.decode(r, 0.0, 1.0).counts, ref))
+                << "inputs " << n;
+        }
+    }
 }
 
 TEST(AggDecode, MaximumLikelihoodRejectsBadArgs)
